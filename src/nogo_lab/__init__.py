@@ -9,6 +9,6 @@ conditioned state, and exact rational feasibility of measurement scenarios
 
 __version__ = "0.1.0"
 
-from . import feasibility, fileio, hvmodel, nogo, opcore, quantum, rng  # noqa: F401
+from . import check, feasibility, fileio, hvmodel, nogo, opcore, quantum, rng  # noqa: F401
 from .opcore import CLUSTER_GAP, TOL  # noqa: F401
 from .quantum import Density, Observable, Projector  # noqa: F401

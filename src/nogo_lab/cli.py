@@ -10,6 +10,10 @@ Four batch commands, all seeded and deterministic:
 * ``feasibility``          - decide classical-model existence for a scenario
   file (bundled fixtures resolvable by name).
 
+Each command gathers :class:`~nogo_lab.check.Check` records from the
+library (the phase-space rules come from :func:`nogo_lab.hvmodel.check_model`)
+and :func:`_emit` serializes them; this module holds no rule logic.
+
 Exit codes: 0 all checks pass / feasible; 1 a checked property fails or the
 scenario is infeasible; 2 configuration, parse, or validation errors.
 Structured reports with the same (command, seed, tolerances) are
@@ -27,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, fileio, hvmodel, nogo
+from .check import EXPECTED, FAIL, PASS, Check
 from .errors import ConfigError, NogoLabError, NumericalAmbiguity
 from .feasibility import (
     chsh_scenario,
@@ -43,11 +48,9 @@ from .opcore import (
     commutator_norm,
     random_density_matrix,
     random_projector_matrix,
-    random_unitary,
-    dag,
     trace_inner,
 )
-from .quantum import Density, Projector, leq
+from .quantum import Density, Projector
 from .rng import MAX_SEED, trial_generator
 
 EXIT_OK = 0
@@ -104,15 +107,17 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _emit(cfg: RunConfig, checks: list[dict], exit_code: int, extra: dict | None = None) -> int:
+def _emit(cfg: RunConfig, checks: list[Check], extra: dict | None = None) -> int:
+    """Write the report; exit 0 when every check is ok, else 1."""
+    exit_code = EXIT_OK if all(c.ok for c in checks) else EXIT_VIOLATION
     report = {
         "schemaVersion": fileio.SCHEMA_VERSION,
         "tool": f"nogo-lab {__version__}",
         "config": _config_echo(cfg),
-        "checks": checks,
+        "checks": [c.as_dict() for c in checks],
         "summary": {
             "total": len(checks),
-            "failed": sum(1 for c in checks if c["verdict"] not in ("pass", "expected")),
+            "failed": sum(1 for c in checks if not c.ok),
             "exitCode": exit_code,
         },
     }
@@ -120,63 +125,26 @@ def _emit(cfg: RunConfig, checks: list[dict], exit_code: int, extra: dict | None
         report.update(extra)
     if cfg.format == "structured":
         payload = fileio.report_bytes(report)
-        if cfg.out:
-            with open(cfg.out, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
     else:
         lines = [f"nogo-lab {cfg.command} (seed={cfg.seed})"]
         for c in checks:
-            lines.append(
-                f"  [{c['verdict']:>9}] {c['name']}  residual={c['residual']:.3e}"
-            )
+            lines.append(f"  [{c.verdict:>9}] {c.name}  residual={c.residual:.3e}")
         for key, val in (extra or {}).items():
             lines.append(f"  {key}: {val}")
         lines.append(f"exit {exit_code}")
-        text = "\n".join(lines) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        payload = ("\n".join(lines) + "\n").encode("utf-8")
+    if cfg.out:
+        with open(cfg.out, "wb") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.buffer.write(payload)
     return exit_code
-
-
-# ---------------------------------------------------------------------------
-# Random pair samplers for batch commands
-
-
-def _random_commuting_projectors(gen: np.random.Generator, dim: int):
-    u = random_unitary(gen, dim)
-    pat_a = gen.integers(0, 2, size=dim)
-    pat_b = gen.integers(0, 2, size=dim)
-    a = u @ np.diag(pat_a.astype(np.complex128)) @ dag(u)
-    b = u @ np.diag(pat_b.astype(np.complex128)) @ dag(u)
-    return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
-
-
-def _random_noncommuting_projectors(
-    gen: np.random.Generator, dim: int, min_comm: float = 0.05
-):
-    for _ in range(1000):
-        ra = int(gen.integers(1, dim))
-        rb = int(gen.integers(1, dim))
-        a = random_projector_matrix(gen, dim, ra)
-        b = random_projector_matrix(gen, dim, rb)
-        if commutator_norm(a, b) > min_comm:
-            return (
-                Projector.from_matrix(a, tol=1e-8),
-                Projector.from_matrix(b, tol=1e-8),
-            )
-    raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 
 
 def cmd_verify_commutation(cfg: RunConfig) -> int:
     """Both forced-commutation routes on random pairs; the routes must agree
     pairwise and commuting pairs must end with a vanishing commutator."""
     cfg.validate()
-    worst_comm = 0.0
     worst_final = 0.0
     min_witness_ratio = np.inf
     disagreements = 0
@@ -184,22 +152,19 @@ def cmd_verify_commutation(cfg: RunConfig) -> int:
     tallies = {"pass": 0, "hypothesis-violated": 0}
     for t in range(cfg.trials):
         gen = trial_generator(cfg.seed, t)
-        for kind in ("commuting", "noncommuting"):
-            if kind == "commuting":
-                a, b = _random_commuting_projectors(gen, cfg.dim)
-            else:
-                a, b = _random_noncommuting_projectors(gen, cfg.dim)
+        for commuting in (True, False):
+            sample = nogo.random_commuting_pair if commuting else nogo.random_noncommuting_pair
+            a, b = sample(gen, cfg.dim)
             chain = nogo.check_forced_commutation(a, b, tol=cfg.tol)
             alt = nogo.check_forced_commutation_alt(a, b, tol=cfg.tol)
             if chain.verdict != alt.verdict:
                 disagreements += 1
             for rep in (chain, alt):
-                if rep.verdict == nogo.FAIL:
+                if rep.verdict == FAIL:
                     fails += 1
                 else:
                     tallies[rep.verdict] += 1
-            if kind == "commuting":
-                worst_comm = max(worst_comm, chain.max_residual(), alt.max_residual())
+            if commuting:
                 worst_final = max(worst_final, commutator_norm(a.mat, b.mat))
             elif chain.witness is not None:
                 m = b.mat @ a.mat @ b.mat - a.mat @ b.mat @ a.mat
@@ -211,27 +176,26 @@ def cmd_verify_commutation(cfg: RunConfig) -> int:
         min_witness_ratio = 1.0
 
     checks = [
-        {
-            "name": f"commuting pairs end with AB = BA (dim {cfg.dim})",
-            "rule": "forced-commutation",
-            "residual": worst_final,
-            "verdict": "pass" if worst_final <= 1e-8 and fails == 0 else "fail",
-        },
-        {
-            "name": f"noncommuting pairs are flagged with a witness (dim {cfg.dim})",
-            "rule": "trace-symmetry",
-            "residual": 1.0 - float(min_witness_ratio),
-            "verdict": "expected" if min_witness_ratio >= 0.9 else "fail",
-        },
-        {
-            "name": "both verification routes agree on every verdict",
-            "rule": "route-agreement",
-            "residual": float(disagreements),
-            "verdict": "pass" if disagreements == 0 else "fail",
-        },
+        Check.judged(
+            f"commuting pairs end with AB = BA (dim {cfg.dim})",
+            worst_final,
+            worst_final <= 1e-8 and fails == 0,
+            rule="forced-commutation",
+        ),
+        Check(
+            f"noncommuting pairs are flagged with a witness (dim {cfg.dim})",
+            1.0 - float(min_witness_ratio),
+            EXPECTED if min_witness_ratio >= 0.9 else FAIL,
+            rule="trace-symmetry",
+        ),
+        Check.judged(
+            "both verification routes agree on every verdict",
+            float(disagreements),
+            disagreements == 0,
+            rule="route-agreement",
+        ),
     ]
-    code = EXIT_OK if all(c["verdict"] in ("pass", "expected") for c in checks) else EXIT_VIOLATION
-    return _emit(cfg, checks, code, extra={"verdictCounts": tallies})
+    return _emit(cfg, checks, extra={"verdictCounts": tallies})
 
 
 def cmd_verify_conditioning(cfg: RunConfig) -> int:
@@ -250,108 +214,23 @@ def cmd_verify_conditioning(cfg: RunConfig) -> int:
         rank = int(gen.integers(1, cfg.dim))
         b = Projector.from_matrix(random_projector_matrix(gen, cfg.dim, rank), tol=1e-8)
         rep = nogo.check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=cfg.tol)
-        worst = max(worst, max(s.residual for s in rep.steps[:1]))
+        worst = max(worst, rep.parts[0].residual)
         if not rep.ok:
             fails += 1
-    checks = [
-        {
-            "name": f"conditioned-state uniqueness on {cfg.trials} random pairs (dim {cfg.dim})",
-            "rule": "conditional-uniqueness",
-            "residual": worst,
-            "verdict": "pass" if fails == 0 else "fail",
-        }
-    ]
-    code = EXIT_OK if fails == 0 else EXIT_VIOLATION
-    return _emit(cfg, checks, code)
-
-
-def _model_checks(model: hvmodel.HVModel, tol: float, gap: float) -> list[dict]:
-    checks = []
-
-    def add(rule: str, reports: list[hvmodel.RuleReport]) -> None:
-        if not reports:
-            return
-        residual = max(r.residual for r in reports)
-        nviol = sum(len(r.violations) for r in reports)
-        entry = {
-            "name": f"{rule} over {len(reports)} instances",
-            "rule": rule,
-            "residual": residual,
-            "verdict": "pass" if nviol == 0 else "fail",
-        }
-        if nviol:
-            first = next(v for r in reports for v in r.violations)
-            entry["violations"] = nviol
-            entry["firstViolation"] = f"{first.where}: {first.detail}"
-        checks.append(entry)
-
-    add("spectrum-rule", [hvmodel.check_spectrum_rule(model, gap)])
-
-    labels = sorted(model.registered)
-    marginals, joints, sums, products, orders, conditionals = [], [], [], [], [], []
-    for la in labels:
-        obs = model.registered[la]
-        eigs = sorted(set(obs.eigenvalues()))
-        for v in eigs:
-            marginals.append(hvmodel.check_marginal_rule(model, la, [v], tol, gap))
-        marginals.append(hvmodel.check_marginal_rule(model, la, eigs, tol, gap))
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            if commutator_norm(model.registered[la].mat, model.registered[lb].mat) > tol:
-                continue
-            va = sorted(set(model.registered[la].eigenvalues()))
-            vb = sorted(set(model.registered[lb].eigenvalues()))
-            for x in va:
-                for y in vb:
-                    joints.append(
-                        hvmodel.check_joint_rule(model, la, [x], lb, [y], tol, gap)
-                    )
-            try:
-                sums.append(hvmodel.check_sum_rule(model, la, lb, tol))
-            except NogoLabError:
-                pass
-            try:
-                products.append(hvmodel.check_product_rule(model, la, lb, tol))
-            except NogoLabError:
-                pass
-            pa_mat, pb_mat = model.registered[la].mat, model.registered[lb].mat
-            try:
-                pa = Projector.from_matrix(pa_mat, tol=1e-7)
-                pb = Projector.from_matrix(pb_mat, tol=1e-7)
-            except NogoLabError:
-                continue
-            for first, second in ((pa, pb), (pb, pa)):
-                lo = la if first is pa else lb
-                hi = lb if second is pb else la
-                if leq(first, second, 1e-7) and lo != hi:
-                    try:
-                        orders.append(hvmodel.check_order_rule(model, lo, hi, tol, gap))
-                    except NogoLabError:
-                        pass
-            for lo, hi in ((la, lb), (lb, la)):
-                try:
-                    conditionals.append(
-                        hvmodel.check_conditional_rule(model, lo, hi, tol, gap)
-                    )
-                except NogoLabError:
-                    pass
-
-    add("marginal-rule", marginals)
-    add("joint-rule", joints)
-    add("sum-rule", sums)
-    add("product-rule", products)
-    add("order-events-rule", orders)
-    add("conditional-rule", conditionals)
-    return checks
+    check = Check.judged(
+        f"conditioned-state uniqueness on {cfg.trials} random pairs (dim {cfg.dim})",
+        worst,
+        fails == 0,
+        rule="conditional-uniqueness",
+    )
+    return _emit(cfg, [check])
 
 
 def cmd_check_model(cfg: RunConfig) -> int:
     """Every axiom checker on a model file; exit 1 on any flagged rule."""
     cfg.validate()
     model = fileio.load_model(fileio.resolve_input_path(cfg.path))
-    checks = _model_checks(model, cfg.tol, cfg.cluster_gap)
-    code = EXIT_OK if all(c["verdict"] == "pass" for c in checks) else EXIT_VIOLATION
-    return _emit(cfg, checks, code)
+    return _emit(cfg, hvmodel.check_model(model, cfg.tol, cfg.cluster_gap))
 
 
 def _named_state(name: str, dim: int) -> Density:
@@ -425,12 +304,12 @@ def cmd_feasibility(cfg: RunConfig) -> int:
         extra["classicalBound"] = str(classical_chsh_bound(scenario))
 
     result = hv_feasibility(scenario, tol=cfg.tol)
-    check = {
-        "name": f"classical model existence for {scenario.name}",
-        "rule": "assignment-feasibility",
-        "residual": 0.0,
-        "verdict": "pass" if result.feasible else result.status,
-    }
+    check = Check(
+        f"classical model existence for {scenario.name}",
+        0.0,
+        PASS if result.feasible else result.status,
+        rule="assignment-feasibility",
+    )
     if result.feasible:
         extra["certificate"] = {
             "labels": list(result.labels),
@@ -438,16 +317,13 @@ def cmd_feasibility(cfg: RunConfig) -> int:
                 {"assignment": list(a), "weight": str(w)} for a, w in result.certificate
             ],
         }
-        code = EXIT_OK
-    else:
-        if result.violated_constraint is not None:
-            extra["violatedConstraint"] = {
-                "aggregate": result.violated_constraint,
-                "required": str(result.required),
-                "maxAttainable": str(result.max_attainable),
-            }
-        code = EXIT_VIOLATION
-    return _emit(cfg, [check], code, extra=extra)
+    elif result.violated_constraint is not None:
+        extra["violatedConstraint"] = {
+            "aggregate": result.violated_constraint,
+            "required": str(result.required),
+            "maxAttainable": str(result.max_attainable),
+        }
+    return _emit(cfg, [check], extra=extra)
 
 
 # ---------------------------------------------------------------------------

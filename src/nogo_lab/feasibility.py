@@ -441,13 +441,6 @@ def setting_side2(theta_deg: float) -> np.ndarray:
     return np.kron(_I2, -(np.sin(t) * _SZ + np.cos(t) * _SX))
 
 
-def _check_dichotomic(label: str, mat: np.ndarray, tol: float) -> None:
-    obs = Observable.from_matrix(mat, tol=max(tol, 1e-8))
-    eigs = obs.eigenvalues()
-    if any(min(abs(e - 1.0), abs(e + 1.0)) > CLUSTER_GAP for e in eigs):
-        raise NotDichotomic(f"{label} has eigenvalues {eigs}, expected subset of -1, +1")
-
-
 def chsh_value(
     state: Density,
     a1,
@@ -466,7 +459,7 @@ def chsh_value(
     a1, a2, b1, b2 = map(as_operator, (a1, a2, b1, b2))
     require_same_dim(state.mat, a1, a2, b1, b2)
     for label, m in (("A", a1), ("A'", a2), ("B", b1), ("B'", b2)):
-        _check_dichotomic(label, m, tol)
+        make_item(label, DICHOTOMIC, m, tol=max(tol, 1e-8))
     for la, x in (("A", a1), ("A'", a2)):
         for lb, y in (("B", b1), ("B'", b2)):
             c = commutator_norm(x, y)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from importlib import resources
 
 import numpy as np
@@ -61,12 +62,29 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_json(complex(v)) for v in row] for row in np.asarray(m)]
 
 
+def _is_number(v) -> bool:
+    """A JSON number that is finite as a float; ``true``/``false`` are not."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
+
+
+def _numbers_from_json(data, n: int, where: str) -> np.ndarray:
+    if not isinstance(data, list) or len(data) != n or not all(map(_is_number, data)):
+        raise FormatError(f"{where}: expected {n} finite numbers")
+    return np.array([float(v) for v in data])
+
+
 def _entry_from_json(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v, 0.0)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
-    raise FormatError(f"{where}: matrix entry must be a number or [re, im], got {v!r}")
+    raise FormatError(
+        f"{where}: matrix entry must be a finite number or [re, im], got {v!r}"
+    )
 
 
 def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
@@ -114,7 +132,7 @@ def _load_json(path: str) -> dict:
 
 def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
     dim = _require(data, "dim", where)
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FormatError(f"{where}: dim must be a positive integer")
     raw_items = _require(data, "items", where)
     if not isinstance(raw_items, dict) or not raw_items:
@@ -229,19 +247,18 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     points = _require(data, "points", where)
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise FormatError(f"{where}.points: expected an array of strings")
-    weights = _require(data, "weights", where)
-    if not isinstance(weights, list) or len(weights) != len(points):
-        raise FormatError(f"{where}.weights: expected {len(points)} numbers")
+    weights = _numbers_from_json(
+        _require(data, "weights", where), len(points), f"{where}.weights"
+    )
     values = _require(data, "values", where)
     if not isinstance(values, dict) or set(values) != set(observables):
         raise FormatError(f"{where}.values: must give one row per observable label")
-    table = {}
-    for label, row in values.items():
-        if not isinstance(row, list) or len(row) != len(points):
-            raise FormatError(f"{where}.values[{label}]: expected {len(points)} numbers")
-        table[label] = np.array([float(v) for v in row])
+    table = {
+        label: _numbers_from_json(row, len(points), f"{where}.values[{label}]")
+        for label, row in values.items()
+    }
 
-    space = PhaseSpace(points=tuple(points), weights=np.array([float(w) for w in weights]))
+    space = PhaseSpace(points=tuple(points), weights=weights)
     return HVModel(space=space, registered=observables, values=table, state=state)
 
 

@@ -13,6 +13,10 @@ model reproduces quantum statistics:
 * order rule       - for projectors A <= B the events satisfy a AND b = a
 * conditional rule - mu(a AND b)/mu(b) matches tr[DBAB]/tr[DB]
 
+Each checker returns a :class:`~nogo_lab.check.Check` whose parts are the
+flagged sites; ``check_model`` runs every checker over every instance it
+applies to and folds each rule into one check.
+
 ``build_commuting_model`` constructs the joint-eigenbasis model that any
 pairwise-commuting family admits; it passes every checker by construction
 and is the positive complement to the no-go checks in :mod:`nogo_lab.nogo`.
@@ -26,8 +30,10 @@ from typing import Mapping
 import numpy as np
 
 from . import rng as rng_mod
+from .check import FAIL, Check, fold
 from .errors import (
     ConditioningOnNull,
+    NogoLabError,
     NotCommuting,
     NotCommutingFamily,
     OrderViolation,
@@ -39,8 +45,6 @@ from .quantum import Density, Observable, Projector, leq, spectral_projector
 __all__ = [
     "PhaseSpace",
     "HVModel",
-    "RuleReport",
-    "Violation",
     "preimage",
     "event_weight",
     "check_spectrum_rule",
@@ -50,6 +54,7 @@ __all__ = [
     "check_joint_rule",
     "check_order_rule",
     "check_conditional_rule",
+    "check_model",
     "build_commuting_model",
 ]
 
@@ -106,37 +111,45 @@ class HVModel:
         return np.asarray(self.values[label], dtype=float)
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str
-    detail: str
-    residual: float
+def _rule(rule: str, residual: float, flagged) -> Check:
+    """One rule instance: its worst residual, passing when no site
+    (a failing part) is flagged."""
+    flagged = tuple(flagged)
+    return Check.judged(rule, residual, not flagged, rule=rule, parts=flagged)
 
 
-@dataclass(frozen=True)
-class RuleReport:
-    """Outcome of one rule check: worst residual plus flagged sites."""
+def _compare(
+    rule: str,
+    where: str,
+    classical: float,
+    quantum: float,
+    tol: float,
+    sides: tuple[str, str] = ("phase-space mass", "trace"),
+) -> Check:
+    """Rule instance matching a phase-space probability to its quantum value."""
+    gap = abs(classical - quantum)
+    detail = f"{sides[0]} {classical} vs {sides[1]} {quantum}"
+    return _rule(rule, gap, [Check(where, gap, FAIL, detail=detail)] if gap > tol else [])
 
-    rule: str
-    residual: float
-    violations: tuple[Violation, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _event_indices(m: HVModel, label: str, value: float, gap: float) -> np.ndarray:
+def _event(m: HVModel, label: str, values, gap: float) -> set[int]:
+    """Indices of the points where ``label`` takes one of ``values``."""
     row = m.value_row(label)
-    return np.flatnonzero(np.abs(row - value) <= gap)
+    idx = set()
+    for v in values:
+        idx.update(np.flatnonzero(np.abs(row - v) <= gap).tolist())
+    return idx
+
+
+def _mass(m: HVModel, idx: set[int]) -> float:
+    return float(sum(m.space.weights[i] for i in idx))
 
 
 def preimage(
     m: HVModel, label: str, value: float, cluster_gap: float = CLUSTER_GAP
 ) -> frozenset[str]:
     """Event {point : f(point, label) = value within cluster_gap}."""
-    idx = _event_indices(m, label, value, cluster_gap)
-    return frozenset(m.space.points[i] for i in idx)
+    return frozenset(m.space.points[i] for i in _event(m, label, [value], cluster_gap))
 
 
 def event_weight(m: HVModel, event: frozenset[str]) -> float:
@@ -144,9 +157,9 @@ def event_weight(m: HVModel, event: frozenset[str]) -> float:
     return float(sum(m.space.weights[index[p]] for p in event))
 
 
-def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> RuleReport:
+def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> Check:
     """Every table value must be an eigenvalue of its observable."""
-    violations = []
+    flagged = []
     worst = 0.0
     for label in m.registered:
         eigs = np.array(m.observable(label).eigenvalues())
@@ -155,14 +168,15 @@ def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> RuleRep
             dist = float(np.abs(eigs - v).min())
             worst = max(worst, dist)
             if dist > cluster_gap:
-                violations.append(
-                    Violation(
-                        where=f"({m.space.points[i]}, {label})",
+                flagged.append(
+                    Check(
+                        f"({m.space.points[i]}, {label})",
+                        dist,
+                        FAIL,
                         detail=f"value {v} is {dist:.3e} from the nearest eigenvalue",
-                        residual=dist,
                     )
                 )
-    return RuleReport(rule="spectrum-rule", residual=worst, violations=tuple(violations))
+    return _rule("spectrum-rule", worst, flagged)
 
 
 def _require_commuting(m: HVModel, a: str, b: str, tol: float) -> None:
@@ -185,26 +199,27 @@ def _find_registered(m: HVModel, target: np.ndarray, tol: float, what: str) -> l
 
 def _pointwise_rule(
     m: HVModel, a: str, b: str, compounds: list[str], combine, rule: str, tol: float
-) -> RuleReport:
+) -> Check:
     va, vb = m.value_row(a), m.value_row(b)
     worst = 0.0
-    violations = []
+    flagged = []
     for compound in compounds:
         vc = m.value_row(compound)
         gaps = np.abs(vc - combine(va, vb))
         worst = max(worst, float(gaps.max(initial=0.0)))
-        violations.extend(
-            Violation(
-                where=m.space.points[i],
+        flagged.extend(
+            Check(
+                m.space.points[i],
+                float(gaps[i]),
+                FAIL,
                 detail=f"f({a})={va[i]}, f({b})={vb[i]}, f({compound})={vc[i]}",
-                residual=float(gaps[i]),
             )
             for i in np.flatnonzero(gaps > tol)
         )
-    return RuleReport(rule=rule, residual=worst, violations=tuple(violations))
+    return _rule(rule, worst, flagged)
 
 
-def check_sum_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> RuleReport:
+def check_sum_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> Check:
     """f(., A+B) = f(., A) + f(., B) for commuting registered A, B.
 
     The sum observable must itself be registered; every registered copy is
@@ -217,7 +232,7 @@ def check_sum_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> RuleReport:
     return _pointwise_rule(m, a, b, compounds, np.add, "sum-rule", tol)
 
 
-def check_product_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> RuleReport:
+def check_product_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> Check:
     """f(., AB) = f(., A) * f(., B) for commuting registered A, B."""
     _require_commuting(m, a, b, tol)
     target = m.observable(a).mat @ m.observable(b).mat
@@ -231,26 +246,14 @@ def check_marginal_rule(
     values,
     tol: float = TOL,
     cluster_gap: float = CLUSTER_GAP,
-) -> RuleReport:
+) -> Check:
     """mu{f(., A) in S} must equal tr[D P_A(S)]."""
     obs = m.observable(label)
     proj = spectral_projector(obs, values, cluster_gap)
     quantum_side = trace_inner(m.state.mat, proj.mat).real
-    idx = set()
-    for v in values:
-        idx.update(_event_indices(m, label, v, cluster_gap).tolist())
-    classical_side = float(sum(m.space.weights[i] for i in idx))
-    gap = abs(classical_side - quantum_side)
-    violations = ()
-    if gap > tol:
-        violations = (
-            Violation(
-                where=f"{label}, S={sorted(values)}",
-                detail=f"phase-space mass {classical_side} vs trace {quantum_side}",
-                residual=gap,
-            ),
-        )
-    return RuleReport(rule="marginal-rule", residual=gap, violations=violations)
+    classical_side = _mass(m, _event(m, label, values, cluster_gap))
+    where = f"{label}, S={sorted(values)}"
+    return _compare("marginal-rule", where, classical_side, quantum_side, tol)
 
 
 def check_joint_rule(
@@ -261,29 +264,15 @@ def check_joint_rule(
     t_values,
     tol: float = TOL,
     cluster_gap: float = CLUSTER_GAP,
-) -> RuleReport:
+) -> Check:
     """mu{A in S and B in T} must equal tr[D P_A(S) P_B(T)] (commuting A, B)."""
     _require_commuting(m, a, b, tol)
     pa = spectral_projector(m.observable(a), s_values, cluster_gap)
     pb = spectral_projector(m.observable(b), t_values, cluster_gap)
     quantum_side = np.trace(m.state.mat @ pa.mat @ pb.mat).real
-    idx_a, idx_b = set(), set()
-    for v in s_values:
-        idx_a.update(_event_indices(m, a, v, cluster_gap).tolist())
-    for v in t_values:
-        idx_b.update(_event_indices(m, b, v, cluster_gap).tolist())
-    classical_side = float(sum(m.space.weights[i] for i in idx_a & idx_b))
-    gap = abs(classical_side - quantum_side)
-    violations = ()
-    if gap > tol:
-        violations = (
-            Violation(
-                where=f"({a} in {sorted(s_values)}) & ({b} in {sorted(t_values)})",
-                detail=f"phase-space mass {classical_side} vs trace {quantum_side}",
-                residual=gap,
-            ),
-        )
-    return RuleReport(rule="joint-rule", residual=gap, violations=violations)
+    both = _event(m, a, s_values, cluster_gap) & _event(m, b, t_values, cluster_gap)
+    where = f"({a} in {sorted(s_values)}) & ({b} in {sorted(t_values)})"
+    return _compare("joint-rule", where, _mass(m, both), quantum_side, tol)
 
 
 def _as_projector(m: HVModel, label: str, tol: float) -> Projector:
@@ -292,7 +281,7 @@ def _as_projector(m: HVModel, label: str, tol: float) -> Projector:
 
 def check_order_rule(
     m: HVModel, a: str, b: str, tol: float = TOL, cluster_gap: float = CLUSTER_GAP
-) -> RuleReport:
+) -> Check:
     """For projectors with A <= B, the value-1 events must nest: a AND b = a.
 
     Relies on the product rule holding for the pair, which is why the
@@ -303,48 +292,91 @@ def check_order_rule(
         raise OrderViolation(f"{a!r} <= {b!r} does not hold as projectors")
     # a <= b means ab = a; the registered product pins down f(., AB).
     _find_registered(m, pa.mat @ pb.mat, tol, f"product {a}*{b}")
-    ev_a = preimage(m, a, 1.0, cluster_gap)
-    ev_b = preimage(m, b, 1.0, cluster_gap)
-    extra = ev_a - ev_b
-    violations = tuple(
-        Violation(
-            where=p,
-            detail=f"f({a})=1 but f({b})!=1",
-            residual=1.0,
-        )
-        for p in sorted(extra)
-    )
-    return RuleReport(
-        rule="order-events-rule",
-        residual=1.0 if violations else 0.0,
-        violations=violations,
-    )
+    extra = preimage(m, a, 1.0, cluster_gap) - preimage(m, b, 1.0, cluster_gap)
+    flagged = [Check(p, 1.0, FAIL, detail=f"f({a})=1 but f({b})!=1") for p in sorted(extra)]
+    return _rule("order-events-rule", 1.0 if flagged else 0.0, flagged)
 
 
 def check_conditional_rule(
     m: HVModel, a: str, b: str, tol: float = TOL, cluster_gap: float = CLUSTER_GAP
-) -> RuleReport:
+) -> Check:
     """mu(a AND b)/mu(b) must equal tr[DBAB]/tr[DB] for projector labels."""
     pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
-    ev_a = preimage(m, a, 1.0, cluster_gap)
-    ev_b = preimage(m, b, 1.0, cluster_gap)
-    mu_b = event_weight(m, ev_b)
+    ev_a = _event(m, a, [1.0], cluster_gap)
+    ev_b = _event(m, b, [1.0], cluster_gap)
+    mu_b = _mass(m, ev_b)
     if mu_b <= tol:
         raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= tol for {b!r}")
-    classical = event_weight(m, ev_a & ev_b) / mu_b
+    classical = _mass(m, ev_a & ev_b) / mu_b
     d = m.state.mat
     quantum = np.trace(d @ pb.mat @ pa.mat @ pb.mat).real / trace_inner(d, pb.mat).real
-    gap = abs(classical - quantum)
-    violations = ()
-    if gap > tol:
-        violations = (
-            Violation(
-                where=f"Pr[{a}|{b}]",
-                detail=f"phase-space {classical} vs conditioned trace {quantum}",
-                residual=gap,
-            ),
-        )
-    return RuleReport(rule="conditional-rule", residual=gap, violations=violations)
+    sides = ("phase-space", "conditioned trace")
+    return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
+
+
+_RULES = (
+    "spectrum-rule",
+    "marginal-rule",
+    "joint-rule",
+    "sum-rule",
+    "product-rule",
+    "order-events-rule",
+    "conditional-rule",
+)
+
+
+def check_model(
+    m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP
+) -> list[Check]:
+    """Every rule checker over every instance it applies to in ``m``.
+
+    Returns one :func:`~nogo_lab.check.fold` per rule with instances, in
+    spectrum, marginal, joint, sum, product, order, conditional order.
+    Marginals run on each eigenvalue and on the whole spectrum of every
+    label; the pairwise rules run on every commuting pair of labels, the
+    order and conditional rules only when both are projectors.  An instance
+    whose precondition fails (an unregistered sum or product, an order that
+    does not hold, conditioning on a null event) is skipped.
+    """
+    found: dict[str, list[Check]] = {rule: [] for rule in _RULES}
+
+    def add(check: Check) -> None:
+        found[check.rule].append(check)
+
+    def add_unless_skipped(checker, *args) -> None:
+        try:
+            add(checker(m, *args))
+        except NogoLabError:
+            pass
+
+    add(check_spectrum_rule(m, cluster_gap))
+    labels = sorted(m.registered)
+    spectra = {la: sorted(set(m.registered[la].eigenvalues())) for la in labels}
+    for la in labels:
+        for v in spectra[la]:
+            add(check_marginal_rule(m, la, [v], tol, cluster_gap))
+        add(check_marginal_rule(m, la, spectra[la], tol, cluster_gap))
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1 :]:
+            mat_a, mat_b = m.registered[la].mat, m.registered[lb].mat
+            if commutator_norm(mat_a, mat_b) > tol:
+                continue
+            for x in spectra[la]:
+                for y in spectra[lb]:
+                    add(check_joint_rule(m, la, [x], lb, [y], tol, cluster_gap))
+            add_unless_skipped(check_sum_rule, la, lb, tol)
+            add_unless_skipped(check_product_rule, la, lb, tol)
+            try:
+                pa = Projector.from_matrix(mat_a, tol=1e-7)
+                pb = Projector.from_matrix(mat_b, tol=1e-7)
+            except NogoLabError:
+                continue
+            for (lo, p_lo), (hi, p_hi) in (((la, pa), (lb, pb)), ((lb, pb), (la, pa))):
+                if leq(p_lo, p_hi, 1e-7):
+                    add_unless_skipped(check_order_rule, lo, hi, tol, cluster_gap)
+            for lo, hi in ((la, lb), (lb, la)):
+                add_unless_skipped(check_conditional_rule, lo, hi, tol, cluster_gap)
+    return [fold(rule, checks) for rule, checks in found.items() if checks]
 
 
 def build_commuting_model(

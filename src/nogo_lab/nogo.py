@@ -4,7 +4,9 @@ The central computation: if a phase-space model reproduces conditional
 probabilities both ways round, then tr[DBAB] = tr[DABA] for every state D,
 hence BAB = ABA, and a short operator-identity chain forces AB = BA.  The
 verifiers here run those identity chains numerically on concrete projector
-pairs and report a residual per step.
+pairs and return a :class:`~nogo_lab.check.Check` whose parts are the
+steps, one residual each.  ``random_commuting_pair`` and
+``random_noncommuting_pair`` draw the seeded inputs of the batch commands.
 
 Verdict semantics: ``pass`` means every asserted identity held at tolerance;
 ``hypothesis-violated`` means the premise (the trace symmetry) fails for the
@@ -16,12 +18,10 @@ hold unconditionally; it should never occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import opcore
+from .check import FAIL, HYPOTHESIS_VIOLATED, PASS, Check
 from .errors import ConditioningOnNull, DimensionTooSmall
 from .opcore import (
     TOL,
@@ -30,6 +30,8 @@ from .opcore import (
     dag,
     identity,
     opnorm,
+    random_projector_matrix,
+    random_unitary,
     trace_inner,
 )
 from .quantum import Density, Projector, leq, luders_density, orthocomplement
@@ -38,8 +40,8 @@ __all__ = [
     "PASS",
     "HYPOTHESIS_VIOLATED",
     "FAIL",
-    "Step",
-    "TheoremReport",
+    "random_commuting_pair",
+    "random_noncommuting_pair",
     "trace_symmetry_gap",
     "check_forced_commutation",
     "check_forced_commutation_alt",
@@ -47,52 +49,41 @@ __all__ = [
     "commutation_survey",
 ]
 
-PASS = "pass"
-HYPOTHESIS_VIOLATED = "hypothesis-violated"
-FAIL = "fail"
+_step = Check.judged
 
 
-@dataclass(frozen=True)
-class Step:
-    description: str
-    residual: float
-    ok: bool
+def _theorem(name: str, steps, verdict: str | None = None, **fields) -> Check:
+    """A verifier's record: its steps as parts, the worst step residual, and
+    ``verdict`` (by default ``pass`` when every step held, else ``fail``)."""
+    if verdict is None:
+        verdict = PASS if all(s.ok for s in steps) else FAIL
+    residual = max((s.residual for s in steps), default=0.0)
+    return Check(name, residual, verdict, rule=name, parts=tuple(steps), **fields)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Stepwise verification record with an overall verdict.
+def random_commuting_pair(gen: np.random.Generator, dim: int) -> tuple[Projector, Projector]:
+    """Random projector pair sharing an eigenbasis (hence commuting)."""
+    u = random_unitary(gen, dim)
+    pat_a = gen.integers(0, 2, size=dim)
+    pat_b = gen.integers(0, 2, size=dim)
+    a = u @ np.diag(pat_a.astype(np.complex128)) @ dag(u)
+    b = u @ np.diag(pat_b.astype(np.complex128)) @ dag(u)
+    return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
 
-    ``witness`` carries a state realizing a trace asymmetry when the verdict
-    is ``hypothesis-violated``; ``model`` carries the explicit phase-space
-    model when one exists (commutation surveys of commuting sets).
-    """
 
-    name: str
-    steps: tuple[Step, ...]
-    verdict: str
-    witness: Optional[Density] = None
-    model: Optional[object] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == PASS
-
-    def max_residual(self) -> float:
-        return max((s.residual for s in self.steps), default=0.0)
-
-    def as_dict(self) -> dict:
-        """Entry in the CLI's structured-report check format."""
-        return {
-            "name": self.name,
-            "rule": self.name,
-            "residual": self.max_residual(),
-            "verdict": self.verdict,
-            "steps": [
-                {"description": s.description, "residual": s.residual, "ok": s.ok}
-                for s in self.steps
-            ],
-        }
+def random_noncommuting_pair(
+    gen: np.random.Generator, dim: int, min_comm: float = 0.05
+) -> tuple[Projector, Projector]:
+    """Random projector pair with commutator norm above ``min_comm``, by
+    rejection; each draw takes both ranks, then both projectors."""
+    for _ in range(1000):
+        ra = int(gen.integers(1, dim))
+        rb = int(gen.integers(1, dim))
+        a = random_projector_matrix(gen, dim, ra)
+        b = random_projector_matrix(gen, dim, rb)
+        if commutator_norm(a, b) > min_comm:
+            return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
+    raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 
 
 def trace_symmetry_gap(
@@ -118,7 +109,7 @@ def _projector(p: Projector, tol: float) -> Projector:
 
 def check_forced_commutation(
     a: Projector, b: Projector, tol: float = TOL
-) -> TheoremReport:
+) -> Check:
     """Trace symmetry forces commutation, via the nilpotent commutator.
 
     Hypothesis: tr[DBAB] = tr[DABA] for all states, i.e. BAB = ABA.  Under
@@ -140,57 +131,46 @@ def check_forced_commutation(
         c = amat @ bmat - bmat @ amat
         ratio = opnorm(c @ c) / gap
         steps = (
-            Step(
-                description="hypothesis BAB = ABA (max trace asymmetry over states)",
-                residual=gap,
-                ok=False,
-            ),
+            _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, False),
             # observed bound ||C^2|| <= K * ||BAB - ABA||; K stays small at
             # these dimensions (recorded for regression, not asserted)
-            Step(
-                description="observed nilpotency ratio opnorm(C^2) / gap",
-                residual=ratio,
-                ok=True,
-            ),
+            _step("observed nilpotency ratio opnorm(C^2) / gap", ratio, True),
         )
-        return TheoremReport(
-            name=name, steps=steps, verdict=HYPOTHESIS_VIOLATED, witness=witness
-        )
+        return _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness)
 
     steps = [
-        Step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, True)
+        _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, True)
     ]
     c = amat @ bmat - bmat @ amat
 
     skew = opnorm(c + dag(c))
-    steps.append(Step("C = AB - BA is skew-Hermitian", skew, skew <= tol))
+    steps.append(_step("C = AB - BA is skew-Hermitian", skew, skew <= tol))
 
     # C^2 = A(BAB - ABA) + B(ABA - BAB) once A^2 = A, B^2 = B are used.
     c2 = c @ c
     expand = opnorm(c2 - (amat @ bmat @ amat @ bmat + bmat @ amat @ bmat @ amat
                           - amat @ bmat @ amat - bmat @ amat @ bmat))
-    steps.append(Step("expand C^2 with A^2 = A, B^2 = B", expand, expand <= max(tol, 1e-12)))
+    steps.append(_step("expand C^2 with A^2 = A, B^2 = B", expand, expand <= max(tol, 1e-12)))
 
     nilpotent = opnorm(c2)
-    steps.append(Step("C^2 = 0 under the hypothesis", nilpotent, nilpotent <= tol))
+    steps.append(_step("C^2 = 0 under the hypothesis", nilpotent, nilpotent <= tol))
 
     norm_c = opnorm(c)
     normality = abs(norm_c**2 - nilpotent)
     steps.append(
-        Step("normality: opnorm(C)^2 = opnorm(C^2)", normality, normality <= tol)
+        _step("normality: opnorm(C)^2 = opnorm(C^2)", normality, normality <= tol)
     )
 
     sqrt_tol = float(np.sqrt(tol))
     steps.append(
-        Step("conclusion AB = BA", norm_c, norm_c <= sqrt_tol)
+        _step("conclusion AB = BA", norm_c, norm_c <= sqrt_tol)
     )
-    verdict = PASS if all(s.ok for s in steps) else FAIL
-    return TheoremReport(name=name, steps=tuple(steps), verdict=verdict)
+    return _theorem(name, steps)
 
 
 def check_forced_commutation_alt(
     a: Projector, b: Projector, tol: float = TOL
-) -> TheoremReport:
+) -> Check:
     """Forced commutation via orthocomplements, without one-dimensionality.
 
     Writing A~ = I - A and B~ = I - B, the identity A = ABA + A B~ A holds
@@ -207,10 +187,10 @@ def check_forced_commutation_alt(
 
     decomp = opnorm(amat - (amat @ bmat @ amat + amat @ bt @ amat))
     steps = [
-        Step("unconditional identity A = ABA + A(I-B)A", decomp, decomp <= max(tol, 1e-12))
+        _step("unconditional identity A = ABA + A(I-B)A", decomp, decomp <= max(tol, 1e-12))
     ]
     if not steps[0].ok:
-        return TheoremReport(name=name, steps=tuple(steps), verdict=FAIL)
+        return _theorem(name, steps)
 
     family = {"A": amat, "B": bmat, "I-A": at, "I-B": bt}
     names = list(family)
@@ -224,7 +204,7 @@ def check_forced_commutation_alt(
                 worst, worst_pair = r, (names[i], names[j])
     if worst > tol:
         steps.append(
-            Step(
+            _step(
                 f"hypothesis XYX = YXY on pairs from {{A, B, I-A, I-B}} "
                 f"(violated by ({worst_pair[0]}, {worst_pair[1]}))",
                 worst,
@@ -232,28 +212,25 @@ def check_forced_commutation_alt(
             )
         )
         _, witness = trace_symmetry_gap(a, b, tol=tol)
-        return TheoremReport(
-            name=name, steps=tuple(steps), verdict=HYPOTHESIS_VIOLATED, witness=witness
-        )
+        return _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness)
     steps.append(
-        Step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, True)
+        _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, True)
     )
 
     bab = bmat @ amat @ bmat
     substitute = opnorm(amat - (bab + bt @ amat @ bt))
-    steps.append(Step("substitution A = BAB + (I-B)A(I-B)", substitute, substitute <= 4 * tol))
+    steps.append(_step("substitution A = BAB + (I-B)A(I-B)", substitute, substitute <= 4 * tol))
 
     ab_step = opnorm(amat @ bmat - bab)
-    steps.append(Step("right-multiply by B: AB = BAB", ab_step, ab_step <= 8 * tol))
+    steps.append(_step("right-multiply by B: AB = BAB", ab_step, ab_step <= 8 * tol))
 
     ba_step = opnorm(bmat @ amat - bab)
-    steps.append(Step("left-multiply by B: BA = BAB", ba_step, ba_step <= 8 * tol))
+    steps.append(_step("left-multiply by B: BA = BAB", ba_step, ba_step <= 8 * tol))
 
     conclusion = commutator_norm(amat, bmat)
-    steps.append(Step("conclusion AB = BA", conclusion, conclusion <= 16 * tol))
+    steps.append(_step("conclusion AB = BA", conclusion, conclusion <= 16 * tol))
 
-    verdict = PASS if all(s.ok for s in steps) else FAIL
-    return TheoremReport(name=name, steps=tuple(steps), verdict=verdict)
+    return _theorem(name, steps)
 
 
 def _range_basis(p: Projector, tol: float) -> np.ndarray:
@@ -291,7 +268,7 @@ def check_conditional_uniqueness(
     trials: int = 50,
     gen: np.random.Generator | None = None,
     tol: float = TOL,
-) -> TheoremReport:
+) -> Check:
     """The conditioned state is the unique reproducer of tr[DC]/tr[DB].
 
     Three stages, each run on ``trials`` random samples:
@@ -329,7 +306,7 @@ def check_conditional_uniqueness(
         rhs = trace_inner(d.mat, c.mat).real / pb
         worst = max(worst, abs(lhs - rhs))
     steps.append(
-        Step(
+        _step(
             f"existence: tr[D_B C] = tr[DC]/tr[DB] on {trials} random C <= B",
             worst,
             worst <= tol,
@@ -337,13 +314,13 @@ def check_conditional_uniqueness(
     )
 
     onb = abs(trace_inner(d_b.mat, b.mat).real - 1.0)
-    steps.append(Step("support: tr[D_B B] = 1", onb, onb <= 10 * tol))
+    steps.append(_step("support: tr[D_B B] = 1", onb, onb <= 10 * tol))
     offb = abs(trace_inner(d_b.mat, identity(b.dim) - b.mat).real)
-    steps.append(Step("support: tr[D_B (I-B)] = 0", offb, offb <= 10 * tol))
+    steps.append(_step("support: tr[D_B (I-B)] = 0", offb, offb <= 10 * tol))
     comp = _range_basis(orthocomplement(b), tol)
     kernel = opnorm(d_b.mat @ comp) if comp.size else 0.0
     steps.append(
-        Step("support: D_B annihilates range(I-B)", float(kernel), kernel <= 1e-7)
+        _step("support: D_B annihilates range(I-B)", float(kernel), kernel <= 1e-7)
     )
 
     worst_sep = np.inf if trials else 0.0
@@ -367,22 +344,21 @@ def check_conditional_uniqueness(
     if not np.isfinite(worst_sep):
         worst_sep = 1.0
     steps.append(
-        Step(
+        _step(
             f"uniqueness: rank-one separator below B on {trials} random D' != D_B",
             1.0 - float(worst_sep),
             worst_sep >= 1.0 - 1e-6,
         )
     )
 
-    verdict = PASS if all(s.ok for s in steps) else FAIL
-    return TheoremReport(name=name, steps=tuple(steps), verdict=verdict)
+    return _theorem(name, steps)
 
 
 def commutation_survey(
     projectors: dict[str, Projector],
     state: Density,
     tol: float = TOL,
-) -> TheoremReport:
+) -> Check:
     """Pairwise commutation audit of a projector set.
 
     Commuting pairs are reported as such; each noncommuting pair is flagged
@@ -402,12 +378,12 @@ def commutation_survey(
             a, b = projectors[la], projectors[lb]
             cn = commutator_norm(a.mat, b.mat)
             if cn <= tol:
-                steps.append(Step(f"[{la}, {lb}] = 0", cn, True))
+                steps.append(_step(f"[{la}, {lb}] = 0", cn, True))
             else:
                 gap, w = trace_symmetry_gap(a, b, tol=tol)
                 witness = witness or w
                 steps.append(
-                    Step(
+                    _step(
                         f"[{la}, {lb}] != 0 obstructs any model "
                         f"(trace asymmetry {gap:.6f})",
                         cn,
@@ -425,10 +401,4 @@ def commutation_survey(
             for k in labels
         }
         model = build_commuting_model(observables, state, tol=max(tol, 1e-8))
-    return TheoremReport(
-        name="commutation-survey",
-        steps=tuple(steps),
-        verdict=verdict,
-        witness=witness,
-        model=model,
-    )
+    return _theorem("commutation-survey", steps, verdict, witness=witness, model=model)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcore
+from .check import Check
 from .errors import (
     ConditioningOnNull,
     NotDensity,
@@ -47,7 +48,6 @@ __all__ = [
     "luders_density",
     "leq",
     "orthocomplement",
-    "MeasureAxiomReport",
     "check_measure_axioms",
     "davies_joint",
 ]
@@ -217,37 +217,14 @@ def orthocomplement(a: Projector) -> Projector:
     return Projector(mat=identity(a.dim) - a.mat, rank=a.dim - a.rank)
 
 
-@dataclass(frozen=True)
-class MeasureAxiomReport:
-    """Residuals of the probability-measure axioms on a projector family."""
-
-    range_residual: float      # max distance of any tr[D A_i] from [0, 1]
-    zero_residual: float       # |tr[D 0]|
-    unit_residual: float       # |tr[D I] - 1|
-    additivity_residual: float  # |tr[D sum A_i] - sum tr[D A_i]|
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            max(
-                self.range_residual,
-                self.zero_residual,
-                self.unit_residual,
-                self.additivity_residual,
-            )
-            <= self.tol
-        )
-
-
 def check_measure_axioms(
     d: Density, family: list[Projector], tol: float = TOL
-) -> MeasureAxiomReport:
+) -> Check:
     """Verify A -> tr[DA] behaves as a probability measure on ``family``.
 
     ``family`` must be pairwise orthogonal.  Checks the range of each
     tr[D A_i], the values on the zero and identity projectors, and countable
-    additivity over the family (finite here).
+    additivity over the family (finite here), one part each in that order.
     """
     dim = d.dim
     for i in range(len(family)):
@@ -260,22 +237,24 @@ def check_measure_axioms(
                 )
 
     probs = [trace_inner(d.mat, a.mat).real for a in family]
-    range_residual = max(
-        (max(-p, p - 1.0, 0.0) for p in probs), default=0.0
-    )
-    zero_residual = abs(trace_inner(d.mat, opcore.zero(dim)))
-    unit_residual = abs(trace_inner(d.mat, identity(dim)).real - 1.0)
-    if family:
-        direct_sum = np.sum([a.mat for a in family], axis=0)
-        additivity_residual = abs(trace_inner(d.mat, direct_sum).real - sum(probs))
-    else:
-        additivity_residual = 0.0
-    return MeasureAxiomReport(
-        range_residual=float(range_residual),
-        zero_residual=float(zero_residual),
-        unit_residual=float(unit_residual),
-        additivity_residual=float(additivity_residual),
-        tol=tol,
+    direct_sum = sum((a.mat for a in family), opcore.zero(dim))
+    residuals = {
+        "range: every tr[D A_i] lies in [0, 1]": max(
+            (max(-p, p - 1.0, 0.0) for p in probs), default=0.0
+        ),
+        "zero: tr[D 0] = 0": abs(trace_inner(d.mat, opcore.zero(dim))),
+        "unit: tr[D I] = 1": abs(trace_inner(d.mat, identity(dim)).real - 1.0),
+        "additivity: tr[D sum A_i] = sum tr[D A_i]": abs(
+            trace_inner(d.mat, direct_sum).real - sum(probs)
+        ),
+    }
+    parts = tuple(Check.judged(n, float(r), r <= tol) for n, r in residuals.items())
+    return Check.judged(
+        "measure-axioms",
+        max(p.residual for p in parts),
+        all(p.ok for p in parts),
+        rule="measure-axioms",
+        parts=parts,
     )
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nogo_lab.opcore import dag, random_projector_matrix, random_unitary
+# The pair samplers the test modules import from here are the library's own.
+from nogo_lab.nogo import random_commuting_pair as commuting_projector_pair
+from nogo_lab.nogo import random_noncommuting_pair as noncommuting_projector_pair
 from nogo_lab.quantum import Projector
 from nogo_lab.rng import make_generator
 
@@ -26,25 +28,3 @@ def plus_projector(dim: int, i: int, j: int) -> Projector:
     v = np.zeros(dim)
     v[i] = v[j] = 1.0
     return Projector.from_ray(v)
-
-
-def commuting_projector_pair(gen, dim):
-    """Random pair sharing an eigenbasis (hence commuting)."""
-    u = random_unitary(gen, dim)
-    pa = np.diag(gen.integers(0, 2, size=dim).astype(np.complex128))
-    pb = np.diag(gen.integers(0, 2, size=dim).astype(np.complex128))
-    return (
-        Projector.from_matrix(u @ pa @ dag(u), tol=1e-8),
-        Projector.from_matrix(u @ pb @ dag(u), tol=1e-8),
-    )
-
-
-def noncommuting_projector_pair(gen, dim, min_comm=0.05):
-    from nogo_lab.opcore import commutator_norm
-
-    for _ in range(1000):
-        a = random_projector_matrix(gen, dim, int(gen.integers(1, dim)))
-        b = random_projector_matrix(gen, dim, int(gen.integers(1, dim)))
-        if commutator_norm(a, b) > min_comm:
-            return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
-    raise AssertionError("could not sample a noncommuting pair")

@@ -193,7 +193,7 @@ def test_criterion_4_model_round_trip():
             if event_weight(model, preimage(model, hi, 1.0)) > 1e-9:
                 reports.append(check_conditional_rule(model, lo, hi, tol=1e-9))
         for rep in reports:
-            assert rep.ok, f"{rep.rule} violated: {rep.violations[:1]}"
+            assert rep.ok, f"{rep.rule} violated: {rep.parts[:1]}"
             worst = max(worst, rep.residual)
     elapsed = time.monotonic() - t0
     assert worst <= 1e-9
@@ -217,7 +217,7 @@ def test_criterion_5_conditioning_uniqueness():
         b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=1e-8)
         rep = check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=1e-9)
         assert rep.verdict == PASS
-        worst_exist = max(worst_exist, rep.steps[0].residual)
+        worst_exist = max(worst_exist, rep.parts[0].residual)
 
         # explicit perturbations down to the 1e-6 floor stay separated
         d_b = luders_density(d, b)

@@ -17,6 +17,18 @@ def run_cli(*args):
     )
 
 
+def commuting_model_with(path: tuple, raw: str) -> str:
+    """The bundled commuting model as JSON text, with the entry at ``path``
+    replaced by the raw JSON ``raw``."""
+    data = json.loads(Path(fileio.resolve_input_path("commuting.model")).read_text())
+    *outer, last = path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = "<raw>"
+    return json.dumps(data).replace('"<raw>"', raw)
+
+
 class TestVerifyCommutation:
     def test_small_batch_passes(self, tmp_path):
         out = tmp_path / "r.json"
@@ -105,15 +117,41 @@ class TestCheckModel:
         code = main(["check-model", str(bad), "--format", "structured", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
-        flagged = {c["rule"] for c in report["checks"] if c["verdict"] != "pass"}
+        flagged = {c["rule"]: c for c in report["checks"] if c["verdict"] != "pass"}
         assert "marginal-rule" in flagged
+        marginal = flagged["marginal-rule"]
+        assert marginal["violations"] == 8
+        assert marginal["firstViolation"] == "O1, S=[1.0]: phase-space mass 0.55 vs trace 0.5"
+        assert all("violations" not in c for c in report["checks"] if c["verdict"] == "pass")
 
-    def test_malformed_file_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("{nope", "line 1", id="invalid-json"),
+            pytest.param(
+                commuting_model_with(("weights", 0), '"a"'),
+                "weights: expected 3 finite numbers",
+                id="weights-string",
+            ),
+            pytest.param(
+                commuting_model_with(("values", "O1", 2), "null"),
+                "values[O1]: expected 3 finite numbers",
+                id="value-row-null",
+            ),
+            pytest.param(
+                commuting_model_with(("state", 0, 0), "[1e999, 0.0]"),
+                "state: matrix entry must be a finite number",
+                id="state-non-finite",
+            ),
+        ],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, text, message):
         bad = tmp_path / "broken.model"
-        bad.write_text("{nope")
+        bad.write_text(text)
         r = run_cli("check-model", str(bad))
         assert r.returncode == 2
-        assert "line 1" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert message in r.stderr
 
 
 class TestFeasibilityCommand:
@@ -186,6 +224,11 @@ class TestGoldenReports:
             (
                 "magic-square-feasibility.json",
                 ["feasibility", "magic-square.scenario"],
+                1,
+            ),
+            (
+                "ghz-feasibility.json",
+                ["feasibility", "ghz.scenario"],
                 1,
             ),
         ],

@@ -82,6 +82,15 @@ class TestScenarioFiles:
             load_scenario(str(path))
         assert "line 1" in str(err.value)
 
+    def test_bool_dim_rejected(self, tmp_path):
+        path = tmp_path / "bool.scenario"
+        path.write_text(
+            json.dumps({"kind": "scenario", "dim": True, "items": {"P": {"matrix": [[1]]}}})
+        )
+        with pytest.raises(FormatError) as err:
+            load_scenario(str(path))
+        assert "dim" in str(err.value)
+
     def test_bad_product_sign(self, tmp_path):
         data = {
             "kind": "scenario",

@@ -148,7 +148,7 @@ class TestSpectrumRule:
         bad = with_table_entry(diag_model, "O1", 0, 0.5)
         rep = check_spectrum_rule(bad)
         assert not rep.ok
-        assert rep.violations[0].residual == pytest.approx(0.5)
+        assert rep.parts[0].residual == pytest.approx(0.5)
 
     def test_value_within_cluster_gap_passes(self, diag_model):
         nearly = with_table_entry(
@@ -166,7 +166,7 @@ class TestSumProductRules:
         i = int(np.argmax(diag_model.value_row("SUM")))
         bad = with_table_entry(diag_model, "SUM", i, 0.0)
         rep = check_sum_rule(bad, "O1", "O2")
-        assert not rep.ok and rep.violations
+        assert not rep.ok and rep.parts
 
     def test_product_violation_flagged(self, diag_model):
         # f(O1)=1, f(O2)=1 at w0 but PROD forced to 0 there
@@ -274,7 +274,7 @@ class TestOrderAndConditionalRules:
         bad = with_weight(diag_model, 0, diag_model.space.weights[0] + 0.1)
         rep = check_conditional_rule(bad, "O1", "O2")
         assert not rep.ok
-        assert "phase-space" in rep.violations[0].detail
+        assert "phase-space" in rep.parts[0].detail
 
     def test_null_conditioning(self):
         fam = diagonal_family()

@@ -111,9 +111,9 @@ class TestForcedCommutationAlt:
     def test_unconditional_identity_always_holds(self, spot_pair):
         a, b = spot_pair
         rep = check_forced_commutation_alt(a, b)
-        assert rep.steps[0].ok  # A = ABA + A(I-B)A regardless of hypothesis
+        assert rep.parts[0].ok  # A = ABA + A(I-B)A regardless of hypothesis
         assert rep.verdict == HYPOTHESIS_VIOLATED
-        assert "violated by" in rep.steps[1].description
+        assert "violated by" in rep.parts[1].name
 
     def test_identity_member_trivializes(self):
         b = plus_projector(4, 1, 2)
@@ -219,7 +219,7 @@ class TestConditionalUniqueness:
             b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=1e-8)
             rep = check_conditional_uniqueness(d, b, trials=8, gen=gen)
             assert rep.verdict == PASS
-            assert rep.steps[0].residual <= 1e-9
+            assert rep.parts[0].residual <= 1e-9
 
 
 class TestCommutationSurvey:
@@ -240,7 +240,7 @@ class TestCommutationSurvey:
         rep = commutation_survey({"A": a, "B": b}, Density.maximally_mixed(3))
         assert rep.verdict == HYPOTHESIS_VIOLATED
         assert rep.witness is not None
-        assert "0.353553" in rep.steps[0].description
+        assert "0.353553" in rep.parts[0].name
 
     def test_empty_set_is_vacuous(self):
         rep = commutation_survey({}, Density.maximally_mixed(3))
@@ -259,5 +259,7 @@ def test_theorem_report_serializes_to_check_format():
     rep = check_forced_commutation(a, b)
     entry = rep.as_dict()
     assert entry["verdict"] == HYPOTHESIS_VIOLATED
-    assert {"name", "rule", "residual", "verdict", "steps"} <= set(entry)
+    assert {"name", "rule", "residual", "verdict"} <= set(entry)
+    assert entry["violations"] == 1  # the failed hypothesis step
+    assert entry["firstViolation"].startswith("hypothesis BAB = ABA")
     json.dumps(entry)  # must be directly JSON-serializable

@@ -177,8 +177,8 @@ class TestMeasureAxioms:
         family = [basis_projector(3, i) for i in range(3)]
         rep = check_measure_axioms(Density.maximally_mixed(3), family)
         assert rep.ok
-        assert rep.additivity_residual < 1e-15
-        assert rep.unit_residual < 1e-15
+        assert rep.parts[3].residual < 1e-15
+        assert rep.parts[2].residual < 1e-15
 
     def test_identity_family(self):
         rep = check_measure_axioms(Density.maximally_mixed(2), [Projector.identity(2)])
@@ -196,7 +196,7 @@ class TestMeasureAxioms:
             ]
             d = Density.from_matrix(random_density_matrix(gen, 4))
             rep = check_measure_axioms(d, family)
-            assert rep.additivity_residual <= 1e-10
+            assert rep.parts[3].residual <= 1e-10
             assert rep.ok
 
     def test_rejects_overlapping_family(self):
