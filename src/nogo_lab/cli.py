@@ -15,7 +15,8 @@ library (the phase-space rules come from :func:`nogo_lab.hvmodel.check_model`)
 and :func:`_emit` serializes them; this module holds no rule logic.
 
 Exit codes: 0 all checks pass / feasible; 1 a checked property fails or the
-scenario is infeasible; 2 configuration, parse, or validation errors.
+scenario is infeasible; 2 configuration, parse, or validation errors; 3 an
+internal error (a bug: the traceback goes to stderr).
 Structured reports with the same (command, seed, tolerances) are
 byte-identical; see :mod:`nogo_lab.rng` for the generator contract.
 """
@@ -23,8 +24,10 @@ byte-identical; see :mod:`nogo_lab.rng` for the generator contract.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +59,7 @@ from .rng import MAX_SEED, trial_generator
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 MIN_DIM, MAX_DIM = 2, 32
 
@@ -81,8 +85,8 @@ class RunConfig:
             raise ConfigError(f"--trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError("--seed must be a 64-bit unsigned integer")
-        if self.tol <= 0 or self.cluster_gap <= 0:
-            raise ConfigError("--tol and --cluster-gap must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.cluster_gap < math.inf):
+            raise ConfigError("--tol and --cluster-gap must be positive and finite")
         if self.format not in ("human", "structured"):
             raise ConfigError(f"--format must be human or structured, got {self.format}")
 
@@ -134,8 +138,11 @@ def _emit(cfg: RunConfig, checks: list[Check], extra: dict | None = None) -> int
         lines.append(f"exit {exit_code}")
         payload = ("\n".join(lines) + "\n").encode("utf-8")
     if cfg.out:
-        with open(cfg.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg.out}: {exc}") from exc
     else:
         sys.stdout.buffer.write(payload)
     return exit_code
@@ -425,6 +432,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NogoLabError as exc:
         print(f"nogo-lab: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception:
+        print("nogo-lab: internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

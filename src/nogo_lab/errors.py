@@ -17,10 +17,6 @@ class NotHermitian(NogoLabError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class NotNormal(NogoLabError):
-    """A matrix required to be normal is not, within tolerance."""
-
-
 class NotProjector(NogoLabError):
     """A matrix fails the Hermitian-idempotent test."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -161,8 +162,11 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
             raise FormatError(f"{iw}: needs a 'matrix' or a 'ray'")
         items[label] = make_item(label, kind, mat)
 
+    raw_contexts = data.get("contexts", [])
+    if not isinstance(raw_contexts, list):
+        raise FormatError(f"{where}.contexts: expected an array")
     contexts = []
-    for k, raw in enumerate(data.get("contexts", [])):
+    for k, raw in enumerate(raw_contexts):
         cw = f"{where}.contexts[{k}]"
         if not isinstance(raw, dict):
             raise FormatError(f"{cw}: expected an object")
@@ -170,7 +174,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise FormatError(f"{cw}.labels: expected an array of strings")
         sign = raw.get("productSign")
-        if sign is not None and sign not in (-1, 1):
+        if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
             raise FormatError(f"{cw}.productSign: must be -1 or 1")
         contexts.append(Context(labels=tuple(labels), product_sign=sign))
 
@@ -247,6 +251,9 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     points = _require(data, "points", where)
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise FormatError(f"{where}.points: expected an array of strings")
+    dupes = sorted(p for p, n in Counter(points).items() if n > 1)
+    if dupes:
+        raise FormatError(f"{where}.points: duplicate point labels {dupes}")
     weights = _numbers_from_json(
         _require(data, "weights", where), len(points), f"{where}.weights"
     )

@@ -2,13 +2,13 @@
 
 The carrier for every operator in the lab is a square ``complex128`` numpy
 array, validated by :func:`as_operator`.  On top of that this module provides
-the spectral decomposition of normal matrices (with eigenvalue clustering for
-degenerate spectra), positivity tests, trace utilities, commutator norms, a
-constructive annihilation witness, and the random-operator samplers that the
-property suites and batch commands share.
+the spectral decomposition of Hermitian matrices (numpy ``eigh``, with
+eigenvalue clustering for degenerate spectra), positivity tests, trace
+utilities, commutator norms, a constructive annihilation witness, and the
+random-operator samplers that the property suites and batch commands share.
 
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
-normal matrices), written ``opnorm`` throughout.  The default validation
+Hermitian matrices), written ``opnorm`` throughout.  The default validation
 tolerance is ``TOL = 1e-9``; eigenvalues closer than ``CLUSTER_GAP = 1e-8``
 are treated as one degenerate level.
 """
@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
     NotHermitian,
-    NotNormal,
     ZeroOperator,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "identity",
     "zero",
     "hermitian_defect",
-    "normal_defect",
     "require_same_dim",
     "SpectralResolution",
     "spectral_decompose",
@@ -91,10 +88,6 @@ def hermitian_defect(m: np.ndarray) -> float:
     return opnorm(m - dag(m))
 
 
-def normal_defect(m: np.ndarray) -> float:
-    return opnorm(m @ dag(m) - dag(m) @ m)
-
-
 def require_same_dim(*mats: np.ndarray) -> int:
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
@@ -102,46 +95,19 @@ def require_same_dim(*mats: np.ndarray) -> int:
     return dims.pop()
 
 
-def _cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Group indices whose values are transitively closer than ``gap``.
-
-    Plain union-find; input sizes here are the matrix dimension (<= 32).
-    """
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) < gap:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Eigenvalue / eigenprojector terms of a normal matrix.
+    """Eigenvalue / eigenprojector terms of a Hermitian matrix.
 
-    ``terms`` is ordered by decreasing (real, imag) of the eigenvalue, one
-    term per clustered (possibly degenerate) level.  The projectors are
-    pairwise orthogonal and sum to the identity; ``sum(lam * P)`` rebuilds
-    the source matrix.
+    ``terms`` is ordered by decreasing eigenvalue, one term per clustered
+    (possibly degenerate) level.  The projectors are pairwise orthogonal and
+    sum to the identity; ``sum(lam * P)`` rebuilds the source matrix.
     """
 
-    terms: tuple[tuple[complex, np.ndarray], ...]
+    terms: tuple[tuple[float, np.ndarray], ...]
     source_dim: int
 
-    def eigenvalues(self) -> tuple[complex, ...]:
+    def eigenvalues(self) -> tuple[float, ...]:
         return tuple(lam for lam, _ in self.terms)
 
     def reconstruct(self) -> np.ndarray:
@@ -170,58 +136,48 @@ class SpectralResolution:
             out += self.terms[k][1]
         return out
 
-    def validate(self, tol: float = TOL) -> None:
-        """Assert pairwise orthogonality and completeness of the projectors."""
-        ps = [p for _, p in self.terms]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                r = opnorm(ps[i] @ ps[j])
-                if r > tol:
-                    raise NotNormal(
-                        f"eigenprojectors {i},{j} not orthogonal (residual {r:.3e})"
-                    )
-        r = opnorm(sum(ps) - identity(self.source_dim))
-        if r > tol:
-            raise NotNormal(f"eigenprojectors do not resolve identity (residual {r:.3e})")
-
 
 def spectral_decompose(
     m, cluster_gap: float = CLUSTER_GAP, tol: float = TOL
 ) -> SpectralResolution:
-    """Spectral resolution of a normal matrix.
+    """Spectral resolution of a Hermitian matrix.
 
-    Eigenvalues whose mutual distance is below ``cluster_gap`` are merged
-    into a single level whose projector is the sum of the member
+    Eigenvalues whose mutual distance is below ``cluster_gap`` (transitively)
+    are merged into a single level whose projector is the sum of the member
     eigenprojectors (its eigenvalue is the member mean).
 
-    Raises :class:`NotNormal` when ``m`` fails the normality test at ``tol``.
+    Raises :class:`NotHermitian` when ``m`` fails the Hermitian test at
+    ``tol`` or the decomposition fails its post-conditions.
     """
     m = as_operator(m)
-    defect = normal_defect(m)
+    defect = hermitian_defect(m)
     if defect > tol:
-        raise NotNormal(f"matrix is not normal (defect {defect:.3e} > tol {tol:.1e})")
+        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
 
-    # Complex Schur form of a normal matrix is diagonal, and the Schur basis
-    # is orthonormal even for degenerate spectra (unlike np.linalg.eig).
-    t, z = scipy.linalg.schur(m, output="complex")
-    eigs = np.diag(t)
+    eigs, z = np.linalg.eigh((m + dag(m)) / 2)
+    # One residual e = opnorm(Z^H Z - I) covers the projector properties:
+    # P_i P_j = Z_i (Z_i^H Z_j) Z_j^H with Z_i^H Z_j a block of Z^H Z - I, so
+    # opnorm(P_i P_j) <= e (1 + e) for i != j; and sum P_i - I = Z Z^H - I,
+    # whose norm equals e for square Z.
+    unitarity = opnorm(dag(z) @ z - identity(m.shape[0]))
+    if unitarity > tol:
+        raise NotHermitian(f"eigenbasis is not orthonormal (residual {unitarity:.3e})")
 
     terms = []
     spread = 0.0
-    for idx in _cluster_indices(eigs, cluster_gap):
+    # eigh sorts ascending, so each level is a run of consecutive gaps below cluster_gap.
+    breaks = np.flatnonzero(np.diff(eigs) >= cluster_gap) + 1
+    for idx in np.split(np.arange(len(eigs)), breaks):
         cols = z[:, idx]
-        proj = cols @ dag(cols)
-        lam = complex(eigs[idx].mean())
-        spread = max(spread, max(abs(eigs[i] - lam) for i in idx))
-        terms.append((lam, proj))
-    terms.sort(key=lambda term: (-term[0].real, -term[0].imag))
+        lam = float(eigs[idx].mean())
+        spread = max(spread, float(np.abs(eigs[idx] - lam).max()))
+        terms.append((lam, cols @ dag(cols)))
 
-    res = SpectralResolution(terms=tuple(terms), source_dim=m.shape[0])
-    res.validate(tol)
+    res = SpectralResolution(terms=tuple(reversed(terms)), source_dim=m.shape[0])
     residual = opnorm(res.reconstruct() - m)
     # Clustering may move each merged eigenvalue by up to the cluster spread.
     if residual > tol + spread:
-        raise NotNormal(
+        raise NotHermitian(
             f"spectral reconstruction residual {residual:.3e} exceeds {tol + spread:.3e}"
         )
     return res
@@ -246,7 +202,7 @@ def trace_inner(d, b) -> complex:
 
 
 def annihilation_witness(b, tol: float = TOL) -> np.ndarray:
-    """Rank-one density D with |tr[D B]| = opnorm(B), for normal nonzero B.
+    """Rank-one density D with |tr[D B]| = opnorm(B), for Hermitian nonzero B.
 
     D is the projector onto an eigenvector of a maximal-modulus eigenvalue,
     so tr[D B] equals that eigenvalue.  This is the constructive converse of

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nogo_lab import fileio
+from nogo_lab import cli, fileio
 from nogo_lab.cli import main
 
 
@@ -17,10 +21,10 @@ def run_cli(*args):
     )
 
 
-def commuting_model_with(path: tuple, raw: str) -> str:
-    """The bundled commuting model as JSON text, with the entry at ``path``
-    replaced by the raw JSON ``raw``."""
-    data = json.loads(Path(fileio.resolve_input_path("commuting.model")).read_text())
+def fixture_with(fixture: str, path: tuple, raw: str) -> str:
+    """A bundled fixture as JSON text, with the entry at ``path`` replaced by
+    the raw JSON ``raw``."""
+    data = json.loads(Path(fileio.resolve_input_path(fixture)).read_text())
     *outer, last = path
     target = data
     for key in outer:
@@ -47,6 +51,13 @@ class TestVerifyCommutation:
         assert verdicts["forced-commutation"] == "pass"
         assert verdicts["route-agreement"] == "pass"
         assert report["summary"]["exitCode"] == 0
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cluster-gap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, flag, value):
+        r = run_cli("verify-commutation", "--dim", "3", "--trials", "2", f"{flag}={value}")
+        assert r.returncode == 2
+        assert "must be positive and finite" in r.stderr
 
     def test_dim_bound_rejected(self):
         assert main(["verify-commutation", "--dim", "1"]) == 2
@@ -129,19 +140,24 @@ class TestCheckModel:
         [
             pytest.param("{nope", "line 1", id="invalid-json"),
             pytest.param(
-                commuting_model_with(("weights", 0), '"a"'),
+                fixture_with("commuting.model", ("weights", 0), '"a"'),
                 "weights: expected 3 finite numbers",
                 id="weights-string",
             ),
             pytest.param(
-                commuting_model_with(("values", "O1", 2), "null"),
+                fixture_with("commuting.model", ("values", "O1", 2), "null"),
                 "values[O1]: expected 3 finite numbers",
                 id="value-row-null",
             ),
             pytest.param(
-                commuting_model_with(("state", 0, 0), "[1e999, 0.0]"),
+                fixture_with("commuting.model", ("state", 0, 0), "[1e999, 0.0]"),
                 "state: matrix entry must be a finite number",
                 id="state-non-finite",
+            ),
+            pytest.param(
+                fixture_with("commuting.model", ("points", 1), '"w0"'),
+                "points: duplicate point labels ['w0']",
+                id="duplicate-points",
             ),
         ],
     )
@@ -286,3 +302,68 @@ def test_console_entry_point_smoke():
     r = run_cli("--version")
     assert r.returncode == 0
     assert "nogo-lab" in r.stdout
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.hvmodel, "check_model", broken)
+    assert main(["check-model", "commuting.model"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nogo-lab: internal error:")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    assert main(["check-model", "commuting.model", "--out", str(tmp_path / "no" / "r")]) == 2
+    assert "cannot write --out" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    r = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, nogo_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def _field_paths(node, prefix=()):
+    """Every key/index path into a JSON tree, containers included."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+FUZZ_TARGETS = [
+    (command, fixture, path)
+    for command, fixture in (("check-model", "commuting.model"), ("feasibility", "triad-dim3.scenario"))
+    for path in _field_paths(json.loads(Path(fileio.resolve_input_path(fixture)).read_text()))
+    if len(path) <= 4  # deeper paths are [re, im] parts, parsed like the entries above them
+]
+
+
+@settings(max_examples=300)
+@given(
+    target=st.sampled_from(FUZZ_TARGETS),
+    value=st.sampled_from([None, True, "x", 7, [], {}]),
+)
+def test_mutated_fixture_exits_0_1_or_2(target, value):
+    """One field of a bundled fixture set to a wrong-typed value never
+    crashes: the run ends with a verdict or a configuration error."""
+    command, fixture, path = target
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / fixture
+        src.write_text(fixture_with(fixture, path, json.dumps(value)))
+        out = Path(tmp) / "report"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(src), "--out", str(out)])
+    assert code in (0, 1, 2), err.getvalue()

@@ -103,6 +103,25 @@ class TestScenarioFiles:
         with pytest.raises(FormatError):
             load_scenario(str(path))
 
+    def test_bool_product_sign_rejected(self, tmp_path):
+        # True == 1 in Python, so a membership test alone would take it as +1
+        data = json.loads(open(resolve_input_path("triad-dim3")).read())
+        data["contexts"][0]["productSign"] = True
+        path = tmp_path / "sign.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_scenario(str(path))
+        assert "contexts[0].productSign" in str(err.value)
+
+    def test_contexts_must_be_an_array(self, tmp_path):
+        data = json.loads(open(resolve_input_path("triad-dim3")).read())
+        data["contexts"] = 5
+        path = tmp_path / "ctx.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_scenario(str(path))
+        assert "contexts: expected an array" in str(err.value)
+
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):

@@ -6,7 +6,6 @@ from nogo_lab import opcore
 from nogo_lab.errors import (
     DimensionMismatch,
     NotHermitian,
-    NotNormal,
     ZeroOperator,
 )
 from nogo_lab.opcore import (
@@ -51,15 +50,28 @@ class TestSpectralDecompose:
 
     def test_diagonal_with_degeneracy(self):
         res = spectral_decompose(np.diag([1.0, 0.0, 0.0]))
-        assert [round(l.real) for l, _ in res.terms] == [1, 0]
+        assert [round(l) for l, _ in res.terms] == [1, 0]
         assert opnorm(res.terms[0][1] - np.diag([1.0, 0, 0])) < 1e-12
         assert opnorm(res.terms[1][1] - np.diag([0.0, 1, 1])) < 1e-12
 
     def test_clustering_merges_near_degenerate(self):
         res = spectral_decompose(np.diag([2.0, 2.0, 5.0]))
         assert len(res.terms) == 2
-        by_value = {round(l.real): p for l, p in res.terms}
+        by_value = {round(l): p for l, p in res.terms}
         assert round(np.trace(by_value[2]).real) == 2
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    def test_clustering_matches_transitive_closure(self, steps):
+        # spectrum on a 0.6e-8 grid; the reference links levels pairwise, as in
+        # the definition, and counts the connected groups
+        values = [0.6e-8 * k for k in steps]
+        parent = list(range(len(values)))
+        for i in range(len(values)):
+            for j in range(len(values)):
+                if abs(values[i] - values[j]) < 1e-8:
+                    parent = [parent[i] if p == parent[j] else p for p in parent]
+        res = spectral_decompose(np.diag(values))
+        assert len(res.terms) == len(set(parent))
 
     def test_random_hermitian_reconstruction(self):
         # 1000 matrices across dims 2-8
@@ -70,22 +82,31 @@ class TestSpectralDecompose:
                 res = spectral_decompose(h)
                 assert opnorm(res.reconstruct() - h) <= 1e-10
 
-    def test_skew_hermitian_is_normal(self):
+    def test_skew_hermitian_rejected(self):
+        # normal but not Hermitian: eigenvalues +-i/2 and 0
         c = np.array([[0, 0.5, 0], [-0.5, 0, 0], [0, 0, 0]], dtype=complex)
-        res = spectral_decompose(c)
-        eigs = sorted(l.imag for l in res.eigenvalues())
-        assert eigs == pytest.approx([-0.5, 0.0, 0.5])
+        with pytest.raises(NotHermitian):
+            spectral_decompose(c)
 
     def test_rejects_non_normal(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NotNormal):
+        with pytest.raises(NotHermitian):
             spectral_decompose(m)
+
+    def test_eigenvalues_are_real_floats(self):
+        res = spectral_decompose(random_hermitian(make_generator(5), 4))
+        assert all(type(lam) is float for lam in res.eigenvalues())
+        assert list(res.eigenvalues()) == sorted(res.eigenvalues(), reverse=True)
 
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_round_trip_property(self, dim, seed):
         h = random_hermitian(make_generator(seed), dim)
         res = spectral_decompose(h)
-        res.validate(1e-9)
+        ps = [p for _, p in res.terms]
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                assert opnorm(ps[i] @ ps[j]) <= 1e-9
+        assert opnorm(sum(ps) - np.eye(dim)) <= 1e-9
         assert opnorm(res.reconstruct() - h) <= 1e-10
 
 
@@ -103,7 +124,7 @@ class TestIsPositive:
             gram = g @ dag(g)
             assert is_positive(gram)
             # cross-check through the decomposition oracle
-            eigs = [l.real for l in spectral_decompose(gram).eigenvalues()]
+            eigs = spectral_decompose(gram).eigenvalues()
             assert min(eigs) >= -1e-9
 
     def test_rejects_non_hermitian(self):
@@ -152,13 +173,15 @@ class TestAnnihilationWitness:
             annihilation_witness(np.zeros((3, 3)))
 
     def test_skew_hermitian_witness(self):
+        # normal but not Hermitian: eigenvalues +-i/2 and 0
         b = np.zeros((3, 3), dtype=complex)
         b[0, 1], b[1, 0] = 0.5, -0.5
-        # oracle: eigenvalues of this block are +-i/2
-        eigs = np.linalg.eigvals(b)
-        assert max(abs(eigs)) == pytest.approx(0.5, abs=1e-12)
-        d = annihilation_witness(b)
-        assert abs(trace_inner(d, b)) == pytest.approx(0.5, abs=1e-10)
+        with pytest.raises(NotHermitian):
+            annihilation_witness(b)
+
+    def test_non_normal_witness_rejected(self):
+        with pytest.raises(NotHermitian):
+            annihilation_witness(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_witness_is_rank_one_density(self):
         gen = make_generator(17)
