@@ -4,9 +4,9 @@ Each check ends the same way: a residual compared against a bound, then a
 verdict.  A :class:`Check` carries that outcome whether it comes from an
 operator-identity chain (:mod:`nogo_lab.nogo`), a phase-space rule
 (:mod:`nogo_lab.hvmodel`), the measure axioms (:mod:`nogo_lab.quantum`) or
-a CLI batch; ``parts`` holds the sub-checks it was judged from (the steps of
-a chain, the flagged sites of a rule) and :meth:`Check.as_dict` is the entry
-format of the structured report.
+a seeded batch of chains; ``parts`` holds the sub-checks it was judged from
+(the steps of a chain, the flagged sites of a rule) and
+:meth:`Check.as_dict` is the entry format of the structured report.
 """
 
 from __future__ import annotations

@@ -288,9 +288,9 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def _rationalize(p: float, denominator: int) -> Fraction:
+def _rationalize(p: float) -> Fraction:
     p = min(1.0, max(0.0, p))
-    return Fraction(round(p * denominator), denominator)
+    return Fraction(round(p * DEFAULT_DENOMINATOR), DEFAULT_DENOMINATOR)
 
 
 def _quantum_constraints(
@@ -317,18 +317,13 @@ def _quantum_constraints(
     return out
 
 
-def hv_feasibility(
-    s: Scenario,
-    denominator: int = DEFAULT_DENOMINATOR,
-    ambiguity_margin: float = AMBIGUITY_MARGIN,
-    tol: float = TOL,
-) -> FeasibilityResult:
+def hv_feasibility(s: Scenario, tol: float = TOL) -> FeasibilityResult:
     """Decide existence of a distribution over admissible assignments that
     reproduces the state's marginals and in-context joints.
 
-    Quantum probabilities are rounded to rationals with the given
-    denominator before the exact solve.  :class:`NumericalAmbiguity` is
-    raised when the instance sits within ``ambiguity_margin`` of the
+    Quantum probabilities are rounded to rationals with denominator
+    ``DEFAULT_DENOMINATOR`` before the exact solve.  :class:`NumericalAmbiguity`
+    is raised when the instance sits within ``AMBIGUITY_MARGIN`` of the
     feasible/infeasible boundary, where rounding could flip the verdict:
     for CHSH-shaped scenarios that is measured as the distance of the four
     correlation combinations from the classical bound, and in general as
@@ -345,7 +340,7 @@ def hv_feasibility(
     if shape is not None:
         svals = _chsh_combinations(s, shape)
         boundary = min(abs(2.0 - abs(v)) for v in svals)
-        if boundary <= ambiguity_margin:
+        if boundary <= AMBIGUITY_MARGIN:
             raise NumericalAmbiguity(
                 f"a correlation combination sits {boundary:.2e} from the "
                 f"classical bound 2; rounding could flip the verdict"
@@ -355,7 +350,7 @@ def hv_feasibility(
     position = {l: i for i, l in enumerate(labels)}
 
     names = ["normalization"] + [name for name, _, _ in constraints]
-    rhs = [Fraction(1)] + [_rationalize(p, denominator) for _, _, p in constraints]
+    rhs = [Fraction(1)] + [_rationalize(p) for _, _, p in constraints]
     rows: list[list[Fraction]] = []
     rows.append([Fraction(1)] * len(assignments))
     for _, involved, _ in constraints:
@@ -374,10 +369,10 @@ def hv_feasibility(
         )
         return FeasibilityResult(status="feasible", labels=labels, certificate=cert)
 
-    if float(result.infeasibility_gap) <= ambiguity_margin:
+    if float(result.infeasibility_gap) <= AMBIGUITY_MARGIN:
         raise NumericalAmbiguity(
             f"infeasibility depth {float(result.infeasibility_gap):.2e} is within "
-            f"the ambiguity margin {ambiguity_margin:.1e}"
+            f"the ambiguity margin {AMBIGUITY_MARGIN:.1e}"
         )
 
     # Name the violated aggregate: y.(constraints) is a linear functional

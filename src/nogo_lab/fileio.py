@@ -37,7 +37,7 @@ from .feasibility import (
 from .hvmodel import HVModel, PhaseSpace
 from .quantum import Density, Observable
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",

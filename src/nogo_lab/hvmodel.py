@@ -24,6 +24,7 @@ and is the positive complement to the no-go checks in :mod:`nogo_lab.nogo`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -130,6 +131,14 @@ def _compare(
     gap = abs(classical - quantum)
     detail = f"{sides[0]} {classical} vs {sides[1]} {quantum}"
     return _rule(rule, gap, [Check(where, gap, FAIL, detail=detail)] if gap > tol else [])
+
+
+def _labels(values, cluster_gap: float) -> list[float]:
+    """``values`` sorted and rounded to the decimals of ``cluster_gap`` for
+    report text, so a degenerate level prints as ``1.0``, not as the float
+    mean of its eigenvalues, and never as ``-0.0``."""
+    decimals = max(0, math.ceil(-math.log10(cluster_gap)))
+    return [round(float(v), decimals) + 0.0 for v in sorted(values)]
 
 
 def _event(m: HVModel, label: str, values, gap: float) -> set[int]:
@@ -252,7 +261,7 @@ def check_marginal_rule(
     proj = spectral_projector(obs, values, cluster_gap)
     quantum_side = trace_inner(m.state.mat, proj.mat).real
     classical_side = _mass(m, _event(m, label, values, cluster_gap))
-    where = f"{label}, S={sorted(values)}"
+    where = f"{label}, S={_labels(values, cluster_gap)}"
     return _compare("marginal-rule", where, classical_side, quantum_side, tol)
 
 
@@ -271,7 +280,8 @@ def check_joint_rule(
     pb = spectral_projector(m.observable(b), t_values, cluster_gap)
     quantum_side = np.trace(m.state.mat @ pa.mat @ pb.mat).real
     both = _event(m, a, s_values, cluster_gap) & _event(m, b, t_values, cluster_gap)
-    where = f"({a} in {sorted(s_values)}) & ({b} in {sorted(t_values)})"
+    s_text, t_text = _labels(s_values, cluster_gap), _labels(t_values, cluster_gap)
+    where = f"({a} in {s_text}) & ({b} in {t_text})"
     return _compare("joint-rule", where, _mass(m, both), quantum_side, tol)
 
 

@@ -5,8 +5,10 @@ probabilities both ways round, then tr[DBAB] = tr[DABA] for every state D,
 hence BAB = ABA, and a short operator-identity chain forces AB = BA.  The
 verifiers here run those identity chains numerically on concrete projector
 pairs and return a :class:`~nogo_lab.check.Check` whose parts are the
-steps, one residual each.  ``random_commuting_pair`` and
-``random_noncommuting_pair`` draw the seeded inputs of the batch commands.
+steps, one residual each.  ``commutation_batch`` and ``conditioning_batch``
+run the verifiers over seeded random inputs (drawn by
+``random_commuting_pair``, ``random_noncommuting_pair`` and the opcore
+samplers) and judge the whole batch, one trial generator per trial.
 
 Verdict semantics: ``pass`` means every asserted identity held at tolerance;
 ``hypothesis-violated`` means the premise (the trace symmetry) fails for the
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import opcore
-from .check import FAIL, HYPOTHESIS_VIOLATED, PASS, Check
+from .check import EXPECTED, FAIL, HYPOTHESIS_VIOLATED, PASS, Check
 from .errors import ConditioningOnNull, DimensionTooSmall
 from .opcore import (
     TOL,
@@ -30,11 +32,13 @@ from .opcore import (
     dag,
     identity,
     opnorm,
+    random_density_matrix,
     random_projector_matrix,
     random_unitary,
     trace_inner,
 )
 from .quantum import Density, Projector, leq, luders_density, orthocomplement
+from .rng import trial_generator
 
 __all__ = [
     "PASS",
@@ -47,6 +51,8 @@ __all__ = [
     "check_forced_commutation_alt",
     "check_conditional_uniqueness",
     "commutation_survey",
+    "commutation_batch",
+    "conditioning_batch",
 ]
 
 _step = Check.judged
@@ -86,6 +92,11 @@ def random_noncommuting_pair(
     raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 
 
+def _symmetry_defect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BAB - ABA: tr[D(BAB - ABA)] is the trace asymmetry under state D."""
+    return b @ a @ b - a @ b @ a
+
+
 def trace_symmetry_gap(
     a: Projector, b: Projector, tol: float = TOL
 ) -> tuple[float, Density]:
@@ -96,7 +107,7 @@ def trace_symmetry_gap(
     the gap is zero).
     """
     opcore.require_same_dim(a.mat, b.mat)
-    m = b.mat @ a.mat @ b.mat - a.mat @ b.mat @ a.mat
+    m = _symmetry_defect(a.mat, b.mat)
     gap = opnorm(m)
     if gap <= tol:
         return gap, Density.maximally_mixed(a.dim)
@@ -402,3 +413,90 @@ def commutation_survey(
         }
         model = build_commuting_model(observables, state, tol=max(tol, 1e-8))
     return _theorem("commutation-survey", steps, verdict, witness=witness, model=model)
+
+
+def commutation_batch(
+    seed: int, dim: int, trials: int, tol: float = TOL
+) -> tuple[list[Check], dict[str, int]]:
+    """Both forced-commutation routes on ``trials`` seeded commuting and
+    noncommuting pairs.
+
+    Returns three checks - commuting pairs end with AB = BA, every
+    noncommuting pair's witness realizes at least 90% of its trace
+    asymmetry, the two routes agree on every verdict - and the count of
+    each non-failing verdict over both routes.
+    """
+    worst_final = 0.0
+    min_witness_ratio = np.inf
+    disagreements = 0
+    fails = 0
+    tallies = {PASS: 0, HYPOTHESIS_VIOLATED: 0}
+    for t in range(trials):
+        gen = trial_generator(seed, t)
+        for commuting in (True, False):
+            sample = random_commuting_pair if commuting else random_noncommuting_pair
+            a, b = sample(gen, dim)
+            chain = check_forced_commutation(a, b, tol=tol)
+            alt = check_forced_commutation_alt(a, b, tol=tol)
+            if chain.verdict != alt.verdict:
+                disagreements += 1
+            for rep in (chain, alt):
+                if rep.verdict == FAIL:
+                    fails += 1
+                else:
+                    tallies[rep.verdict] += 1
+            if commuting:
+                worst_final = max(worst_final, commutator_norm(a.mat, b.mat))
+            elif chain.witness is not None:
+                m = _symmetry_defect(a.mat, b.mat)
+                gap = opnorm(m)
+                realized = abs(trace_inner(chain.witness.mat, m).real)
+                if gap > 0:
+                    min_witness_ratio = min(min_witness_ratio, realized / gap)
+    if not np.isfinite(min_witness_ratio):
+        min_witness_ratio = 1.0
+
+    checks = [
+        _step(
+            f"commuting pairs end with AB = BA (dim {dim})",
+            worst_final,
+            worst_final <= 1e-8 and fails == 0,
+            rule="forced-commutation",
+        ),
+        Check(
+            f"noncommuting pairs are flagged with a witness (dim {dim})",
+            1.0 - float(min_witness_ratio),
+            EXPECTED if min_witness_ratio >= 0.9 else FAIL,
+            rule="trace-symmetry",
+        ),
+        _step(
+            "both verification routes agree on every verdict",
+            float(disagreements),
+            disagreements == 0,
+            rule="route-agreement",
+        ),
+    ]
+    return checks, tallies
+
+
+def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Check:
+    """Conditioned-state uniqueness on ``trials`` seeded (state, projector)
+    pairs: a full-rank random state and a projector of random rank in
+    [1, dim - 1]; passes when every pair passes.  Needs ``dim >= 3``."""
+    worst = 0.0
+    fails = 0
+    for t in range(trials):
+        gen = trial_generator(seed, t)
+        d = Density.from_matrix(random_density_matrix(gen, dim))
+        rank = int(gen.integers(1, dim))
+        b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=1e-8)
+        rep = check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=tol)
+        worst = max(worst, rep.parts[0].residual)
+        if not rep.ok:
+            fails += 1
+    return _step(
+        f"conditioned-state uniqueness on {trials} random pairs (dim {dim})",
+        worst,
+        fails == 0,
+        rule="conditional-uniqueness",
+    )

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from nogo_lab import cli, fileio
 from nogo_lab.cli import main
+from nogo_lab.opcore import dag, random_unitary
+from nogo_lab.rng import make_generator
 
 
 def run_cli(*args):
@@ -45,7 +47,7 @@ class TestVerifyCommutation:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schemaVersion"] == 1
+        assert report["schemaVersion"] == 2
         assert report["config"]["seed"] == 7
         verdicts = {c["rule"]: c["verdict"] for c in report["checks"]}
         assert verdicts["forced-commutation"] == "pass"
@@ -55,7 +57,12 @@ class TestVerifyCommutation:
     @pytest.mark.parametrize("flag", ["--tol", "--cluster-gap"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_rejected(self, flag, value):
-        r = run_cli("verify-commutation", "--dim", "3", "--trials", "2", f"{flag}={value}")
+        # --cluster-gap is read by check-model only
+        command = {
+            "--tol": ["verify-commutation", "--dim", "3", "--trials", "2"],
+            "--cluster-gap": ["check-model", "commuting.model"],
+        }[flag]
+        r = run_cli(*command, f"{flag}={value}")
         assert r.returncode == 2
         assert "must be positive and finite" in r.stderr
 
@@ -134,6 +141,27 @@ class TestCheckModel:
         assert marginal["violations"] == 8
         assert marginal["firstViolation"] == "O1, S=[1.0]: phase-space mass 0.55 vs trace 0.5"
         assert all("violations" not in c for c in report["checks"] if c["verdict"] == "pass")
+
+    def test_eigenvalue_labels_are_rounded(self, tmp_path):
+        # Conjugated by this unitary, O1's zero level comes out of eigh as
+        # -1.942890293094024e-16; the report names it 0.0.
+        path = fileio.resolve_input_path("commuting.model")
+        data = json.loads(open(path).read())
+        u = random_unitary(make_generator(3), 3)
+
+        def rotate(mat):
+            return fileio.matrix_to_json(u @ fileio.matrix_from_json(mat) @ dag(u))
+
+        data["observables"] = {k: rotate(v) for k, v in data["observables"].items()}
+        data["state"] = rotate(data["state"])
+        data["weights"][1] += 0.05
+        bad = tmp_path / "rotated.model"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        assert main(["check-model", str(bad), "--format", "structured", "--out", str(out)]) == 1
+        flagged = {c["rule"]: c for c in json.loads(out.read_text())["checks"]}
+        assert flagged["marginal-rule"]["firstViolation"].startswith("O1, S=[0.0]:")
+        assert flagged["joint-rule"]["firstViolation"].startswith("(O1 in [0.0]) & (O2 in [1.0]):")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -296,6 +324,57 @@ class TestSeedHandling:
     def test_bad_env_seed(self, monkeypatch):
         monkeypatch.setenv("NOGO_LAB_SEED", "not-a-number")
         assert main(["verify-commutation", "--dim", "3", "--trials", "5"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["check-model", "commuting.model"], 0), (["feasibility", "chsh"], 1)],
+        ids=["check-model", "feasibility"],
+    )
+    def test_seedless_commands_ignore_env_seed(self, monkeypatch, argv, code):
+        monkeypatch.setenv("NOGO_LAB_SEED", "abc")
+        assert main(argv) == code
+        assert main(["verify-commutation", "--dim", "3", "--trials", "1"]) == 2
+
+
+class TestFlagTable:
+    """Each command accepts exactly the flags it reads and echoes them."""
+
+    ACCEPTS = {
+        "verify-commutation": ["--dim", "3", "--trials", "2", "--seed", "1", "--tol", "1e-9"],
+        "verify-conditioning": ["--dim", "3", "--trials", "2", "--seed", "1", "--tol", "1e-9"],
+        "check-model": ["commuting.model", "--tol", "1e-9", "--cluster-gap", "1e-8"],
+        "feasibility": ["chsh", "--state", "maximally-mixed", "--angles", "0,90,45,135"],
+    }
+    ECHO = {
+        "verify-commutation": {"command", "dim", "trials", "seed", "tol", "format"},
+        "verify-conditioning": {"command", "dim", "trials", "seed", "tol", "format"},
+        "check-model": {"command", "path", "tol", "clusterGap", "format"},
+        "feasibility": {"command", "path", "state", "angles", "format"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTS))
+    def test_config_echoes_exactly_the_accepted_flags(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        argv = [command, *self.ACCEPTS[command], "--format", "structured", "--out", str(out)]
+        assert main(argv) == 0
+        assert set(json.loads(out.read_text())["config"]) == self.ECHO[command]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["feasibility", "chsh"], ["--tol", "1e-9"]),
+            (["feasibility", "chsh"], ["--cluster-gap", "1e-8"]),
+            (["feasibility", "chsh"], ["--seed", "1"]),
+            (["check-model", "commuting.model"], ["--seed", "1"]),
+            (["verify-commutation", "--trials", "1"], ["--cluster-gap", "1e-8"]),
+            (["verify-conditioning", "--trials", "1"], ["--cluster-gap", "1e-8"]),
+        ],
+        ids=lambda argv: argv[0].lstrip("-"),
+    )
+    def test_removed_flag_is_usage_error(self, command, flag):
+        r = run_cli(*command, *flag)
+        assert r.returncode == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in r.stderr
 
 
 def test_console_entry_point_smoke():

@@ -13,7 +13,6 @@ from nogo_lab.errors import (
     WrongScenarioShape,
 )
 from nogo_lab.feasibility import (
-    AMBIGUITY_MARGIN,
     DICHOTOMIC,
     PROJECTOR,
     Context,
@@ -257,7 +256,7 @@ class TestHvFeasibility:
         rho = p * singlet_state().mat + (1 - p) * np.eye(4) / 4
         s = chsh_scenario(state=Density.from_matrix(rho))
         with pytest.raises(NumericalAmbiguity):
-            hv_feasibility(s, ambiguity_margin=AMBIGUITY_MARGIN)
+            hv_feasibility(s)
 
     def test_ghz_parity_game_is_state_forced(self):
         obs = {
