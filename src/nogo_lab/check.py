@@ -1,18 +1,23 @@
 """One record for every verdict the library reports.
 
 Each check ends the same way: a residual compared against a bound, then a
-verdict.  A :class:`Check` carries that outcome whether it comes from an
-operator-identity chain (:mod:`nogo_lab.nogo`), a phase-space rule
-(:mod:`nogo_lab.hvmodel`), the measure axioms (:mod:`nogo_lab.quantum`) or
-a seeded batch of chains; ``parts`` holds the sub-checks it was judged from
-(the steps of a chain, the flagged sites of a rule) and
+verdict.  :meth:`Check.judged` is the one place where a number becomes a
+verdict (``residual <= bound`` passes, so a NaN residual fails); the bound
+is ``tol``, ``cluster_gap`` or an entry of the tolerance table in
+:mod:`nogo_lab.opcore`.  A composite (:meth:`Check.composite`: the steps
+of a chain, the trials of a batch; :func:`fold`: a rule's instances) passes
+iff every part passes and carries the residual and bound of its worst part,
+so no check shows ``residual <= bound`` with a failing verdict.  The same
+record serves chains (:mod:`nogo_lab.nogo`), phase-space rules
+(:mod:`nogo_lab.hvmodel`) and the measure axioms (:mod:`nogo_lab.quantum`);
 :meth:`Check.as_dict` is the entry format of the structured report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import math
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 __all__ = ["PASS", "FAIL", "HYPOTHESIS_VIOLATED", "EXPECTED", "Check", "fold"]
 
@@ -24,7 +29,9 @@ EXPECTED = "expected"
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one check: worst residual, verdict and the parts behind it.
+    """Outcome of one check: residual, verdict, the bound they were judged
+    against (``None`` for an exact decision that compares no residual) and
+    the parts behind it.
 
     ``witness`` carries a state realizing a trace asymmetry when the verdict
     is ``hypothesis-violated``; ``model`` carries an explicit phase-space
@@ -34,6 +41,7 @@ class Check:
     name: str
     residual: float
     verdict: str
+    bound: Optional[float] = None
     rule: str = ""
     detail: str = ""
     parts: tuple["Check", ...] = ()
@@ -41,9 +49,20 @@ class Check:
     model: Any = None
 
     @classmethod
-    def judged(cls, name: str, residual: float, ok: bool, **fields) -> "Check":
-        """A check whose verdict is ``pass`` when ``ok`` and ``fail`` otherwise."""
-        return cls(name=name, residual=residual, verdict=PASS if ok else FAIL, **fields)
+    def judged(cls, name: str, residual: float, bound: float, pass_as=PASS, **fields) -> "Check":
+        """``pass_as`` when ``residual <= bound``, ``fail`` otherwise."""
+        return cls(name, residual, pass_as if residual <= bound else FAIL, bound, **fields)
+
+    @classmethod
+    def composite(cls, name: str, parts, fail_as=FAIL, **fields) -> "Check":
+        """``pass`` when every part is ok, ``fail_as`` otherwise, with the
+        residual and bound of the worst part: the failing part furthest past
+        its bound, else the passing part nearest to it (0 against 0 for no
+        parts)."""
+        parts = tuple(parts)
+        worst = max(parts, key=_severity, default=cls("", 0.0, PASS, 0.0))
+        verdict = PASS if all(p.ok for p in parts) else fail_as
+        return cls(name, worst.residual, verdict, worst.bound, parts=parts, **fields)
 
     @property
     def ok(self) -> bool:
@@ -52,8 +71,9 @@ class Check:
     def as_dict(self) -> dict:
         """Entry in the structured report's ``checks`` list.
 
-        ``violations`` (the number of failing parts) and ``firstViolation``
-        appear only when some part fails.
+        ``bound`` appears on every thresholded check; ``violations`` (the
+        number of failing parts) and ``firstViolation`` only when some part
+        fails.
         """
         entry = {
             "name": self.name,
@@ -61,6 +81,8 @@ class Check:
             "residual": self.residual,
             "verdict": self.verdict,
         }
+        if self.bound is not None:
+            entry["bound"] = self.bound
         failing = [p for p in self.parts if not p.ok]
         if failing:
             first = failing[0]
@@ -71,13 +93,16 @@ class Check:
         return entry
 
 
+def _severity(c: Check) -> tuple[bool, float]:
+    """Sort key: failing first, then ``residual / bound`` (infinite for a
+    NaN residual or a nonzero residual against a zero bound)."""
+    ratio = 0.0 if c.residual == 0 else c.residual / c.bound if c.bound else math.inf
+    return not c.ok, ratio if ratio == ratio else math.inf
+
+
 def fold(rule: str, instances: list[Check]) -> Check:
-    """One ``"<rule> over N instances"`` check: the worst residual, every
-    part, and ``pass`` only when every instance passes."""
-    return Check.judged(
-        f"{rule} over {len(instances)} instances",
-        max(c.residual for c in instances),
-        all(c.ok for c in instances),
-        rule=rule,
-        parts=tuple(p for c in instances for p in c.parts),
-    )
+    """One ``"<rule> over N instances"`` check: ``pass`` only when every
+    instance passes, the residual and bound of the worst instance, and the
+    instances' sites as parts."""
+    folded = Check.composite(f"{rule} over {len(instances)} instances", instances, rule=rule)
+    return replace(folded, parts=tuple(p for c in instances for p in c.parts))

@@ -51,7 +51,7 @@ from .feasibility import (
     make_scenario,
     singlet_state,
 )
-from .opcore import CLUSTER_GAP, TOL
+from .opcore import CLUSTER_GAP, COARSE_TOL, TOL
 from .quantum import Density
 from .rng import MAX_SEED
 
@@ -82,7 +82,7 @@ def _emit(args: argparse.Namespace, checks: list[Check], extra: dict | None = No
     """Write the report; exit 0 when every check is ok, else 1."""
     exit_code = EXIT_OK if all(c.ok for c in checks) else EXIT_VIOLATION
     report = {
-        "schemaVersion": fileio.SCHEMA_VERSION,
+        "schemaVersion": fileio.REPORT_SCHEMA_VERSION,
         "tool": f"nogo-lab {__version__}",
         "config": _config_echo(args),
         "checks": [c.as_dict() for c in checks],
@@ -100,7 +100,8 @@ def _emit(args: argparse.Namespace, checks: list[Check], extra: dict | None = No
         seed = getattr(args, "seed", None)
         lines = [f"nogo-lab {args.command}" + ("" if seed is None else f" (seed={seed})")]
         for c in checks:
-            lines.append(f"  [{c.verdict:>9}] {c.name}  residual={c.residual:.3e}")
+            bound = "" if c.bound is None else f" bound={c.bound:.1e}"
+            lines.append(f"  [{c.verdict:>9}] {c.name}  residual={c.residual:.3e}{bound}")
         for key, val in (extra or {}).items():
             lines.append(f"  {key}: {val}")
         lines.append(f"exit {exit_code}")
@@ -156,7 +157,7 @@ def _named_state(name: str, dim: int) -> Density:
         mat = data.get("matrix", data.get("state"))
         if mat is None:
             raise ConfigError(f"state file {name} needs a 'matrix' field")
-        return Density.from_matrix(fileio.matrix_from_json(mat, name), tol=1e-7)
+        return Density.from_matrix(fileio.matrix_from_json(mat, name), tol=COARSE_TOL)
     raise ConfigError(
         f"unknown state {name!r}: use singlet, maximally-mixed, ghz, or a file path"
     )

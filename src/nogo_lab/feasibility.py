@@ -37,6 +37,8 @@ from .errors import (
     WrongScenarioShape,
 )
 from .opcore import (
+    AMBIGUITY_MARGIN,
+    BUILT_TOL,
     CLUSTER_GAP,
     TOL,
     as_operator,
@@ -70,7 +72,6 @@ PROJECTOR = "projector"
 DICHOTOMIC = "dichotomic"
 
 DEFAULT_DENOMINATOR = 10**9
-AMBIGUITY_MARGIN = 1e-6
 MAX_ASSIGNMENT_SPACE = 2**24
 
 
@@ -151,7 +152,6 @@ def make_scenario(
     contexts: list[Context],
     state: Optional[Density] = None,
     name: str = "scenario",
-    tol: float = TOL,
 ) -> Scenario:
     """Assemble and validate a scenario.
 
@@ -172,7 +172,7 @@ def make_scenario(
             raise ScenarioError(f"context references unknown labels {missing}")
         for x, y in itertools.combinations(ctx.labels, 2):
             c = commutator_norm(items[x].mat, items[y].mat)
-            if c > max(tol, 1e-8):
+            if c > BUILT_TOL:
                 raise ScenarioError(
                     f"context {ctx.labels} not commuting: [{x},{y}] norm {c:.3e}"
                 )
@@ -183,7 +183,7 @@ def make_scenario(
             for l in ctx.labels:
                 prod = prod @ items[l].mat
             r = opnorm(prod - ctx.product_sign * identity(dim))
-            if r > max(tol, 1e-8):
+            if r > BUILT_TOL:
                 raise ScenarioError(
                     f"declared product of {ctx.labels} != {ctx.product_sign:+d}I "
                     f"(residual {r:.3e})"
@@ -191,7 +191,7 @@ def make_scenario(
         resolves = False
         if all(items[l].kind == PROJECTOR for l in ctx.labels) and ctx.labels:
             total = np.sum([items[l].mat for l in ctx.labels], axis=0)
-            resolves = opnorm(total - identity(dim)) <= max(tol, 1e-8)
+            resolves = opnorm(total - identity(dim)) <= BUILT_TOL
         checked.append(
             Context(
                 labels=tuple(ctx.labels),
@@ -293,15 +293,13 @@ def _rationalize(p: float) -> Fraction:
     return Fraction(round(p * DEFAULT_DENOMINATOR), DEFAULT_DENOMINATOR)
 
 
-def _quantum_constraints(
-    s: Scenario, tol: float
-) -> list[tuple[str, tuple[str, ...], float]]:
+def _quantum_constraints(s: Scenario) -> list[tuple[str, tuple[str, ...], float]]:
     """(name, involved labels, probability) for marginals and in-context joints."""
     d = s.state.mat
     out = []
     for l in s.labels:
         p = trace_inner(d, s.items[l].plus)
-        if abs(p.imag) > max(tol, 1e-8):
+        if abs(p.imag) > BUILT_TOL:
             raise ScenarioError(f"marginal for {l!r} is not real: {p}")
         out.append((f"marginal[{l}]", (l,), p.real))
     seen = set()
@@ -311,13 +309,13 @@ def _quantum_constraints(
                 continue
             seen.add((x, y))
             p = np.trace(d @ s.items[x].plus @ s.items[y].plus)
-            if abs(p.imag) > max(tol, 1e-8):
+            if abs(p.imag) > BUILT_TOL:
                 raise ScenarioError(f"joint for ({x},{y}) is not real: {p}")
             out.append((f"joint[{x},{y}]", (x, y), p.real))
     return out
 
 
-def hv_feasibility(s: Scenario, tol: float = TOL) -> FeasibilityResult:
+def hv_feasibility(s: Scenario) -> FeasibilityResult:
     """Decide existence of a distribution over admissible assignments that
     reproduces the state's marginals and in-context joints.
 
@@ -346,7 +344,7 @@ def hv_feasibility(s: Scenario, tol: float = TOL) -> FeasibilityResult:
                 f"classical bound 2; rounding could flip the verdict"
             )
 
-    constraints = _quantum_constraints(s, tol)
+    constraints = _quantum_constraints(s)
     position = {l: i for i, l in enumerate(labels)}
 
     names = ["normalization"] + [name for name, _, _ in constraints]
@@ -436,14 +434,7 @@ def setting_side2(theta_deg: float) -> np.ndarray:
     return np.kron(_I2, -(np.sin(t) * _SZ + np.cos(t) * _SX))
 
 
-def chsh_value(
-    state: Density,
-    a1,
-    a2,
-    b1,
-    b2,
-    tol: float = TOL,
-) -> float:
+def chsh_value(state: Density, a1, a2, b1, b2) -> float:
     """Correlation combination S = E(A,B) + E(A,B') + E(A',B) - E(A',B')
     with E(X, Y) = tr[D XY].
 
@@ -454,11 +445,11 @@ def chsh_value(
     a1, a2, b1, b2 = map(as_operator, (a1, a2, b1, b2))
     require_same_dim(state.mat, a1, a2, b1, b2)
     for label, m in (("A", a1), ("A'", a2), ("B", b1), ("B'", b2)):
-        make_item(label, DICHOTOMIC, m, tol=max(tol, 1e-8))
+        make_item(label, DICHOTOMIC, m, tol=BUILT_TOL)
     for la, x in (("A", a1), ("A'", a2)):
         for lb, y in (("B", b1), ("B'", b2)):
             c = commutator_norm(x, y)
-            if c > max(tol, 1e-8):
+            if c > BUILT_TOL:
                 raise CrossTalk(f"[{la}, {lb}] norm {c:.3e}; sides are not local")
 
     def corr(x, y):

@@ -35,12 +35,16 @@ from .feasibility import (
     make_scenario,
 )
 from .hvmodel import HVModel, PhaseSpace
+from .opcore import COARSE_TOL, ROUNDING
 from .quantum import Density, Observable
 
-SCHEMA_VERSION = 2
+# Versioned apart: a report change leaves saved files and fixtures at theirs.
+REPORT_SCHEMA_VERSION = 3
+FILE_SCHEMA_VERSION = 1
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "REPORT_SCHEMA_VERSION",
+    "FILE_SCHEMA_VERSION",
     "matrix_to_json",
     "matrix_from_json",
     "load_scenario",
@@ -152,7 +156,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
             if len(v) != dim:
                 raise FormatError(f"{iw}.ray: expected length {dim}")
             norm = np.linalg.norm(v)
-            if norm < 1e-12:
+            if norm < ROUNDING:
                 raise FormatError(f"{iw}.ray: zero vector")
             v = v / norm
             mat = np.outer(v, v.conj())
@@ -181,7 +185,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
     state = None
     if data.get("state") is not None:
         state = Density.from_matrix(
-            matrix_from_json(data["state"], f"{where}.state"), tol=1e-7
+            matrix_from_json(data["state"], f"{where}.state"), tol=COARSE_TOL
         )
     name = data.get("name", os.path.splitext(os.path.basename(where))[0])
     scenario = make_scenario(dim, items, contexts, state=state, name=name)
@@ -190,7 +194,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
 
 def scenario_to_json(s: Scenario) -> dict:
     out = {
-        "schemaVersion": SCHEMA_VERSION,
+        "schemaVersion": FILE_SCHEMA_VERSION,
         "kind": "scenario",
         "name": s.name,
         "dim": s.dim,
@@ -236,7 +240,7 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     """
     dim = _require(data, "dim", where)
     state = Density.from_matrix(
-        matrix_from_json(_require(data, "state", where), f"{where}.state"), tol=1e-7
+        matrix_from_json(_require(data, "state", where), f"{where}.state"), tol=COARSE_TOL
     )
     raw_obs = _require(data, "observables", where)
     if not isinstance(raw_obs, dict) or not raw_obs:
@@ -246,7 +250,7 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
         m = matrix_from_json(mat, f"{where}.observables[{label}]")
         if m.shape[0] != dim:
             raise FormatError(f"{where}.observables[{label}]: wrong dimension")
-        observables[label] = Observable.from_matrix(m, tol=1e-7)
+        observables[label] = Observable.from_matrix(m, tol=COARSE_TOL)
 
     points = _require(data, "points", where)
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
@@ -271,7 +275,7 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
 
 def model_to_json(m: HVModel) -> dict:
     return {
-        "schemaVersion": SCHEMA_VERSION,
+        "schemaVersion": FILE_SCHEMA_VERSION,
         "kind": "model",
         "dim": m.state.dim,
         "state": matrix_to_json(m.state.mat),
@@ -327,5 +331,6 @@ def resolve_input_path(name_or_path: str) -> str:
 
 def report_bytes(report: dict) -> bytes:
     """Canonical bytes for a structured report: sorted keys, two-space
-    indent, trailing newline.  Identical reports hash identically."""
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    indent, trailing newline.  Identical reports hash identically.  A
+    non-finite number raises ``ValueError``: strict JSON has none."""
+    return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")

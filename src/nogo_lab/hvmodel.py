@@ -13,9 +13,11 @@ model reproduces quantum statistics:
 * order rule       - for projectors A <= B the events satisfy a AND b = a
 * conditional rule - mu(a AND b)/mu(b) matches tr[DBAB]/tr[DB]
 
-Each checker returns a :class:`~nogo_lab.check.Check` whose parts are the
-flagged sites; ``check_model`` runs every checker over every instance it
-applies to and folds each rule into one check.
+Each checker returns the composite :class:`~nogo_lab.check.Check` of the
+sites it compared, each judged against ``tol`` (``cluster_gap`` for the
+spectrum, 0 for the exact order-events inclusion); ``check_model`` runs
+every checker over every instance it applies to and folds each rule into
+one check.
 
 ``build_commuting_model`` constructs the joint-eigenbasis model that any
 pairwise-commuting family admits; it passes every checker by construction
@@ -30,8 +32,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import rng as rng_mod
-from .check import FAIL, Check, fold
+from . import opcore, rng as rng_mod
+from .check import Check, fold
 from .errors import (
     ConditioningOnNull,
     NogoLabError,
@@ -75,7 +77,7 @@ class PhaseSpace:
         if self.weights.min(initial=0.0) < -tol:
             raise ValueError(f"negative weight {self.weights.min():.3e}")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > max(tol, tol * len(self.weights)):
+        if abs(total - 1.0) > tol * len(self.weights):
             raise ValueError(f"weights sum to {total}, not 1")
 
 
@@ -112,13 +114,6 @@ class HVModel:
         return np.asarray(self.values[label], dtype=float)
 
 
-def _rule(rule: str, residual: float, flagged) -> Check:
-    """One rule instance: its worst residual, passing when no site
-    (a failing part) is flagged."""
-    flagged = tuple(flagged)
-    return Check.judged(rule, residual, not flagged, rule=rule, parts=flagged)
-
-
 def _compare(
     rule: str,
     where: str,
@@ -129,8 +124,8 @@ def _compare(
 ) -> Check:
     """Rule instance matching a phase-space probability to its quantum value."""
     gap = abs(classical - quantum)
-    detail = f"{sides[0]} {classical} vs {sides[1]} {quantum}"
-    return _rule(rule, gap, [Check(where, gap, FAIL, detail=detail)] if gap > tol else [])
+    site = Check.judged(where, gap, tol, detail=f"{sides[0]} {classical} vs {sides[1]} {quantum}")
+    return Check.composite(rule, [site], rule=rule)
 
 
 def _labels(values, cluster_gap: float) -> list[float]:
@@ -168,24 +163,21 @@ def event_weight(m: HVModel, event: frozenset[str]) -> float:
 
 def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> Check:
     """Every table value must be an eigenvalue of its observable."""
-    flagged = []
-    worst = 0.0
+    sites = []
     for label in m.registered:
         eigs = np.array(m.observable(label).eigenvalues())
         row = m.value_row(label)
         for i, v in enumerate(row):
             dist = float(np.abs(eigs - v).min())
-            worst = max(worst, dist)
-            if dist > cluster_gap:
-                flagged.append(
-                    Check(
-                        f"({m.space.points[i]}, {label})",
-                        dist,
-                        FAIL,
-                        detail=f"value {v} is {dist:.3e} from the nearest eigenvalue",
-                    )
+            sites.append(
+                Check.judged(
+                    f"({m.space.points[i]}, {label})",
+                    dist,
+                    cluster_gap,
+                    detail=f"value {v} is {dist:.3e} from the nearest eigenvalue",
                 )
-    return _rule("spectrum-rule", worst, flagged)
+            )
+    return Check.composite("spectrum-rule", sites, rule="spectrum-rule")
 
 
 def _require_commuting(m: HVModel, a: str, b: str, tol: float) -> None:
@@ -210,22 +202,20 @@ def _pointwise_rule(
     m: HVModel, a: str, b: str, compounds: list[str], combine, rule: str, tol: float
 ) -> Check:
     va, vb = m.value_row(a), m.value_row(b)
-    worst = 0.0
-    flagged = []
+    sites = []
     for compound in compounds:
         vc = m.value_row(compound)
         gaps = np.abs(vc - combine(va, vb))
-        worst = max(worst, float(gaps.max(initial=0.0)))
-        flagged.extend(
-            Check(
-                m.space.points[i],
+        sites.extend(
+            Check.judged(
+                point,
                 float(gaps[i]),
-                FAIL,
+                tol,
                 detail=f"f({a})={va[i]}, f({b})={vb[i]}, f({compound})={vc[i]}",
             )
-            for i in np.flatnonzero(gaps > tol)
+            for i, point in enumerate(m.space.points)
         )
-    return _rule(rule, worst, flagged)
+    return Check.composite(rule, sites, rule=rule)
 
 
 def check_sum_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> Check:
@@ -286,7 +276,8 @@ def check_joint_rule(
 
 
 def _as_projector(m: HVModel, label: str, tol: float) -> Projector:
-    return Projector.from_matrix(m.observable(label).mat, tol=max(tol, 1e-7))
+    mat = m.observable(label).mat
+    return Projector.from_matrix(mat, tol=opcore.floored(tol, opcore.COARSE_TOL))
 
 
 def check_order_rule(
@@ -303,23 +294,31 @@ def check_order_rule(
     # a <= b means ab = a; the registered product pins down f(., AB).
     _find_registered(m, pa.mat @ pb.mat, tol, f"product {a}*{b}")
     extra = preimage(m, a, 1.0, cluster_gap) - preimage(m, b, 1.0, cluster_gap)
-    flagged = [Check(p, 1.0, FAIL, detail=f"f({a})=1 but f({b})!=1") for p in sorted(extra)]
-    return _rule("order-events-rule", 1.0 if flagged else 0.0, flagged)
+    sites = [Check.judged(p, 1.0, 0.0, detail=f"f({a})=1 but f({b})!=1") for p in sorted(extra)]
+    return Check.composite("order-events-rule", sites, rule="order-events-rule")
 
 
 def check_conditional_rule(
     m: HVModel, a: str, b: str, tol: float = TOL, cluster_gap: float = CLUSTER_GAP
 ) -> Check:
-    """mu(a AND b)/mu(b) must equal tr[DBAB]/tr[DB] for projector labels."""
+    """mu(a AND b)/mu(b) must equal tr[DBAB]/tr[DB] for projector labels.
+
+    Raises :class:`ConditioningOnNull` when mu(b) or tr[DB] is at most
+    ``tol``: either ratio is then undefined, and the marginal rule already
+    compares the two.
+    """
     pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
     ev_a = _event(m, a, [1.0], cluster_gap)
     ev_b = _event(m, b, [1.0], cluster_gap)
     mu_b = _mass(m, ev_b)
     if mu_b <= tol:
         raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= tol for {b!r}")
-    classical = _mass(m, ev_a & ev_b) / mu_b
     d = m.state.mat
-    quantum = np.trace(d @ pb.mat @ pa.mat @ pb.mat).real / trace_inner(d, pb.mat).real
+    tr_b = trace_inner(d, pb.mat).real
+    if tr_b <= tol:
+        raise ConditioningOnNull(f"tr[DB] = {tr_b:.3e} <= tol for {b!r}")
+    classical = _mass(m, ev_a & ev_b) / mu_b
+    quantum = np.trace(d @ pb.mat @ pa.mat @ pb.mat).real / tr_b
     sides = ("phase-space", "conditioned trace")
     return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
 
@@ -377,12 +376,12 @@ def check_model(
             add_unless_skipped(check_sum_rule, la, lb, tol)
             add_unless_skipped(check_product_rule, la, lb, tol)
             try:
-                pa = Projector.from_matrix(mat_a, tol=1e-7)
-                pb = Projector.from_matrix(mat_b, tol=1e-7)
+                pa = Projector.from_matrix(mat_a, tol=opcore.COARSE_TOL)
+                pb = Projector.from_matrix(mat_b, tol=opcore.COARSE_TOL)
             except NogoLabError:
                 continue
             for (lo, p_lo), (hi, p_hi) in (((la, pa), (lb, pb)), ((lb, pb), (la, pa))):
-                if leq(p_lo, p_hi, 1e-7):
+                if leq(p_lo, p_hi, opcore.COARSE_TOL):
                     add_unless_skipped(check_order_rule, lo, hi, tol, cluster_gap)
             for lo, hi in ((la, lb), (lb, la)):
                 add_unless_skipped(check_conditional_rule, lo, hi, tol, cluster_gap)
@@ -426,7 +425,8 @@ def build_commuting_model(
         combo = np.sum([c * m for c, m in zip(coeffs, mats)], axis=0)
         _, vecs = np.linalg.eigh((combo + dag(combo)) / 2)
         if all(
-            opnorm(np.triu(dag(vecs) @ m @ vecs, 1)) <= max(tol, 1e-10) * max(1.0, opnorm(m))
+            opnorm(np.triu(dag(vecs) @ m @ vecs, 1))
+            <= opcore.floored(tol, opcore.BASIS_TOL) * max(1.0, opnorm(m))
             for m in mats
         ):
             basis = vecs
@@ -448,5 +448,5 @@ def build_commuting_model(
         values=values,
         state=state,
     )
-    model.validate(max(tol, 1e-7))
+    model.validate(opcore.floored(tol, opcore.COARSE_TOL))
     return model

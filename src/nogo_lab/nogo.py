@@ -20,6 +20,9 @@ hold unconditionally; it should never occur.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from . import opcore
@@ -58,13 +61,9 @@ __all__ = [
 _step = Check.judged
 
 
-def _theorem(name: str, steps, verdict: str | None = None, **fields) -> Check:
-    """A verifier's record: its steps as parts, the worst step residual, and
-    ``verdict`` (by default ``pass`` when every step held, else ``fail``)."""
-    if verdict is None:
-        verdict = PASS if all(s.ok for s in steps) else FAIL
-    residual = max((s.residual for s in steps), default=0.0)
-    return Check(name, residual, verdict, rule=name, parts=tuple(steps), **fields)
+def _theorem(name: str, steps, fail_as: str = FAIL, **fields) -> Check:
+    """A verifier's record: ``fail_as`` unless every step held."""
+    return Check.composite(name, steps, fail_as=fail_as, rule=name, **fields)
 
 
 def random_commuting_pair(gen: np.random.Generator, dim: int) -> tuple[Projector, Projector]:
@@ -74,7 +73,7 @@ def random_commuting_pair(gen: np.random.Generator, dim: int) -> tuple[Projector
     pat_b = gen.integers(0, 2, size=dim)
     a = u @ np.diag(pat_a.astype(np.complex128)) @ dag(u)
     b = u @ np.diag(pat_b.astype(np.complex128)) @ dag(u)
-    return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
+    return tuple(Projector.from_matrix(m, tol=opcore.BUILT_TOL) for m in (a, b))
 
 
 def random_noncommuting_pair(
@@ -88,13 +87,8 @@ def random_noncommuting_pair(
         a = random_projector_matrix(gen, dim, ra)
         b = random_projector_matrix(gen, dim, rb)
         if commutator_norm(a, b) > min_comm:
-            return Projector.from_matrix(a, tol=1e-8), Projector.from_matrix(b, tol=1e-8)
+            return tuple(Projector.from_matrix(m, tol=opcore.BUILT_TOL) for m in (a, b))
     raise RuntimeError("rejection sampling failed to find a noncommuting pair")
-
-
-def _symmetry_defect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """BAB - ABA: tr[D(BAB - ABA)] is the trace asymmetry under state D."""
-    return b @ a @ b - a @ b @ a
 
 
 def trace_symmetry_gap(
@@ -107,7 +101,7 @@ def trace_symmetry_gap(
     the gap is zero).
     """
     opcore.require_same_dim(a.mat, b.mat)
-    m = _symmetry_defect(a.mat, b.mat)
+    m = b.mat @ a.mat @ b.mat - a.mat @ b.mat @ a.mat
     gap = opnorm(m)
     if gap <= tol:
         return gap, Density.maximally_mixed(a.dim)
@@ -138,45 +132,28 @@ def check_forced_commutation(
     amat, bmat = a.mat, b.mat
 
     gap, witness = trace_symmetry_gap(a, b, tol=tol)
-    if gap > tol:
-        c = amat @ bmat - bmat @ amat
-        ratio = opnorm(c @ c) / gap
-        steps = (
-            _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, False),
-            # observed bound ||C^2|| <= K * ||BAB - ABA||; K stays small at
-            # these dimensions (recorded for regression, not asserted)
-            _step("observed nilpotency ratio opnorm(C^2) / gap", ratio, True),
-        )
-        return _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness)
+    hypothesis = _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, tol)
+    if not hypothesis.ok:
+        return _theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=witness)
 
-    steps = [
-        _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, True)
-    ]
     c = amat @ bmat - bmat @ amat
-
-    skew = opnorm(c + dag(c))
-    steps.append(_step("C = AB - BA is skew-Hermitian", skew, skew <= tol))
+    skew = _step("C = AB - BA is skew-Hermitian", opnorm(c + dag(c)), tol)
 
     # C^2 = A(BAB - ABA) + B(ABA - BAB) once A^2 = A, B^2 = B are used.
     c2 = c @ c
     expand = opnorm(c2 - (amat @ bmat @ amat @ bmat + bmat @ amat @ bmat @ amat
                           - amat @ bmat @ amat - bmat @ amat @ bmat))
-    steps.append(_step("expand C^2 with A^2 = A, B^2 = B", expand, expand <= max(tol, 1e-12)))
-
-    nilpotent = opnorm(c2)
-    steps.append(_step("C^2 = 0 under the hypothesis", nilpotent, nilpotent <= tol))
-
+    rounding = opcore.floored(tol, opcore.ROUNDING)
+    expanded = _step("expand C^2 with A^2 = A, B^2 = B", expand, rounding)
+    nilpotent = _step("C^2 = 0 under the hypothesis", opnorm(c2), tol)
     norm_c = opnorm(c)
-    normality = abs(norm_c**2 - nilpotent)
-    steps.append(
-        _step("normality: opnorm(C)^2 = opnorm(C^2)", normality, normality <= tol)
+    normality = _step(
+        "normality: opnorm(C)^2 = opnorm(C^2)", abs(norm_c**2 - nilpotent.residual), tol
     )
-
-    sqrt_tol = float(np.sqrt(tol))
-    steps.append(
-        _step("conclusion AB = BA", norm_c, norm_c <= sqrt_tol)
-    )
-    return _theorem(name, steps)
+    # By normality opnorm(C) = sqrt(opnorm(C^2)): C^2 = 0 within its bound
+    # puts C = 0 within the square root of that bound.
+    conclusion = _step("conclusion AB = BA", norm_c, math.sqrt(nilpotent.bound))
+    return _theorem(name, [hypothesis, skew, expanded, nilpotent, normality, conclusion])
 
 
 def check_forced_commutation_alt(
@@ -197,9 +174,8 @@ def check_forced_commutation_alt(
     bt = orthocomplement(b).mat
 
     decomp = opnorm(amat - (amat @ bmat @ amat + amat @ bt @ amat))
-    steps = [
-        _step("unconditional identity A = ABA + A(I-B)A", decomp, decomp <= max(tol, 1e-12))
-    ]
+    rounding = opcore.floored(tol, opcore.ROUNDING)
+    steps = [_step("unconditional identity A = ABA + A(I-B)A", decomp, rounding)]
     if not steps[0].ok:
         return _theorem(name, steps)
 
@@ -213,34 +189,30 @@ def check_forced_commutation_alt(
             r = opnorm(x @ y @ x - y @ x @ y)
             if r > worst:
                 worst, worst_pair = r, (names[i], names[j])
-    if worst > tol:
-        steps.append(
-            _step(
-                f"hypothesis XYX = YXY on pairs from {{A, B, I-A, I-B}} "
-                f"(violated by ({worst_pair[0]}, {worst_pair[1]}))",
-                worst,
-                False,
-            )
-        )
+    hypothesis = _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, tol)
+    if not hypothesis.ok:
+        x, y = worst_pair
+        steps.append(replace(hypothesis, name=f"{hypothesis.name} (violated by ({x}, {y}))"))
         _, witness = trace_symmetry_gap(a, b, tol=tol)
         return _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness)
-    steps.append(
-        _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, True)
-    )
+    steps.append(hypothesis)
 
     bab = bmat @ amat @ bmat
-    substitute = opnorm(amat - (bab + bt @ amat @ bt))
-    steps.append(_step("substitution A = BAB + (I-B)A(I-B)", substitute, substitute <= 4 * tol))
-
-    ab_step = opnorm(amat @ bmat - bab)
-    steps.append(_step("right-multiply by B: AB = BAB", ab_step, ab_step <= 8 * tol))
-
-    ba_step = opnorm(bmat @ amat - bab)
-    steps.append(_step("left-multiply by B: BA = BAB", ba_step, ba_step <= 8 * tol))
-
-    conclusion = commutator_norm(amat, bmat)
-    steps.append(_step("conclusion AB = BA", conclusion, conclusion <= 16 * tol))
-
+    # A - BAB - (I-B)A(I-B) is the decomposition defect plus the hypothesis
+    # defects of (A, B) and (A, I-B); four hypothesis bounds leave room for
+    # the rounding of I - B.
+    substitute = _step(
+        "substitution A = BAB + (I-B)A(I-B)",
+        opnorm(amat - (bab + bt @ amat @ bt)),
+        4 * hypothesis.bound,
+    )
+    # Multiplying by B adds at most the idempotence defect of B.
+    by_b = 2 * substitute.bound
+    ab_step = _step("right-multiply by B: AB = BAB", opnorm(amat @ bmat - bab), by_b)
+    ba_step = _step("left-multiply by B: BA = BAB", opnorm(bmat @ amat - bab), by_b)
+    # AB - BA = (AB - BAB) - (BA - BAB).
+    conclusion = _step("conclusion AB = BA", commutator_norm(amat, bmat), 2 * by_b)
+    steps += [substitute, ab_step, ba_step, conclusion]
     return _theorem(name, steps)
 
 
@@ -261,7 +233,7 @@ def sample_projector_below(
     r = int(gen.integers(1, b.rank + 1))
     g = opcore.complex_gaussian(gen, b.rank, r)
     q, _ = np.linalg.qr(basis @ g)
-    return Projector.from_matrix(q @ dag(q), tol=max(tol, 1e-10))
+    return Projector.from_matrix(q @ dag(q), tol=opcore.floored(tol, opcore.BASIS_TOL))
 
 
 def sample_density_in_range(
@@ -270,7 +242,7 @@ def sample_density_in_range(
     """Random full-support density on range(B), embedded in the big space."""
     basis = _range_basis(b, TOL)
     small = opcore.random_density_matrix(gen, b.rank)
-    return Density.from_matrix(basis @ small @ dag(basis), tol=1e-8)
+    return Density.from_matrix(basis @ small @ dag(basis), tol=opcore.BUILT_TOL)
 
 
 def check_conditional_uniqueness(
@@ -308,7 +280,6 @@ def check_conditional_uniqueness(
 
     name = "conditional-uniqueness"
     d_b = luders_density(d, b, tol=tol)
-    steps = []
 
     worst = 0.0
     for _ in range(trials):
@@ -316,30 +287,28 @@ def check_conditional_uniqueness(
         lhs = trace_inner(d_b.mat, c.mat).real
         rhs = trace_inner(d.mat, c.mat).real / pb
         worst = max(worst, abs(lhs - rhs))
-    steps.append(
-        _step(
-            f"existence: tr[D_B C] = tr[DC]/tr[DB] on {trials} random C <= B",
-            worst,
-            worst <= tol,
-        )
+    existence = _step(
+        f"existence: tr[D_B C] = tr[DC]/tr[DB] on {trials} random C <= B", worst, tol
     )
+    steps = [existence]
 
+    # tr[D_B B] = 1 is the existence identity at C = B; the complement also
+    # carries the trace normalization of D_B, so both allow ten times its bound.
+    support = 10 * existence.bound
     onb = abs(trace_inner(d_b.mat, b.mat).real - 1.0)
-    steps.append(_step("support: tr[D_B B] = 1", onb, onb <= 10 * tol))
+    steps.append(_step("support: tr[D_B B] = 1", onb, support))
     offb = abs(trace_inner(d_b.mat, identity(b.dim) - b.mat).real)
-    steps.append(_step("support: tr[D_B (I-B)] = 0", offb, offb <= 10 * tol))
+    steps.append(_step("support: tr[D_B (I-B)] = 0", offb, support))
     comp = _range_basis(orthocomplement(b), tol)
     kernel = opnorm(d_b.mat @ comp) if comp.size else 0.0
-    steps.append(
-        _step("support: D_B annihilates range(I-B)", float(kernel), kernel <= 1e-7)
-    )
+    steps.append(_step("support: D_B annihilates range(I-B)", kernel, opcore.COARSE_TOL))
 
     worst_sep = np.inf if trials else 0.0
     for _ in range(trials):
         d_prime = sample_density_in_range(b, gen)
         delta = d_prime.mat - d_b.mat
         gap_norm = opnorm(delta)
-        if gap_norm <= 10 * tol:
+        if gap_norm <= support:
             continue
         vals, vecs = np.linalg.eigh((delta + dag(delta)) / 2)
         k = int(np.argmax(np.abs(vals)))
@@ -347,7 +316,7 @@ def check_conditional_uniqueness(
         sep = abs(
             trace_inner(d_prime.mat, r1.mat).real - trace_inner(d_b.mat, r1.mat).real
         )
-        if not leq(r1, b, 1e-7):
+        if not leq(r1, b, opcore.COARSE_TOL):
             worst_sep = 0.0
             break
         # The separator must realize the full operator-norm distance.
@@ -358,7 +327,7 @@ def check_conditional_uniqueness(
         _step(
             f"uniqueness: rank-one separator below B on {trials} random D' != D_B",
             1.0 - float(worst_sep),
-            worst_sep >= 1.0 - 1e-6,
+            opcore.SEPARATION_TOL,
         )
     )
 
@@ -387,32 +356,23 @@ def commutation_survey(
         for j in range(i + 1, len(labels)):
             la, lb = labels[i], labels[j]
             a, b = projectors[la], projectors[lb]
-            cn = commutator_norm(a.mat, b.mat)
-            if cn <= tol:
-                steps.append(_step(f"[{la}, {lb}] = 0", cn, True))
-            else:
+            step = _step(f"[{la}, {lb}] = 0", commutator_norm(a.mat, b.mat), tol)
+            if not step.ok:
                 gap, w = trace_symmetry_gap(a, b, tol=tol)
                 witness = witness or w
-                steps.append(
-                    _step(
-                        f"[{la}, {lb}] != 0 obstructs any model "
-                        f"(trace asymmetry {gap:.6f})",
-                        cn,
-                        False,
-                    )
+                step = replace(
+                    step, name=f"[{la}, {lb}] != 0 obstructs any model (trace asymmetry {gap:.6f})"
                 )
-    verdict = PASS if all(s.ok for s in steps) else HYPOTHESIS_VIOLATED
-    model = None
-    if verdict == PASS and labels:
-        from .hvmodel import build_commuting_model
-        from .quantum import Observable
+            steps.append(step)
+    survey = _theorem("commutation-survey", steps, HYPOTHESIS_VIOLATED, witness=witness)
+    if not survey.ok or not labels:
+        return survey
+    from .hvmodel import build_commuting_model
+    from .quantum import Observable
 
-        observables = {
-            k: Observable.from_matrix(projectors[k].mat, tol=max(tol, 1e-8))
-            for k in labels
-        }
-        model = build_commuting_model(observables, state, tol=max(tol, 1e-8))
-    return _theorem("commutation-survey", steps, verdict, witness=witness, model=model)
+    built = opcore.floored(tol, opcore.BUILT_TOL)
+    observables = {k: Observable.from_matrix(projectors[k].mat, tol=built) for k in labels}
+    return replace(survey, model=build_commuting_model(observables, state, tol=built))
 
 
 def commutation_batch(
@@ -421,58 +381,58 @@ def commutation_batch(
     """Both forced-commutation routes on ``trials`` seeded commuting and
     noncommuting pairs.
 
-    Returns three checks - commuting pairs end with AB = BA, every
-    noncommuting pair's witness realizes at least 90% of its trace
-    asymmetry, the two routes agree on every verdict - and the count of
-    each non-failing verdict over both routes.
+    Returns three checks - every commuting pair ends with AB = BA and passes
+    both routes, both routes flag every noncommuting pair as
+    ``hypothesis-violated`` with a witness state, the two routes agree on
+    every verdict - and the count of each non-failing verdict over both
+    routes.
     """
     worst_final = 0.0
-    min_witness_ratio = np.inf
+    unproven = 0
+    unflagged = 0
     disagreements = 0
-    fails = 0
     tallies = {PASS: 0, HYPOTHESIS_VIOLATED: 0}
     for t in range(trials):
         gen = trial_generator(seed, t)
         for commuting in (True, False):
             sample = random_commuting_pair if commuting else random_noncommuting_pair
             a, b = sample(gen, dim)
-            chain = check_forced_commutation(a, b, tol=tol)
-            alt = check_forced_commutation_alt(a, b, tol=tol)
-            if chain.verdict != alt.verdict:
-                disagreements += 1
-            for rep in (chain, alt):
-                if rep.verdict == FAIL:
-                    fails += 1
-                else:
+            routes = (
+                check_forced_commutation(a, b, tol=tol),
+                check_forced_commutation_alt(a, b, tol=tol),
+            )
+            disagreements += routes[0].verdict != routes[1].verdict
+            for rep in routes:
+                if rep.verdict in tallies:
                     tallies[rep.verdict] += 1
             if commuting:
                 worst_final = max(worst_final, commutator_norm(a.mat, b.mat))
-            elif chain.witness is not None:
-                m = _symmetry_defect(a.mat, b.mat)
-                gap = opnorm(m)
-                realized = abs(trace_inner(chain.witness.mat, m).real)
-                if gap > 0:
-                    min_witness_ratio = min(min_witness_ratio, realized / gap)
-    if not np.isfinite(min_witness_ratio):
-        min_witness_ratio = 1.0
+                unproven += any(r.verdict != PASS for r in routes)
+            else:
+                unflagged += any(
+                    r.verdict != HYPOTHESIS_VIOLATED or r.witness is None for r in routes
+                )
 
     checks = [
-        _step(
+        Check.composite(
             f"commuting pairs end with AB = BA (dim {dim})",
-            worst_final,
-            worst_final <= 1e-8 and fails == 0,
+            (
+                _step("AB = BA on every commuting pair", worst_final, opcore.BUILT_TOL),
+                _step("commuting pairs not passed by both routes", float(unproven), 0.0),
+            ),
             rule="forced-commutation",
         ),
-        Check(
+        _step(
             f"noncommuting pairs are flagged with a witness (dim {dim})",
-            1.0 - float(min_witness_ratio),
-            EXPECTED if min_witness_ratio >= 0.9 else FAIL,
+            float(unflagged),
+            0.0,
+            pass_as=EXPECTED,
             rule="trace-symmetry",
         ),
         _step(
             "both verification routes agree on every verdict",
             float(disagreements),
-            disagreements == 0,
+            0.0,
             rule="route-agreement",
         ),
     ]
@@ -482,21 +442,18 @@ def commutation_batch(
 def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Check:
     """Conditioned-state uniqueness on ``trials`` seeded (state, projector)
     pairs: a full-rank random state and a projector of random rank in
-    [1, dim - 1]; passes when every pair passes.  Needs ``dim >= 3``."""
-    worst = 0.0
-    fails = 0
+    [1, dim - 1]; passes when every pair passes, with the residual and
+    bound of the worst step over all pairs.  Needs ``dim >= 3``."""
+    chains = []
     for t in range(trials):
         gen = trial_generator(seed, t)
         d = Density.from_matrix(random_density_matrix(gen, dim))
         rank = int(gen.integers(1, dim))
-        b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=1e-8)
-        rep = check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=tol)
-        worst = max(worst, rep.parts[0].residual)
-        if not rep.ok:
-            fails += 1
-    return _step(
+        p = random_projector_matrix(gen, dim, rank)
+        b = Projector.from_matrix(p, tol=opcore.BUILT_TOL)
+        chains.append(check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=tol))
+    return Check.composite(
         f"conditioned-state uniqueness on {trials} random pairs (dim {dim})",
-        worst,
-        fails == 0,
+        chains,
         rule="conditional-uniqueness",
     )

@@ -8,9 +8,11 @@ utilities, commutator norms, a constructive annihilation witness, and the
 random-operator samplers that the property suites and batch commands share.
 
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
-Hermitian matrices), written ``opnorm`` throughout.  The default validation
-tolerance is ``TOL = 1e-9``; eigenvalues closer than ``CLUSTER_GAP = 1e-8``
-are treated as one degenerate level.
+Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
+library is judged against ``tol`` (``--tol``), ``cluster_gap``
+(``--cluster-gap``), an entry of the tolerance table below, or
+``floored(tol, entry)``; a chain step derives its bound from the bounds of
+the steps it follows (:mod:`nogo_lab.nogo`).
 """
 
 from __future__ import annotations
@@ -25,12 +27,27 @@ from .errors import (
     ZeroOperator,
 )
 
-TOL = 1e-9
-CLUSTER_GAP = 1e-8
+# Tolerance table: one reason per bound.
+TOL = 1e-9  # default --tol: identities among validated operators, in operator norm
+CLUSTER_GAP = 1e-8  # default --cluster-gap: eigenvalues closer than this are one level
+ROUNDING = 1e-12  # double-precision rounding of a short product of unit-norm matrices
+BASIS_TOL = 1e-10  # a projector or eigenbasis computed by one QR or eigh factorization
+BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of scenario operators
+COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
+SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
+AMBIGUITY_MARGIN = 1e-6  # nearer the feasibility boundary, rounding probabilities can flip it
+
 
 __all__ = [
     "TOL",
     "CLUSTER_GAP",
+    "ROUNDING",
+    "BASIS_TOL",
+    "BUILT_TOL",
+    "COARSE_TOL",
+    "SEPARATION_TOL",
+    "AMBIGUITY_MARGIN",
+    "floored",
     "as_operator",
     "dag",
     "opnorm",
@@ -50,6 +67,12 @@ __all__ = [
     "random_projector_matrix",
     "random_unitary",
 ]
+
+
+def floored(tol: float, floor: float) -> float:
+    """``tol``, but never finer than ``floor``: the bound for a check whose
+    data are only known to ``floor``, however small ``--tol`` is set."""
+    return max(tol, floor)
 
 
 def as_operator(m) -> np.ndarray:

@@ -6,10 +6,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nogo_lab import cli, fileio
+from nogo_lab import cli, fileio, nogo
+from nogo_lab.check import Check
 from nogo_lab.cli import main
 from nogo_lab.opcore import dag, random_unitary
 from nogo_lab.rng import make_generator
@@ -47,7 +49,7 @@ class TestVerifyCommutation:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schemaVersion"] == 2
+        assert report["schemaVersion"] == 3
         assert report["config"]["seed"] == 7
         verdicts = {c["rule"]: c["verdict"] for c in report["checks"]}
         assert verdicts["forced-commutation"] == "pass"
@@ -65,6 +67,24 @@ class TestVerifyCommutation:
         r = run_cli(*command, f"{flag}={value}")
         assert r.returncode == 2
         assert "must be positive and finite" in r.stderr
+
+    def test_routes_that_never_flag_fail_trace_symmetry(self, monkeypatch, tmp_path):
+        """Both routes passing every pair, noncommuting ones included, is a
+        failure of the trace-symmetry check, not a clean batch."""
+
+        def always_passes(a, b, tol):
+            return Check.judged("forced-commutation", 0.0, tol)
+
+        monkeypatch.setattr(nogo, "check_forced_commutation", always_passes)
+        monkeypatch.setattr(nogo, "check_forced_commutation_alt", always_passes)
+        checks, tallies = nogo.commutation_batch(1, 4, 10)
+        assert tallies == {"pass": 40, "hypothesis-violated": 0}
+        symmetry = checks[1].as_dict()
+        assert symmetry["rule"] == "trace-symmetry"
+        assert (symmetry["verdict"], symmetry["residual"], symmetry["bound"]) == ("fail", 10.0, 0.0)
+        out = tmp_path / "r.json"
+        argv = ["verify-commutation", "--dim", "4", "--trials", "10", "--seed", "1"]
+        assert main([*argv, "--format", "structured", "--out", str(out)]) == 1
 
     def test_dim_bound_rejected(self):
         assert main(["verify-commutation", "--dim", "1"]) == 2
@@ -162,6 +182,37 @@ class TestCheckModel:
         flagged = {c["rule"]: c for c in json.loads(out.read_text())["checks"]}
         assert flagged["marginal-rule"]["firstViolation"].startswith("O1, S=[0.0]:")
         assert flagged["joint-rule"]["firstViolation"].startswith("(O1 in [0.0]) & (O2 in [1.0]):")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_conditioning_on_a_null_trace_is_skipped(self, tmp_path):
+        """tr[D P1] = 0 while mu(P1 = 1) = 1/2: Pr[P0|P1] has no quantum
+        side, so that instance is skipped and the marginal rule flags the
+        mismatch; no NaN reaches the report."""
+
+        def diag(*d):
+            return fileio.matrix_to_json(np.diag(d))
+
+        model = {
+            "kind": "model",
+            "dim": 3,
+            "state": diag(1.0, 0.0, 0.0),
+            "observables": {"P0": diag(1.0, 0.0, 0.0), "P1": diag(0.0, 1.0, 0.0)},
+            "points": ["w0", "w1", "w2"],
+            "weights": [0.5, 0.5, 0.0],
+            "values": {"P0": [1.0, 0.0, 0.0], "P1": [0.0, 1.0, 0.0]},
+        }
+        path = tmp_path / "null.model"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "r.json"
+        assert main(["check-model", str(path), "--format", "structured", "--out", str(out)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-finite number {constant} in the report")
+
+        checks = {c["rule"]: c for c in json.loads(out.read_text(), parse_constant=reject)["checks"]}
+        assert checks["conditional-rule"]["name"] == "conditional-rule over 1 instances"
+        assert checks["conditional-rule"]["verdict"] == "pass"
+        assert checks["marginal-rule"]["verdict"] == "fail"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -375,6 +426,41 @@ class TestFlagTable:
         r = run_cli(*command, *flag)
         assert r.returncode == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in r.stderr
+
+
+def _corpus():
+    for command in ("verify-commutation", "verify-conditioning"):
+        for dim in (3, 4, 16, 32):
+            for seed in (1, 2):
+                argv = [command, "--dim", str(dim), "--seed", str(seed), "--trials", "3"]
+                yield pytest.param(argv, id=f"{command}-{dim}-{seed}")
+    for name in ("chsh", "magic-square", "ghz", "triad-dim3"):
+        yield pytest.param(["feasibility", name], id=name)
+    yield pytest.param(["check-model", "commuting.model"], id="commuting.model")
+    yield pytest.param(["check-model", "corrupted-weight"], id="corrupted-weight")
+
+
+@pytest.mark.parametrize("argv", _corpus())
+def test_every_verdict_agrees_with_its_bound(tmp_path, argv):
+    """Every thresholded report entry carries its bound and passes exactly
+    when its residual is within it; only the exact feasibility decision has
+    no bound."""
+    if argv[1] == "corrupted-weight":
+        data = json.loads(Path(fileio.resolve_input_path("commuting.model")).read_text())
+        data["weights"][0] += 0.05
+        argv = ["check-model", str(tmp_path / "corrupted.model")]
+        Path(argv[1]).write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert main([*argv, "--format", "structured", "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["schemaVersion"] == 3
+    for entry in report["checks"]:
+        if entry["rule"] == "assignment-feasibility":
+            assert "bound" not in entry
+        else:
+            assert (entry["verdict"] in ("pass", "expected")) == (
+                entry["residual"] <= entry["bound"]
+            ), entry
 
 
 def test_console_entry_point_smoke():

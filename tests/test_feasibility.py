@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from nogo_lab.feasibility import (
     setting_side2,
     singlet_state,
 )
-from nogo_lab.opcore import random_density_matrix
+from nogo_lab.fileio import load_scenario, resolve_input_path
+from nogo_lab.opcore import dag, random_density_matrix, random_unitary
 from nogo_lab.quantum import Density
 from nogo_lab.rng import make_generator
 
@@ -470,3 +472,63 @@ class TestFineEquivalence:
                     if a[pos[x]] == 1 and a[pos[y]] == 1
                 )
                 assert got == want
+
+
+INVARIANCE_FIXTURES = ("chsh", "triad-dim3", "ghz")
+
+
+def _rebuilt(s, items=None, contexts=None, state=None):
+    return make_scenario(
+        s.dim,
+        items or s.items,
+        list(contexts or s.contexts),
+        state=state or s.state,
+        name=s.name,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", INVARIANCE_FIXTURES)
+class TestFeasibilityInvariance:
+    """The verdict (status, not certificate bytes) belongs to the scenario,
+    not to how it is written down."""
+
+    def test_relabeling(self, name, seed):
+        s = load_scenario(resolve_input_path(name))
+        order = make_generator(seed).permutation(len(s.labels))
+        new = {old: f"x{k}" for old, k in zip(s.labels, order)}
+        items = {new[l]: dataclasses.replace(it, label=new[l]) for l, it in s.items.items()}
+        contexts = [
+            Context(tuple(new[l] for l in c.labels), c.product_sign) for c in s.contexts
+        ]
+        relabeled = _rebuilt(s, items=items, contexts=contexts)
+        assert hv_feasibility(relabeled).status == hv_feasibility(s).status
+
+    def test_context_order(self, name, seed):
+        s = load_scenario(resolve_input_path(name))
+        order = make_generator(seed).permutation(len(s.contexts))
+        shuffled = _rebuilt(s, contexts=[s.contexts[i] for i in order])
+        assert hv_feasibility(shuffled).status == hv_feasibility(s).status
+
+    def test_unitary_conjugation(self, name, seed):
+        s = load_scenario(resolve_input_path(name))
+        u = random_unitary(make_generator(seed), s.dim)
+        items = {l: make_item(l, it.kind, u @ it.mat @ dag(u)) for l, it in s.items.items()}
+        state = Density.from_matrix(u @ s.state.mat @ dag(u))
+        rotated = _rebuilt(s, items=items, state=state)
+        assert hv_feasibility(rotated).status == hv_feasibility(s).status
+
+
+THRESHOLD = 2**-0.5
+NOISE_GRID = sorted(
+    {*(float(v) for v in np.linspace(0.0, 1.0, 41)), 0.705, 0.709} - {THRESHOLD}
+)
+
+
+@pytest.mark.parametrize("v", [v for v in NOISE_GRID if abs(v - THRESHOLD) > 1e-3])
+def test_white_noise_crosses_the_classical_bound_once(v):
+    """CHSH on v * singlet + (1 - v) * I/4 reaches S = 2 sqrt(2) v: feasible
+    below v = 1/sqrt(2), infeasible above."""
+    state = Density.from_matrix(v * singlet_state().mat + (1 - v) * np.eye(4) / 4)
+    status = hv_feasibility(chsh_scenario(state=state)).status
+    assert status == ("feasible" if v < THRESHOLD else "infeasible")

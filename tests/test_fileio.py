@@ -200,9 +200,27 @@ class TestBundled:
             else:
                 load_model(path)
 
+    @pytest.mark.parametrize(
+        "name, load, dump",
+        [
+            ("chsh.scenario", load_scenario, fileio.scenario_to_json),
+            ("commuting.model", load_model, model_to_json),
+        ],
+    )
+    def test_saved_files_keep_the_fixture_schema_version(self, name, load, dump):
+        path = resolve_input_path(name)
+        with open(path, encoding="utf-8") as fh:
+            declared = json.load(fh)["schemaVersion"]
+        assert dump(load(path))["schemaVersion"] == declared == fileio.FILE_SCHEMA_VERSION
+
 
 def test_report_bytes_are_canonical():
     a = fileio.report_bytes({"b": 1, "a": [1.5, 2.0]})
     b = fileio.report_bytes({"a": [1.5, 2.0], "b": 1})
     assert a == b
     assert a.endswith(b"\n")
+
+
+def test_report_bytes_reject_non_finite_numbers():
+    with pytest.raises(ValueError):
+        fileio.report_bytes({"residual": float("nan")})
