@@ -48,11 +48,7 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "load_scenario",
-    "save_scenario",
-    "scenario_to_json",
     "load_model",
-    "save_model",
-    "model_to_json",
     "resolve_input_path",
     "bundled_names",
     "report_bytes",
@@ -192,40 +188,11 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
     return scenario
 
 
-def scenario_to_json(s: Scenario) -> dict:
-    out = {
-        "schemaVersion": FILE_SCHEMA_VERSION,
-        "kind": "scenario",
-        "name": s.name,
-        "dim": s.dim,
-        "items": {
-            label: {"kind": item.kind, "matrix": matrix_to_json(item.mat)}
-            for label, item in sorted(s.items.items())
-        },
-        "contexts": [
-            {
-                "labels": list(c.labels),
-                **({"productSign": c.product_sign} if c.product_sign is not None else {}),
-            }
-            for c in s.contexts
-        ],
-    }
-    if s.state is not None:
-        out["state"] = matrix_to_json(s.state.mat)
-    return out
-
-
 def load_scenario(path: str) -> Scenario:
     data = _load_json(path)
     if data.get("kind", "scenario") != "scenario":
         raise FormatError(f"{path}: kind {data.get('kind')!r} is not a scenario")
     return scenario_from_json(data, where=path)
-
-
-def save_scenario(s: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +240,11 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     return HVModel(space=space, registered=observables, values=table, state=state)
 
 
-def model_to_json(m: HVModel) -> dict:
-    return {
-        "schemaVersion": FILE_SCHEMA_VERSION,
-        "kind": "model",
-        "dim": m.state.dim,
-        "state": matrix_to_json(m.state.mat),
-        "observables": {
-            label: matrix_to_json(obs.mat) for label, obs in sorted(m.registered.items())
-        },
-        "points": list(m.space.points),
-        "weights": [float(w) for w in m.space.weights],
-        "values": {
-            label: [float(v) for v in row] for label, row in sorted(m.values.items())
-        },
-    }
-
-
 def load_model(path: str) -> HVModel:
     data = _load_json(path)
     if data.get("kind") != "model":
         raise FormatError(f"{path}: kind {data.get('kind')!r} is not a model")
     return model_from_json(data, where=path)
-
-
-def save_model(m: HVModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ probabilities both ways round, then tr[DBAB] = tr[DABA] for every state D,
 hence BAB = ABA, and a short operator-identity chain forces AB = BA.  The
 verifiers here run those identity chains numerically on concrete projector
 pairs and return a :class:`~nogo_lab.check.Check` whose parts are the
-steps, one residual each.  ``commutation_batch`` and ``conditioning_batch``
-run the verifiers over seeded random inputs (drawn by
-``random_commuting_pair``, ``random_noncommuting_pair`` and the opcore
-samplers) and judge the whole batch, one trial generator per trial.
+steps, one residual each.
+
+The ``*_stack`` functions evaluate each step for a stack of inputs
+``(n, d, d)`` at once and yield one check per input, in order; the
+single-input verifiers are their stack-of-one case.  ``commutation_batch``
+and ``conditioning_batch`` draw seeded inputs trial by trial and evaluate
+them in blocks of at most ``BLOCK_ENTRIES`` entries per stacked array.
 
 Verdict semantics: ``pass`` means every asserted identity held at tolerance;
 ``hypothesis-violated`` means the premise (the trace symmetry) fails for the
@@ -28,35 +31,38 @@ import numpy as np
 from . import opcore
 from .check import EXPECTED, FAIL, HYPOTHESIS_VIOLATED, PASS, Check
 from .errors import ConditioningOnNull, DimensionTooSmall
-from .opcore import (
-    TOL,
-    annihilation_witness,
-    commutator_norm,
-    dag,
-    identity,
-    opnorm,
-    random_density_matrix,
-    random_projector_matrix,
-    random_unitary,
-    trace_inner,
+from .opcore import TOL, dag, opnorm, trace
+from .quantum import (
+    Density,
+    Projector,
+    density_defects,
+    projector_defects,
+    projector_rank,
+    require_density,
 )
-from .quantum import Density, Projector, leq, luders_density, orthocomplement
 from .rng import trial_generator
 
 __all__ = [
-    "PASS",
-    "HYPOTHESIS_VIOLATED",
-    "FAIL",
+    "BLOCK_ENTRIES",
     "random_commuting_pair",
     "random_noncommuting_pair",
+    "PairStack",
     "trace_symmetry_gap",
+    "forced_commutation_stack",
+    "forced_commutation_alt_stack",
     "check_forced_commutation",
     "check_forced_commutation_alt",
+    "conditional_uniqueness_stack",
     "check_conditional_uniqueness",
-    "commutation_survey",
     "commutation_batch",
     "conditioning_batch",
 ]
+
+# Complex entries in one stacked array of a batch block, which bounds its
+# memory: 256/16/4 commutation and 85/5/1 conditioning trials at dims 4/16/32.
+BLOCK_ENTRIES = 8192
+SAMPLES = 6  # random C <= B and random D' per conditioning-batch trial
+CONCLUSION = "conclusion AB = BA"
 
 _step = Check.judged
 
@@ -66,55 +72,114 @@ def _theorem(name: str, steps, fail_as: str = FAIL, **fields) -> Check:
     return Check.composite(name, steps, fail_as=fail_as, rule=name, **fields)
 
 
-def random_commuting_pair(gen: np.random.Generator, dim: int) -> tuple[Projector, Projector]:
-    """Random projector pair sharing an eigenbasis (hence commuting)."""
-    u = random_unitary(gen, dim)
-    pat_a = gen.integers(0, 2, size=dim)
-    pat_b = gen.integers(0, 2, size=dim)
-    a = u @ np.diag(pat_a.astype(np.complex128)) @ dag(u)
-    b = u @ np.diag(pat_b.astype(np.complex128)) @ dag(u)
-    return tuple(Projector.from_matrix(m, tol=opcore.BUILT_TOL) for m in (a, b))
+def _blocks(trials: int, entries_per_trial: int) -> list[range]:
+    """Consecutive trial ranges whose stacked arrays, at
+    ``entries_per_trial`` complex entries a trial, fit ``BLOCK_ENTRIES``."""
+    size = max(1, BLOCK_ENTRIES // entries_per_trial)
+    return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+
+
+def random_commuting_pair(gen: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random projector matrices sharing an eigenbasis (hence commuting),
+    before the projector test: a batch judges them with :class:`PairStack`."""
+    u = opcore.random_unitary(gen, dim)
+    patterns = [gen.integers(0, 2, size=dim) for _ in range(2)]
+    return tuple(u @ np.diag(p.astype(np.complex128)) @ dag(u) for p in patterns)
 
 
 def random_noncommuting_pair(
     gen: np.random.Generator, dim: int, min_comm: float = 0.05
-) -> tuple[Projector, Projector]:
-    """Random projector pair with commutator norm above ``min_comm``, by
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random projector matrices with commutator norm above ``min_comm``, by
     rejection; each draw takes both ranks, then both projectors."""
     for _ in range(1000):
-        ra = int(gen.integers(1, dim))
-        rb = int(gen.integers(1, dim))
-        a = random_projector_matrix(gen, dim, ra)
-        b = random_projector_matrix(gen, dim, rb)
-        if commutator_norm(a, b) > min_comm:
-            return tuple(Projector.from_matrix(m, tol=opcore.BUILT_TOL) for m in (a, b))
+        ranks = [int(gen.integers(1, dim)) for _ in range(2)]
+        a, b = (opcore.random_projector_matrix(gen, dim, r) for r in ranks)
+        if opcore.commutator_norm(a, b) > min_comm:
+            return a, b
     raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 
 
-def trace_symmetry_gap(
-    a: Projector, b: Projector, tol: float = TOL
-) -> tuple[float, Density]:
+class PairStack:
+    """Projector pairs stacked ``(n, d, d)``, with every quantity the two
+    forced-commutation routes share computed once: the projector test's
+    defects, AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA) with
+    its witness state, and opnorm(AB - BA)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self.defects = projector_defects(a), projector_defects(b)
+        self.ab, self.ba = a @ b, b @ a
+        self.aba, self.bab = self.ab @ a, self.ba @ b
+        self.sandwich = self.bab - self.aba
+        self.gap = opnorm(self.sandwich)
+        self.commutator_norm = opnorm(self.ab - self.ba)
+        self._witnesses: dict = {}
+
+    @classmethod
+    def of(cls, a: Projector, b: Projector) -> "PairStack":
+        opcore.require_same_dim(a.mat, b.mat)
+        return cls(a.mat[None], b.mat[None])
+
+    def require_projectors(self, i: int, tol: float) -> None:
+        """:meth:`Projector.from_matrix`'s test of pair ``i`` at ``tol``, A
+        first: raises :class:`NotProjector` on failure."""
+        for defects in self.defects:
+            projector_rank(self.a.shape[-1], *(x[i] for x in defects), tol)
+
+    def witness(self, i: int, tol: float) -> Density:
+        """Pair ``i``'s state of :func:`trace_symmetry_gap`, built once."""
+        if (i, tol) not in self._witnesses:
+            self._witnesses[i, tol] = (
+                Density.maximally_mixed(self.a.shape[-1]) if self.gap[i] <= tol
+                else Density.from_matrix(opcore.annihilation_witness(self.sandwich[i], tol=tol))
+            )
+        return self._witnesses[i, tol]
+
+
+def trace_symmetry_gap(a: Projector, b: Projector, tol: float = TOL) -> tuple[float, Density]:
     """Largest possible |tr[DBAB] - tr[DABA]| over states, with a maximizer.
 
     The gap equals opnorm(BAB - ABA); the returned state is a rank-one
     eigenprojector of BAB - ABA realizing it (the maximally mixed state when
     the gap is zero).
     """
-    opcore.require_same_dim(a.mat, b.mat)
-    m = b.mat @ a.mat @ b.mat - a.mat @ b.mat @ a.mat
-    gap = opnorm(m)
-    if gap <= tol:
-        return gap, Density.maximally_mixed(a.dim)
-    return gap, Density.from_matrix(annihilation_witness(m, tol=tol))
+    pairs = PairStack.of(a, b)
+    return float(pairs.gap[0]), pairs.witness(0, tol)
 
 
-def _projector(p: Projector, tol: float) -> Projector:
-    return Projector.from_matrix(p.mat, tol=tol)
+def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
+    """:func:`check_forced_commutation` on each pair of the stack, yielded
+    in order; a pair is judged as a projector pair at ``tol`` first."""
+    name = "forced-commutation"
+    rounding = opcore.floored(tol, opcore.ROUNDING)
+    a, b, aba, bab = pairs.a, pairs.b, pairs.aba, pairs.bab
+    c = pairs.ab - pairs.ba
+    c2 = c @ c
+    # C^2 = A(BAB - ABA) + B(ABA - BAB) once A^2 = A, B^2 = B are used.
+    expand = opnorm(c2 - (aba @ b + bab @ a - aba - bab))
+    rows = np.stack([pairs.gap, opnorm(c + dag(c)), expand, opnorm(c2), pairs.commutator_norm], -1)
+    del c, c2  # the generator's frame outlives the stacked phase
+    for i, (gap, skew, expanded, square, norm_c) in enumerate(rows.tolist()):
+        pairs.require_projectors(i, tol)
+        hypothesis = _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, tol)
+        if not hypothesis.ok:
+            yield _theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
+            continue
+        nilpotent = _step("C^2 = 0 under the hypothesis", square, tol)
+        yield _theorem(name, [
+            hypothesis,
+            _step("C = AB - BA is skew-Hermitian", skew, tol),
+            _step("expand C^2 with A^2 = A, B^2 = B", expanded, rounding),
+            nilpotent,
+            _step("normality: opnorm(C)^2 = opnorm(C^2)", abs(norm_c**2 - square), tol),
+            # By normality opnorm(C) = sqrt(opnorm(C^2)): C^2 = 0 within its
+            # bound puts C = 0 within the square root of that bound.
+            _step(CONCLUSION, norm_c, math.sqrt(nilpotent.bound)),
+        ])
 
 
-def check_forced_commutation(
-    a: Projector, b: Projector, tol: float = TOL
-) -> Check:
+def check_forced_commutation(a: Projector, b: Projector, tol: float = TOL) -> Check:
     """Trace symmetry forces commutation, via the nilpotent commutator.
 
     Hypothesis: tr[DBAB] = tr[DABA] for all states, i.e. BAB = ABA.  Under
@@ -126,39 +191,64 @@ def check_forced_commutation(
     When the hypothesis fails, the verdict is ``hypothesis-violated`` and the
     witness state shows the trace symmetry cannot hold for all states.
     """
-    a = _projector(a, tol)
-    b = _projector(b, tol)
-    name = "forced-commutation"
-    amat, bmat = a.mat, b.mat
+    [check] = forced_commutation_stack(PairStack.of(a, b), tol)
+    return check
 
-    gap, witness = trace_symmetry_gap(a, b, tol=tol)
-    hypothesis = _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, tol)
-    if not hypothesis.ok:
-        return _theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=witness)
 
-    c = amat @ bmat - bmat @ amat
-    skew = _step("C = AB - BA is skew-Hermitian", opnorm(c + dag(c)), tol)
-
-    # C^2 = A(BAB - ABA) + B(ABA - BAB) once A^2 = A, B^2 = B are used.
-    c2 = c @ c
-    expand = opnorm(c2 - (amat @ bmat @ amat @ bmat + bmat @ amat @ bmat @ amat
-                          - amat @ bmat @ amat - bmat @ amat @ bmat))
+def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
+    """:func:`check_forced_commutation_alt` on each pair of the stack,
+    yielded in order; a pair is judged as a projector pair at ``tol``
+    first."""
+    name = "forced-commutation-alt"
     rounding = opcore.floored(tol, opcore.ROUNDING)
-    expanded = _step("expand C^2 with A^2 = A, B^2 = B", expand, rounding)
-    nilpotent = _step("C^2 = 0 under the hypothesis", opnorm(c2), tol)
-    norm_c = opnorm(c)
-    normality = _step(
-        "normality: opnorm(C)^2 = opnorm(C^2)", abs(norm_c**2 - nilpotent.residual), tol
-    )
-    # By normality opnorm(C) = sqrt(opnorm(C^2)): C^2 = 0 within its bound
-    # puts C = 0 within the square root of that bound.
-    conclusion = _step("conclusion AB = BA", norm_c, math.sqrt(nilpotent.bound))
-    return _theorem(name, [hypothesis, skew, expanded, nilpotent, normality, conclusion])
+    a, bab, eye = pairs.a, pairs.bab, opcore.identity(pairs.a.shape[-1])
+    family = {"A": a, "B": pairs.b, "I-A": eye - a, "I-B": eye - pairs.b}
+    duos = [(x, y) for k, x in enumerate(family) for y in list(family)[k + 1:]]
+    defects = np.array([
+        opnorm(family[x] @ family[y] @ family[x] - family[y] @ family[x] @ family[y])
+        for x, y in duos
+    ])
+    bt = family["I-B"]
+    rows = np.stack([
+        opnorm(a - (pairs.aba + a @ bt @ a)),
+        defects.max(axis=0, initial=0.0),
+        # A - BAB - (I-B)A(I-B) is the decomposition defect plus the
+        # hypothesis defects of (A, B) and (A, I-B).
+        opnorm(a - (bab + bt @ a @ bt)),
+        opnorm(pairs.ab - bab),
+        opnorm(pairs.ba - bab),
+        pairs.commutator_norm,
+    ], -1)
+    del family, bt  # the generator's frame outlives the stacked phase
+    culprits = defects.argmax(axis=0).tolist()
+    for i, (decomp, worst, substituted, ab, ba, norm_c) in enumerate(rows.tolist()):
+        pairs.require_projectors(i, tol)
+        steps = [_step("unconditional identity A = ABA + A(I-B)A", decomp, rounding)]
+        if not steps[0].ok:
+            yield _theorem(name, steps)
+            continue
+        hypothesis = _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, tol)
+        if not hypothesis.ok:
+            x, y = duos[culprits[i]]
+            steps.append(replace(hypothesis, name=f"{hypothesis.name} (violated by ({x}, {y}))"))
+            yield _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
+            continue
+        # Four hypothesis bounds leave room for the rounding of I - B.
+        substitute = _step("substitution A = BAB + (I-B)A(I-B)", substituted, 4 * hypothesis.bound)
+        # Multiplying by B adds at most the idempotence defect of B.
+        by_b = 2 * substitute.bound
+        yield _theorem(name, [
+            *steps,
+            hypothesis,
+            substitute,
+            _step("right-multiply by B: AB = BAB", ab, by_b),
+            _step("left-multiply by B: BA = BAB", ba, by_b),
+            # AB - BA = (AB - BAB) - (BA - BAB).
+            _step(CONCLUSION, norm_c, 2 * by_b),
+        ])
 
 
-def check_forced_commutation_alt(
-    a: Projector, b: Projector, tol: float = TOL
-) -> Check:
+def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -> Check:
     """Forced commutation via orthocomplements, without one-dimensionality.
 
     Writing A~ = I - A and B~ = I - B, the identity A = ABA + A B~ A holds
@@ -166,83 +256,118 @@ def check_forced_commutation_alt(
     from {A, B, A~, B~} - turns it into A = BAB + B~ A B~, from which
     AB = BAB = BA follows by multiplying with B on either side.
     """
-    a = _projector(a, tol)
-    b = _projector(b, tol)
-    name = "forced-commutation-alt"
-    amat, bmat = a.mat, b.mat
-    at = orthocomplement(a).mat
-    bt = orthocomplement(b).mat
-
-    decomp = opnorm(amat - (amat @ bmat @ amat + amat @ bt @ amat))
-    rounding = opcore.floored(tol, opcore.ROUNDING)
-    steps = [_step("unconditional identity A = ABA + A(I-B)A", decomp, rounding)]
-    if not steps[0].ok:
-        return _theorem(name, steps)
-
-    family = {"A": amat, "B": bmat, "I-A": at, "I-B": bt}
-    names = list(family)
-    worst_pair = None
-    worst = 0.0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            x, y = family[names[i]], family[names[j]]
-            r = opnorm(x @ y @ x - y @ x @ y)
-            if r > worst:
-                worst, worst_pair = r, (names[i], names[j])
-    hypothesis = _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, tol)
-    if not hypothesis.ok:
-        x, y = worst_pair
-        steps.append(replace(hypothesis, name=f"{hypothesis.name} (violated by ({x}, {y}))"))
-        _, witness = trace_symmetry_gap(a, b, tol=tol)
-        return _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness)
-    steps.append(hypothesis)
-
-    bab = bmat @ amat @ bmat
-    # A - BAB - (I-B)A(I-B) is the decomposition defect plus the hypothesis
-    # defects of (A, B) and (A, I-B); four hypothesis bounds leave room for
-    # the rounding of I - B.
-    substitute = _step(
-        "substitution A = BAB + (I-B)A(I-B)",
-        opnorm(amat - (bab + bt @ amat @ bt)),
-        4 * hypothesis.bound,
-    )
-    # Multiplying by B adds at most the idempotence defect of B.
-    by_b = 2 * substitute.bound
-    ab_step = _step("right-multiply by B: AB = BAB", opnorm(amat @ bmat - bab), by_b)
-    ba_step = _step("left-multiply by B: BA = BAB", opnorm(bmat @ amat - bab), by_b)
-    # AB - BA = (AB - BAB) - (BA - BAB).
-    conclusion = _step("conclusion AB = BA", commutator_norm(amat, bmat), 2 * by_b)
-    steps += [substitute, ab_step, ba_step, conclusion]
-    return _theorem(name, steps)
+    [check] = forced_commutation_alt_stack(PairStack.of(a, b), tol)
+    return check
 
 
-def _range_basis(p: Projector, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning range(P)."""
-    vals, vecs = np.linalg.eigh((p.mat + dag(p.mat)) / 2)
-    keep = vals > 0.5
-    return vecs[:, keep]
+def _range_bases(p: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal columns spanning the range of each projector of a stack,
+    from one eigh of the stack."""
+    vals, vecs = np.linalg.eigh((p + dag(p)) / 2)
+    return [v[:, keep] for v, keep in zip(vecs, vals > 0.5)]
 
 
-def sample_projector_below(
-    b: Projector, gen: np.random.Generator, tol: float = TOL
-) -> Projector:
+def _draw_below(gen: np.random.Generator, rank: int) -> np.ndarray:
+    """The draws for a random C <= B, rank(B) = ``rank``: a rank r in
+    [1, rank], then a rank x r Gaussian."""
+    return opcore.complex_gaussian(gen, rank, int(gen.integers(1, rank + 1)))
+
+
+def _draw_samples(gen: np.random.Generator, rank: int, samples: int) -> tuple[list, np.ndarray]:
+    """One conditioning trial's draws: ``samples`` projectors C <= B, then
+    ``samples`` densities on range(B)."""
+    below = [_draw_below(gen, rank) for _ in range(samples)]
+    return below, np.array([opcore.random_density_matrix(gen, rank) for _ in range(samples)])
+
+
+def _projector_below(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
+    q = np.linalg.qr(basis @ g)[0]
+    return q @ dag(q)
+
+
+def sample_projector_below(b: Projector, gen: np.random.Generator, tol: float = TOL) -> Projector:
     """Random projector C with C <= B, uniform rank in [1, rank(B)]."""
     if b.rank < 1:
         raise ValueError("cannot sample below the zero projector")
-    basis = _range_basis(b, tol)
-    r = int(gen.integers(1, b.rank + 1))
-    g = opcore.complex_gaussian(gen, b.rank, r)
-    q, _ = np.linalg.qr(basis @ g)
-    return Projector.from_matrix(q @ dag(q), tol=opcore.floored(tol, opcore.BASIS_TOL))
+    [basis] = _range_bases(b.mat[None])
+    g = _draw_below(gen, b.rank)
+    tol = opcore.floored(tol, opcore.BASIS_TOL)
+    return Projector.from_matrix(_projector_below(basis, g), tol=tol)
 
 
-def sample_density_in_range(
-    b: Projector, gen: np.random.Generator
-) -> Density:
-    """Random full-support density on range(B), embedded in the big space."""
-    basis = _range_basis(b, TOL)
-    small = opcore.random_density_matrix(gen, b.rank)
-    return Density.from_matrix(basis @ small @ dag(basis), tol=opcore.BUILT_TOL)
+def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, tol: float = TOL):
+    """:func:`check_conditional_uniqueness` on a stack of (state,
+    projector) trials ``d``, ``b`` of shape ``(n, dim, dim)``, yielded in
+    order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
+    n, dim = d.shape[:2]
+    if dim < 3:
+        raise DimensionTooSmall(f"dimension {dim} < 3")
+    eye = opcore.identity(dim)
+    pb = trace(d @ b).real
+    # A trial with tr[DB] <= tol raises before its numbers are used.
+    pb_safe = np.where(pb > tol, pb, 1.0)[:, None]
+    d_b = b @ d @ b / pb_safe[:, :, None]
+    bases, complements = _range_bases(b), _range_bases(eye - b)
+
+    c = np.array([[_projector_below(basis, g) for g in below]
+                  for basis, (below, _) in zip(bases, samples)])
+    existence = np.abs(trace(d_b[:, None] @ c).real - trace(d[:, None] @ c).real / pb_safe)
+    on_b = np.abs(trace(d_b @ b).real - 1.0)
+    off_b = np.abs(trace(d_b @ (eye - b)).real)
+    kernel = [opnorm(m @ comp) for m, comp in zip(d_b, complements)]
+
+    # Other densities on range(B), each with a rank-one separator from D_B
+    # built from an eigenvector of the largest-modulus eigenvalue of D' - D_B.
+    rho = np.array([basis @ states @ dag(basis) for basis, (_, states) in zip(bases, samples)])
+    delta = rho - d_b[:, None]
+    gap = opnorm(delta)
+    vals, vecs = np.linalg.eigh((delta + dag(delta)) / 2)
+    top = np.abs(vals).argmax(axis=-1)
+    rays = np.array([[Projector.from_ray(v[:, k]).mat for v, k in zip(*trial)]
+                     for trial in zip(vecs, top)])
+    sep = np.abs(trace(rho @ rays).real - trace(d_b[:, None] @ rays).real)
+    below_defect = np.maximum(opnorm(rays @ b[:, None] - rays), opnorm(b[:, None] @ rays - rays))
+
+    luders, rho_defects = density_defects(d_b), density_defects(rho)
+    c_defects = projector_defects(c)
+    basis_tol = opcore.floored(tol, opcore.BASIS_TOL)
+    k = c.shape[1]
+    for i in range(n):
+        if pb[i] <= tol:
+            raise ConditioningOnNull(f"tr[DB] = {pb[i]:.3e} <= tol")
+        require_density(dim, *(x[i] for x in luders), tol)
+        worst = 0.0
+        for j in range(k):
+            projector_rank(dim, *(x[i, j] for x in c_defects), basis_tol)
+            worst = max(worst, float(existence[i, j]))
+        existence_step = _step(
+            f"existence: tr[D_B C] = tr[DC]/tr[DB] on {k} random C <= B", worst, tol
+        )
+        # tr[D_B B] = 1 is the existence identity at C = B; the complement also
+        # carries the trace normalization of D_B, so both allow ten times its bound.
+        support = 10 * existence_step.bound
+        steps = [
+            existence_step,
+            _step("support: tr[D_B B] = 1", float(on_b[i]), support),
+            _step("support: tr[D_B (I-B)] = 0", float(off_b[i]), support),
+            _step("support: D_B annihilates range(I-B)", kernel[i], opcore.COARSE_TOL),
+        ]
+        worst_sep = np.inf
+        for j in range(k):
+            require_density(dim, *(x[i, j] for x in rho_defects), opcore.BUILT_TOL)
+            if gap[i, j] <= support:
+                continue
+            if not below_defect[i, j] <= opcore.COARSE_TOL:  # the separator is not below B
+                worst_sep = 0.0
+                break
+            # The separator must realize the full operator-norm distance.
+            worst_sep = min(worst_sep, float(sep[i, j]) / float(gap[i, j]))
+        steps.append(_step(
+            f"uniqueness: rank-one separator below B on {k} random D' != D_B",
+            1.0 - worst_sep if worst_sep < np.inf else 0.0,
+            opcore.SEPARATION_TOL,
+        ))
+        yield _theorem("conditional-uniqueness", steps)
 
 
 def check_conditional_uniqueness(
@@ -268,111 +393,16 @@ def check_conditional_uniqueness(
     Requires dimension >= 3 (the regime where lattice probability measures
     are trace functionals, which is what makes uniqueness meaningful).
     """
-    if d.dim < 3:
-        raise DimensionTooSmall(f"dimension {d.dim} < 3")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = gen if gen is not None else np.random.default_rng(0)
     opcore.require_same_dim(d.mat, b.mat)
-    pb = trace_inner(d.mat, b.mat).real
-    if pb <= tol:
+    pb = opcore.trace_inner(d.mat, b.mat).real
+    if pb <= tol:  # before any draw, as a zero B has no rank to draw
         raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= tol")
-
-    name = "conditional-uniqueness"
-    d_b = luders_density(d, b, tol=tol)
-
-    worst = 0.0
-    for _ in range(trials):
-        c = sample_projector_below(b, gen, tol)
-        lhs = trace_inner(d_b.mat, c.mat).real
-        rhs = trace_inner(d.mat, c.mat).real / pb
-        worst = max(worst, abs(lhs - rhs))
-    existence = _step(
-        f"existence: tr[D_B C] = tr[DC]/tr[DB] on {trials} random C <= B", worst, tol
-    )
-    steps = [existence]
-
-    # tr[D_B B] = 1 is the existence identity at C = B; the complement also
-    # carries the trace normalization of D_B, so both allow ten times its bound.
-    support = 10 * existence.bound
-    onb = abs(trace_inner(d_b.mat, b.mat).real - 1.0)
-    steps.append(_step("support: tr[D_B B] = 1", onb, support))
-    offb = abs(trace_inner(d_b.mat, identity(b.dim) - b.mat).real)
-    steps.append(_step("support: tr[D_B (I-B)] = 0", offb, support))
-    comp = _range_basis(orthocomplement(b), tol)
-    kernel = opnorm(d_b.mat @ comp) if comp.size else 0.0
-    steps.append(_step("support: D_B annihilates range(I-B)", kernel, opcore.COARSE_TOL))
-
-    worst_sep = np.inf if trials else 0.0
-    for _ in range(trials):
-        d_prime = sample_density_in_range(b, gen)
-        delta = d_prime.mat - d_b.mat
-        gap_norm = opnorm(delta)
-        if gap_norm <= support:
-            continue
-        vals, vecs = np.linalg.eigh((delta + dag(delta)) / 2)
-        k = int(np.argmax(np.abs(vals)))
-        r1 = Projector.from_ray(vecs[:, k])
-        sep = abs(
-            trace_inner(d_prime.mat, r1.mat).real - trace_inner(d_b.mat, r1.mat).real
-        )
-        if not leq(r1, b, opcore.COARSE_TOL):
-            worst_sep = 0.0
-            break
-        # The separator must realize the full operator-norm distance.
-        worst_sep = min(worst_sep, sep / gap_norm)
-    if not np.isfinite(worst_sep):
-        worst_sep = 1.0
-    steps.append(
-        _step(
-            f"uniqueness: rank-one separator below B on {trials} random D' != D_B",
-            1.0 - float(worst_sep),
-            opcore.SEPARATION_TOL,
-        )
-    )
-
-    return _theorem(name, steps)
-
-
-def commutation_survey(
-    projectors: dict[str, Projector],
-    state: Density,
-    tol: float = TOL,
-) -> Check:
-    """Pairwise commutation audit of a projector set.
-
-    Commuting pairs are reported as such; each noncommuting pair is flagged
-    with its trace-asymmetry witness, marking it as an obstruction to any
-    deterministic phase-space model for the set (existence refutation is the
-    feasibility solver's job).  An empty or all-commuting set passes, since
-    the joint-eigenbasis construction then provides an explicit model.
-    """
-    if state.dim < 3:
-        raise DimensionTooSmall(f"dimension {state.dim} < 3")
-    steps = []
-    witness = None
-    labels = sorted(projectors)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            la, lb = labels[i], labels[j]
-            a, b = projectors[la], projectors[lb]
-            step = _step(f"[{la}, {lb}] = 0", commutator_norm(a.mat, b.mat), tol)
-            if not step.ok:
-                gap, w = trace_symmetry_gap(a, b, tol=tol)
-                witness = witness or w
-                step = replace(
-                    step, name=f"[{la}, {lb}] != 0 obstructs any model (trace asymmetry {gap:.6f})"
-                )
-            steps.append(step)
-    survey = _theorem("commutation-survey", steps, HYPOTHESIS_VIOLATED, witness=witness)
-    if not survey.ok or not labels:
-        return survey
-    from .hvmodel import build_commuting_model
-    from .quantum import Observable
-
-    built = opcore.floored(tol, opcore.BUILT_TOL)
-    observables = {k: Observable.from_matrix(projectors[k].mat, tol=built) for k in labels}
-    return replace(survey, model=build_commuting_model(observables, state, tol=built))
+    samples = _draw_samples(gen, b.rank, trials)
+    [check] = conditional_uniqueness_stack(d.mat[None], b.mat[None], [samples], tol)
+    return check
 
 
 def commutation_batch(
@@ -381,32 +411,32 @@ def commutation_batch(
     """Both forced-commutation routes on ``trials`` seeded commuting and
     noncommuting pairs.
 
-    Returns three checks - every commuting pair ends with AB = BA and passes
-    both routes, both routes flag every noncommuting pair as
+    Returns three checks - every commuting pair ends with AB = BA (the
+    largest "conclusion AB = BA" residual of either route) and passes both
+    routes, both routes flag every noncommuting pair as
     ``hypothesis-violated`` with a witness state, the two routes agree on
     every verdict - and the count of each non-failing verdict over both
     routes.
     """
-    worst_final = 0.0
-    unproven = 0
-    unflagged = 0
-    disagreements = 0
+    worst_final, unproven, unflagged, disagreements = 0.0, 0, 0, 0
     tallies = {PASS: 0, HYPOTHESIS_VIOLATED: 0}
-    for t in range(trials):
-        gen = trial_generator(seed, t)
-        for commuting in (True, False):
-            sample = random_commuting_pair if commuting else random_noncommuting_pair
-            a, b = sample(gen, dim)
-            routes = (
-                check_forced_commutation(a, b, tol=tol),
-                check_forced_commutation_alt(a, b, tol=tol),
-            )
+    for block in _blocks(trials, 2 * dim * dim):
+        gens = (trial_generator(seed, t) for t in block)
+        samplers = (random_commuting_pair, random_noncommuting_pair)
+        drawn = (f(gen, dim) for gen in gens for f in samplers)  # both from one generator
+        pairs = PairStack(*(np.array(side) for side in zip(*drawn)))
+        first = iter(forced_commutation_stack(pairs, tol))
+        second = iter(forced_commutation_alt_stack(pairs, tol))
+        for i in range(len(pairs.a)):
+            pairs.require_projectors(i, opcore.BUILT_TOL)  # the sampler's test
+            routes = (next(first), next(second))
             disagreements += routes[0].verdict != routes[1].verdict
             for rep in routes:
                 if rep.verdict in tallies:
                     tallies[rep.verdict] += 1
-            if commuting:
-                worst_final = max(worst_final, commutator_norm(a.mat, b.mat))
+            if i % 2 == 0:  # the commuting pair of its trial
+                for step in (p for rep in routes for p in rep.parts if p.name == CONCLUSION):
+                    worst_final = max(worst_final, step.residual)
                 unproven += any(r.verdict != PASS for r in routes)
             else:
                 unflagged += any(
@@ -442,16 +472,25 @@ def commutation_batch(
 def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Check:
     """Conditioned-state uniqueness on ``trials`` seeded (state, projector)
     pairs: a full-rank random state and a projector of random rank in
-    [1, dim - 1]; passes when every pair passes, with the residual and
-    bound of the worst step over all pairs.  Needs ``dim >= 3``."""
+    [1, dim - 1], each with ``SAMPLES`` samples per stage; passes when every
+    pair passes, with the residual and bound of the worst step over all
+    pairs.  Needs ``dim >= 3``."""
     chains = []
-    for t in range(trials):
-        gen = trial_generator(seed, t)
-        d = Density.from_matrix(random_density_matrix(gen, dim))
-        rank = int(gen.integers(1, dim))
-        p = random_projector_matrix(gen, dim, rank)
-        b = Projector.from_matrix(p, tol=opcore.BUILT_TOL)
-        chains.append(check_conditional_uniqueness(d, b, trials=6, gen=gen, tol=tol))
+    for block in _blocks(trials, SAMPLES * dim * dim):
+        d, b, samples = [], [], []
+        for t in block:
+            gen = trial_generator(seed, t)
+            d.append(opcore.random_density_matrix(gen, dim))
+            rank = int(gen.integers(1, dim))
+            b.append(opcore.random_projector_matrix(gen, dim, rank))
+            samples.append(_draw_samples(gen, rank, SAMPLES))
+        d, b = np.array(d), np.array(b)
+        states, projectors = density_defects(d), projector_defects(b)
+        checks = iter(conditional_uniqueness_stack(d, b, samples, tol))
+        for i in range(len(block)):
+            require_density(dim, *(x[i] for x in states), TOL)  # the sampler's tests
+            projector_rank(dim, *(x[i] for x in projectors), opcore.BUILT_TOL)
+            chains.append(next(checks))
     return Check.composite(
         f"conditioned-state uniqueness on {trials} random pairs (dim {dim})",
         chains,

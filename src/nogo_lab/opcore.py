@@ -13,6 +13,9 @@ library is judged against ``tol`` (``--tol``), ``cluster_gap``
 (``--cluster-gap``), an entry of the tolerance table below, or
 ``floored(tol, entry)``; a chain step derives its bound from the bounds of
 the steps it follows (:mod:`nogo_lab.nogo`).
+
+``dag``, ``opnorm``, ``hermitian_defect`` and ``trace`` also take stacks
+``(..., d, d)``, with the same bits as a loop over the matrices.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "as_operator",
     "dag",
     "opnorm",
+    "trace",
     "identity",
     "zero",
     "hermitian_defect",
@@ -88,15 +92,20 @@ def as_operator(m) -> np.ndarray:
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def opnorm(m: np.ndarray) -> float:
-    """Operator 2-norm (largest singular value)."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+def opnorm(m: np.ndarray):
+    """Operator 2-norm (largest singular value; 0 when empty): a float for a
+    matrix, an array for a stack ``(..., r, c)``."""
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
+
+
+def trace(m: np.ndarray):
+    """Trace (of each matrix of a stack)."""
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def identity(dim: int) -> np.ndarray:

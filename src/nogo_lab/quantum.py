@@ -1,11 +1,11 @@
 """Quantum probability layer.
 
-Validated operator roles (projector, density, observable), the conditional
-probability tr[DBAB]/tr[DB] and its conditioning map D -> BDB/tr[DB], the
-projector order relation AB = BA = A, orthocomplements, instance checks of
-the probability-measure axioms on projector families, and the two-step
-product probability Pr{A;B} = tr[BDBA] whose symmetry characterizes
-commutation.
+Validated operator roles (projector, density, observable), with the
+defects their tests judge computed for single matrices or whole stacks, the
+conditional probability tr[DBAB]/tr[DB] and its conditioning map
+D -> BDB/tr[DB], the projector order relation AB = BA = A,
+orthocomplements, and instance checks of the probability-measure axioms on
+projector families.
 
 Spectra are finite here, so "Borel set" degenerates to a finite set of
 eigenvalues: selections are plain iterables of floats, matched to the
@@ -39,6 +39,10 @@ from .opcore import (
 )
 
 __all__ = [
+    "projector_defects",
+    "projector_rank",
+    "density_defects",
+    "require_density",
     "Projector",
     "Density",
     "Observable",
@@ -48,8 +52,44 @@ __all__ = [
     "leq",
     "orthocomplement",
     "check_measure_axioms",
-    "davies_joint",
 ]
+
+
+def projector_defects(m: np.ndarray) -> tuple:
+    """Hermitian and idempotence defects and real trace of a matrix, or of
+    each matrix of a stack: the numbers :meth:`Projector.from_matrix` judges."""
+    return opcore.hermitian_defect(m), opnorm(m @ m - m), opcore.trace(m).real
+
+
+def projector_rank(dim: int, herm: float, idem: float, tr: float, tol: float = TOL) -> int:
+    """Rank of a matrix with these :func:`projector_defects`, or
+    :class:`NotProjector` when they fail the projector test at ``tol``."""
+    if herm > tol:
+        raise NotProjector(f"not Hermitian (defect {herm:.3e})")
+    if idem > tol:
+        raise NotProjector(f"not idempotent (defect {idem:.3e})")
+    rank = int(round(tr))
+    if abs(tr - rank) > tol * dim:
+        raise NotProjector(f"trace {tr} is not within tolerance of an integer")
+    return rank
+
+
+def density_defects(m: np.ndarray) -> tuple:
+    """Hermitian defect, least eigenvalue and real trace of a matrix, or of
+    each matrix of a stack: the numbers :meth:`Density.from_matrix` judges."""
+    least = np.linalg.eigvalsh((m + dag(m)) / 2).min(axis=-1)
+    return opcore.hermitian_defect(m), least, opcore.trace(m).real
+
+
+def require_density(dim: int, herm: float, least: float, tr: float, tol: float = TOL) -> None:
+    """:class:`NotDensity` unless these :func:`density_defects` pass the
+    state test at ``tol``."""
+    if herm > tol:
+        raise NotDensity(f"not Hermitian (defect {herm:.3e})")
+    if least < -tol:
+        raise NotDensity(f"negative eigenvalue {least:.3e}")
+    if abs(tr - 1.0) > tol * dim:
+        raise NotDensity(f"trace {tr} != 1")
 
 
 @dataclass(frozen=True)
@@ -62,17 +102,7 @@ class Projector:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "Projector":
         m = as_operator(m)
-        h = opcore.hermitian_defect(m)
-        if h > tol:
-            raise NotProjector(f"not Hermitian (defect {h:.3e})")
-        r = opnorm(m @ m - m)
-        if r > tol:
-            raise NotProjector(f"not idempotent (defect {r:.3e})")
-        tr = np.trace(m).real
-        rank = int(round(tr))
-        if abs(tr - rank) > tol * m.shape[0]:
-            raise NotProjector(f"trace {tr} is not within tolerance of an integer")
-        return cls(mat=m, rank=rank)
+        return cls(mat=m, rank=projector_rank(m.shape[0], *projector_defects(m), tol))
 
     @classmethod
     def from_ray(cls, vec, tol: float = TOL) -> "Projector":
@@ -106,15 +136,7 @@ class Density:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "Density":
         m = as_operator(m)
-        h = opcore.hermitian_defect(m)
-        if h > tol:
-            raise NotDensity(f"not Hermitian (defect {h:.3e})")
-        eigs = np.linalg.eigvalsh((m + dag(m)) / 2)
-        if eigs.min() < -tol:
-            raise NotDensity(f"negative eigenvalue {eigs.min():.3e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > tol * m.shape[0]:
-            raise NotDensity(f"trace {tr} != 1")
+        require_density(m.shape[0], *density_defects(m), tol)
         return cls(mat=m)
 
     @classmethod
@@ -244,18 +266,3 @@ def check_measure_axioms(
     }
     parts = [Check.judged(n, float(r), tol) for n, r in residuals.items()]
     return Check.composite("measure-axioms", parts, rule="measure-axioms")
-
-
-def davies_joint(d: Density, a: Projector, b: Projector, tol: float = TOL) -> float:
-    """Two-step product probability Pr{A;B} = tr[DB] * tr[D_B A] = tr[BDBA].
-
-    Measures B first, then A on the conditioned state.  By convention the
-    joint is 0 when the first event has probability <= tol, so joint tables
-    are total.  Pr{A;B} = Pr{B;A} holds for all states iff AB = BA.
-    """
-    require_same_dim(d.mat, a.mat, b.mat)
-    pb = trace_inner(d.mat, b.mat).real
-    if pb <= tol:
-        return 0.0
-    val = np.trace(b.mat @ d.mat @ b.mat @ a.mat)
-    return float(val.real)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +73,39 @@ class TestVerifyCommutation:
         """Both routes passing every pair, noncommuting ones included, is a
         failure of the trace-symmetry check, not a clean batch."""
 
-        def always_passes(a, b, tol):
-            return Check.judged("forced-commutation", 0.0, tol)
+        def always_passes(pairs, tol):
+            return [Check.judged("forced-commutation", 0.0, tol)] * len(pairs.a)
 
-        monkeypatch.setattr(nogo, "check_forced_commutation", always_passes)
-        monkeypatch.setattr(nogo, "check_forced_commutation_alt", always_passes)
+        monkeypatch.setattr(nogo, "forced_commutation_stack", always_passes)
+        monkeypatch.setattr(nogo, "forced_commutation_alt_stack", always_passes)
         checks, tallies = nogo.commutation_batch(1, 4, 10)
         assert tallies == {"pass": 40, "hypothesis-violated": 0}
         symmetry = checks[1].as_dict()
         assert symmetry["rule"] == "trace-symmetry"
         assert (symmetry["verdict"], symmetry["residual"], symmetry["bound"]) == ("fail", 10.0, 0.0)
+        out = tmp_path / "r.json"
+        argv = ["verify-commutation", "--dim", "4", "--trials", "10", "--seed", "1"]
+        assert main([*argv, "--format", "structured", "--out", str(out)]) == 1
+
+    def test_route_conclusions_set_the_commuting_pairs_residual(self, monkeypatch, tmp_path):
+        """"AB = BA on every commuting pair" reads the routes' own conclusion
+        residuals: a route that concludes AB = BA with a residual past
+        BUILT_TOL fails the entry, though the sampled pairs commute."""
+        concluding = nogo.forced_commutation_stack
+
+        def loose(pairs, tol):
+            for check in concluding(pairs, tol):
+                parts = [replace(p, residual=1e-6) if p.name == "conclusion AB = BA" else p
+                         for p in check.parts]
+                yield replace(check, parts=tuple(parts))
+
+        monkeypatch.setattr(nogo, "forced_commutation_stack", loose)
+        checks, tallies = nogo.commutation_batch(1, 4, 10)
+        assert tallies == {"pass": 20, "hypothesis-violated": 20}
+        entry = checks[0].as_dict()
+        assert entry["rule"] == "forced-commutation"
+        assert (entry["verdict"], entry["residual"], entry["bound"]) == ("fail", 1e-6, 1e-8)
+        assert entry["firstViolation"] == "AB = BA on every commuting pair"
         out = tmp_path / "r.json"
         argv = ["verify-commutation", "--dim", "4", "--trials", "10", "--seed", "1"]
         assert main([*argv, "--format", "structured", "--out", str(out)]) == 1

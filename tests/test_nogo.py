@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from nogo_lab import nogo
-from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall
+from nogo_lab import nogo, opcore
+from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall, NogoLabError
 from nogo_lab.nogo import (
     FAIL,
     HYPOTHESIS_VIOLATED,
@@ -10,7 +11,6 @@ from nogo_lab.nogo import (
     check_conditional_uniqueness,
     check_forced_commutation,
     check_forced_commutation_alt,
-    commutation_survey,
     trace_symmetry_gap,
 )
 from nogo_lab.opcore import (
@@ -22,7 +22,7 @@ from nogo_lab.opcore import (
     trace_inner,
 )
 from nogo_lab.quantum import Density, Projector, luders_density
-from nogo_lab.rng import make_generator
+from nogo_lab.rng import make_generator, trial_generator
 
 from conftest import (
     basis_projector,
@@ -222,35 +222,6 @@ class TestConditionalUniqueness:
             assert rep.parts[0].residual <= 1e-9
 
 
-class TestCommutationSurvey:
-    def test_all_diagonal_set_admits_model(self):
-        projs = {
-            "P1": Projector.from_matrix(np.diag([1.0, 0.0, 0.0])),
-            "P2": Projector.from_matrix(np.diag([1.0, 1.0, 0.0])),
-        }
-        rep = commutation_survey(projs, Density.maximally_mixed(3))
-        assert rep.verdict == PASS
-        assert rep.model is not None
-        from nogo_lab.hvmodel import check_spectrum_rule
-
-        assert check_spectrum_rule(rep.model).ok
-
-    def test_obstruction_is_flagged_with_witness(self, spot_pair):
-        a, b = spot_pair
-        rep = commutation_survey({"A": a, "B": b}, Density.maximally_mixed(3))
-        assert rep.verdict == HYPOTHESIS_VIOLATED
-        assert rep.witness is not None
-        assert "0.353553" in rep.parts[0].name
-
-    def test_empty_set_is_vacuous(self):
-        rep = commutation_survey({}, Density.maximally_mixed(3))
-        assert rep.verdict == PASS
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(DimensionTooSmall):
-            commutation_survey({}, Density.maximally_mixed(2))
-
-
 def test_theorem_report_serializes_to_check_format():
     import json
 
@@ -263,3 +234,119 @@ def test_theorem_report_serializes_to_check_format():
     assert entry["violations"] == 1  # the failed hypothesis step
     assert entry["firstViolation"].startswith("hypothesis BAB = ABA")
     json.dumps(entry)  # must be directly JSON-serializable
+
+
+def _same(x, y):
+    """Checks equal field by field, residuals bit for bit, witnesses entry
+    by entry."""
+    assert (x.name, x.rule, x.verdict, x.residual, x.bound) == (
+        y.name, y.rule, y.verdict, y.residual, y.bound
+    )
+    assert (x.witness is None) == (y.witness is None)
+    if x.witness is not None:
+        assert np.array_equal(x.witness.mat, y.witness.mat)
+    assert len(x.parts) == len(y.parts)
+    for p, q in zip(x.parts, y.parts):
+        _same(p, q)
+
+
+def _outcome(run):
+    """``run()``'s result, or the class and message of the library error
+    it raised."""
+    try:
+        return run()
+    except NogoLabError as exc:
+        return type(exc), str(exc)
+
+
+def _looped_commutation(seed, dim, trials, tol):
+    """Both single-pair verifiers on the batch's draws, pair by pair."""
+    routes = []
+    for t in range(trials):
+        gen = trial_generator(seed, t)
+        for draw in (commuting_projector_pair, noncommuting_projector_pair):
+            a, b = draw(gen, dim)
+            routes.append(check_forced_commutation(a, b, tol))
+            routes.append(check_forced_commutation_alt(a, b, tol))
+    return routes
+
+
+def _looped_conditioning(seed, dim, trials, tol):
+    """The single-pair verifier on the batch's draws, trial by trial."""
+    chains = []
+    for t in range(trials):
+        gen = trial_generator(seed, t)
+        d = Density.from_matrix(random_density_matrix(gen, dim))
+        rank = int(gen.integers(1, dim))
+        b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=opcore.BUILT_TOL)
+        chains.append(check_conditional_uniqueness(d, b, nogo.SAMPLES, gen, tol))
+    return chains
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    dim=st.integers(3, 16),
+    trials=st.integers(1, 12),
+    tol=st.sampled_from([opcore.TOL, 0.5, 1e-15, 1e-16]),
+)
+@example(seed=1, dim=32, trials=5, tol=opcore.TOL)
+def test_blocked_batches_equal_the_single_pair_verifiers(seed, dim, trials, tol):
+    """Blocks change no verdict, tally, residual, witness or error: every
+    route record of a batch equals the single-pair verifier's on the same
+    draws, and a batch raises the error a trial-by-trial loop raises
+    first."""
+    routes = []
+
+    def recorded(real):
+        def stack(pairs, tol):
+            for check in real(pairs, tol):
+                routes.append(check)
+                yield check
+        return stack
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("forced_commutation_stack", "forced_commutation_alt_stack"):
+            mp.setattr(nogo, name, recorded(getattr(nogo, name)))
+        batch = _outcome(lambda: nogo.commutation_batch(seed, dim, trials, tol))
+    looped = _outcome(lambda: _looped_commutation(seed, dim, trials, tol))
+    if isinstance(looped, tuple):
+        assert batch == looped
+    else:
+        assert len(routes) == len(looped) == 4 * trials
+        for x, y in zip(routes, looped):
+            _same(x, y)
+        _, tallies = batch
+        verdicts = [r.verdict for r in looped]
+        assert tallies == {v: verdicts.count(v) for v in (PASS, HYPOTHESIS_VIOLATED)}
+
+    batch = _outcome(lambda: nogo.conditioning_batch(seed, dim, trials, tol))
+    looped = _outcome(lambda: _looped_conditioning(seed, dim, trials, tol))
+    if isinstance(looped, tuple):
+        assert batch == looped
+    else:
+        assert len(batch.parts) == len(looped) == trials
+        for x, y in zip(batch.parts, looped):
+            _same(x, y)
+
+
+def test_block_arrays_fit_the_entry_budget(monkeypatch):
+    """No stacked array reaching an SVD or eigh call exceeds BLOCK_ENTRIES
+    complex entries, and a long batch fills its blocks."""
+    sizes = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(m, *args, real=real, **kwargs):
+            sizes.append(m.size)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    nogo.commutation_batch(1, 4, 300)
+    assert max(sizes) == nogo.BLOCK_ENTRIES  # 256 trials of two 4x4 pairs
+    sizes.clear()
+    nogo.conditioning_batch(1, 4, 100)
+    assert max(sizes) == 85 * nogo.SAMPLES * 16
+    sizes.clear()
+    nogo.commutation_batch(1, 32, 5)
+    nogo.conditioning_batch(1, 32, 2)
+    assert max(sizes) <= nogo.BLOCK_ENTRIES

@@ -228,3 +228,19 @@ def test_skew_hermitian_norm_square_identity():
     for scale in (1.0, 1e-3, 1e-6, 1e-9):
         c = c0 * (scale / opnorm(c0))
         assert opnorm(c @ c) == pytest.approx(opnorm(c) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4, 16, 32])
+def test_stacked_opnorm_matches_the_loop_bit_for_bit(dim):
+    gen = make_generator(dim)
+    stack = np.array([opcore.complex_gaussian(gen, dim, dim) for _ in range(6)])
+    assert np.array_equal(opnorm(stack), [opnorm(x) for x in stack])
+    nested = stack.reshape(2, 3, dim, dim)
+    assert np.array_equal(opnorm(nested), opnorm(stack).reshape(2, 3))
+    assert isinstance(opnorm(stack[0]), float)
+
+
+def test_opnorm_of_empty_matrices_is_zero():
+    assert opnorm(np.zeros((3, 0))) == 0.0
+    assert np.array_equal(opnorm(np.zeros((2, 3, 0))), [0.0, 0.0])
+    assert opnorm(np.zeros((0, 4, 4))).shape == (0,)

@@ -10,7 +10,6 @@ from nogo_lab.errors import (
     UnknownEigenvalue,
 )
 from nogo_lab.opcore import (
-    commutator_norm,
     dag,
     opnorm,
     random_density_matrix,
@@ -24,7 +23,6 @@ from nogo_lab.quantum import (
     Projector,
     check_measure_axioms,
     conditional_probability,
-    davies_joint,
     leq,
     luders_density,
     orthocomplement,
@@ -32,7 +30,7 @@ from nogo_lab.quantum import (
 )
 from nogo_lab.rng import make_generator
 
-from conftest import basis_projector, commuting_projector_pair, noncommuting_projector_pair, plus_projector
+from conftest import basis_projector, plus_projector
 
 
 class TestRoleValidation:
@@ -207,53 +205,6 @@ class TestMeasureAxioms:
             )
 
 
-class TestDaviesJoint:
-    def test_commuting_diagonal_symmetry(self):
-        d = Density.from_matrix(np.diag([0.5, 0.3, 0.2]))
-        a = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        b = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]))
-        ab = trace_inner(d.mat, a.mat @ b.mat).real
-        assert davies_joint(d, a, b) == pytest.approx(ab, abs=1e-12)
-        assert davies_joint(d, b, a) == pytest.approx(ab, abs=1e-12)
-
-    def test_asymmetry_for_overlapping_rays(self):
-        a = basis_projector(3, 0)
-        b = plus_projector(3, 0, 1)
-        d = Density.from_matrix(a.mat)
-        assert davies_joint(d, a, b) == pytest.approx(0.25, abs=1e-12)
-        assert davies_joint(d, b, a) == pytest.approx(0.5, abs=1e-12)
-
-    def test_orthogonal_pair_vanishes(self):
-        d = Density.maximally_mixed(3)
-        a, b = basis_projector(3, 0), basis_projector(3, 1)
-        assert davies_joint(d, a, b) == 0.0
-        assert davies_joint(d, b, a) == 0.0
-
-    def test_null_first_event_convention(self):
-        d = Density.pure([1, 0, 0])
-        a = basis_projector(3, 0)
-        b = basis_projector(3, 2)
-        assert davies_joint(d, a, b) == 0.0
-
-    def test_symmetry_iff_commuting(self):
-        # forward: commuting pairs are symmetric for every sampled state
-        gen = make_generator(31)
-        for _ in range(500):
-            dim = int(gen.integers(3, 6))
-            a, b = commuting_projector_pair(gen, dim)
-            d = Density.from_matrix(random_density_matrix(gen, dim))
-            assert abs(davies_joint(d, a, b) - davies_joint(d, b, a)) <= 1e-9
-        # converse: noncommuting pairs admit a separating state
-        from nogo_lab.nogo import trace_symmetry_gap
-
-        for _ in range(500):
-            dim = int(gen.integers(3, 6))
-            a, b = noncommuting_projector_pair(gen, dim, min_comm=0.1)
-            _, witness = trace_symmetry_gap(a, b)
-            gap = abs(davies_joint(witness, a, b) - davies_joint(witness, b, a))
-            assert gap > 1e-6
-
-
 @given(st.integers(0, 5000))
 def test_luders_conditioning_is_idempotent(seed):
     gen = make_generator(seed)
@@ -267,20 +218,6 @@ def test_luders_conditioning_is_idempotent(seed):
     once = luders_density(d, b)
     twice = luders_density(once, b)
     assert opnorm(twice.mat - once.mat) <= 1e-10
-
-
-@given(st.integers(0, 5000))
-def test_davies_two_step_marginalizes_to_first_event(seed):
-    # measuring B then the trivial event recovers tr[DB] in both slots
-    gen = make_generator(seed)
-    dim = int(gen.integers(2, 6))
-    d = Density.from_matrix(random_density_matrix(gen, dim))
-    b = Projector.from_matrix(
-        random_projector_matrix(gen, dim, int(gen.integers(1, dim + 1))), tol=1e-8
-    )
-    pb = trace_inner(d.mat, b.mat).real
-    assert davies_joint(d, Projector.identity(dim), b) == pytest.approx(pb, abs=1e-12)
-    assert davies_joint(d, b, b) == pytest.approx(pb, abs=1e-12)
 
 
 def test_order_conditional_collapse():
