@@ -8,9 +8,9 @@ is ``tol``, ``cluster_gap`` or an entry of the tolerance table in
 of a chain, the trials of a batch; :func:`fold`: a rule's instances) passes
 iff every part passes and carries the residual and bound of its worst part,
 so no check shows ``residual <= bound`` with a failing verdict.  The same
-record serves chains (:mod:`nogo_lab.nogo`), phase-space rules
-(:mod:`nogo_lab.hvmodel`) and the measure axioms (:mod:`nogo_lab.quantum`);
-:meth:`Check.as_dict` is the entry format of the structured report.
+record serves chains and batches (:mod:`nogo_lab.nogo`), phase-space rules
+(:mod:`nogo_lab.hvmodel`) and the feasibility verdict; :meth:`Check.as_dict`
+is the entry format of the structured report.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ class Check:
     the parts behind it.
 
     ``witness`` carries a state realizing a trace asymmetry when the verdict
-    is ``hypothesis-violated``; ``model`` carries an explicit phase-space
-    model when one exists (commutation surveys of commuting sets).
+    is ``hypothesis-violated``.
     """
 
     name: str
@@ -46,7 +45,6 @@ class Check:
     detail: str = ""
     parts: tuple["Check", ...] = ()
     witness: Any = None
-    model: Any = None
 
     @classmethod
     def judged(cls, name: str, residual: float, bound: float, pass_as=PASS, **fields) -> "Check":

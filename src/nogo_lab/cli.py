@@ -43,15 +43,15 @@ from .check import PASS, Check
 from .errors import ConfigError, NogoLabError, NumericalAmbiguity
 from .feasibility import (
     chsh_scenario,
+    chsh_shape,
     chsh_value,
     classical_chsh_bound,
-    _chsh_shape,
     hv_feasibility,
     Scenario,
     make_scenario,
     singlet_state,
 )
-from .opcore import CLUSTER_GAP, COARSE_TOL, TOL
+from .opcore import CLUSTER_GAP, TOL
 from .quantum import Density
 from .rng import MAX_SEED
 
@@ -153,11 +153,7 @@ def _named_state(name: str, dim: int) -> Density:
         v[0] = v[7] = 1 / np.sqrt(2)
         return Density.pure(v)
     if os.path.exists(name):
-        data = fileio._load_json(name)
-        mat = data.get("matrix", data.get("state"))
-        if mat is None:
-            raise ConfigError(f"state file {name} needs a 'matrix' field")
-        return Density.from_matrix(fileio.matrix_from_json(mat, name), tol=COARSE_TOL)
+        return fileio.load_state(name)
     raise ConfigError(
         f"unknown state {name!r}: use singlet, maximally-mixed, ghz, or a file path"
     )
@@ -165,7 +161,7 @@ def _named_state(name: str, dim: int) -> Density:
 
 def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
     if args.angles is not None:
-        if _chsh_shape(scenario) is None:
+        if chsh_shape(scenario) is None:
             raise ConfigError("--angles only applies to 2x2 dichotomic scenarios")
         state = scenario.state
         scenario = chsh_scenario(state=state, angles=args.angles, name=scenario.name)
@@ -185,7 +181,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         raise ConfigError("scenario has no state; provide one with --state")
 
     extra: dict = {"scenario": scenario.name}
-    shape = _chsh_shape(scenario)
+    shape = chsh_shape(scenario)
     if shape is not None:
         (a1, a2), (b1, b2) = shape
         settings = (scenario.items[label].mat for label in (a1, a2, b1, b2))

@@ -25,20 +25,12 @@ class NotDensity(NogoLabError):
     """A matrix fails the positive-unit-trace test."""
 
 
-class ZeroOperator(NogoLabError):
-    """An operation needs a nonzero operator but got (numerically) zero."""
-
-
 class ConditioningOnNull(NogoLabError):
     """Conditioning event has probability below tolerance."""
 
 
 class UnknownEigenvalue(NogoLabError):
     """A selected value is not in the operator's spectrum."""
-
-
-class NotOrthogonalFamily(NogoLabError):
-    """A projector family required to be pairwise orthogonal is not."""
 
 
 class UnregisteredObservable(NogoLabError):

@@ -40,6 +40,7 @@ from .opcore import (
     AMBIGUITY_MARGIN,
     BUILT_TOL,
     CLUSTER_GAP,
+    COARSE_TOL,
     TOL,
     as_operator,
     commutator_norm,
@@ -59,6 +60,7 @@ __all__ = [
     "hv_feasibility",
     "chsh_value",
     "classical_chsh_bound",
+    "chsh_shape",
     "singlet_state",
     "setting_side1",
     "setting_side2",
@@ -334,7 +336,7 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     if not assignments:
         return FeasibilityResult(status="no-admissible-assignments", labels=labels)
 
-    shape = _chsh_shape(s)
+    shape = chsh_shape(s)
     if shape is not None:
         svals = _chsh_combinations(s, shape)
         boundary = min(abs(2.0 - abs(v)) for v in svals)
@@ -440,12 +442,12 @@ def chsh_value(state: Density, a1, a2, b1, b2) -> float:
 
     The side-1 settings must commute with the side-2 settings (locality as
     expressed inside the algebra); each setting must have spectrum in
-    {-1, +1}.
+    {-1, +1}, at the tolerance of matrices read from files.
     """
     a1, a2, b1, b2 = map(as_operator, (a1, a2, b1, b2))
     require_same_dim(state.mat, a1, a2, b1, b2)
     for label, m in (("A", a1), ("A'", a2), ("B", b1), ("B'", b2)):
-        make_item(label, DICHOTOMIC, m, tol=BUILT_TOL)
+        make_item(label, DICHOTOMIC, m, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
     for la, x in (("A", a1), ("A'", a2)):
         for lb, y in (("B", b1), ("B'", b2)):
             c = commutator_norm(x, y)
@@ -459,7 +461,7 @@ def chsh_value(state: Density, a1, a2, b1, b2) -> float:
     return float(corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2))
 
 
-def _chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]:
+def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]:
     """Detect a 2x2 dichotomic scenario; return (side1 labels, side2 labels).
 
     Shape: four dichotomic items, four two-label contexts forming the
@@ -505,12 +507,12 @@ def _chsh_combinations(
     return combos
 
 
-def bch_inequalities_hold(s: Scenario, margin: float = 0.0) -> bool:
-    """True iff all eight |+-E+-E+-E+-E| <= 2 constraints hold at ``margin``."""
-    shape = _chsh_shape(s)
+def bch_inequalities_hold(s: Scenario) -> bool:
+    """True iff all eight |+-E+-E+-E+-E| <= 2 constraints hold."""
+    shape = chsh_shape(s)
     if shape is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    return all(abs(v) <= 2.0 - margin for v in _chsh_combinations(s, shape))
+    return all(abs(v) <= 2.0 for v in _chsh_combinations(s, shape))
 
 
 def classical_chsh_bound(s: Scenario) -> Fraction:
@@ -520,7 +522,7 @@ def classical_chsh_bound(s: Scenario) -> Fraction:
     sides and their order taken from the scenario shape (sorted labels).
     The answer for any genuine 2x2 dichotomic scenario is exactly 2.
     """
-    shape = _chsh_shape(s)
+    shape = chsh_shape(s)
     if shape is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
     (a1, a2), (b1, b2) = shape

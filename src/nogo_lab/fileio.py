@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .feasibility import (
     DICHOTOMIC,
     PROJECTOR,
@@ -49,6 +49,7 @@ __all__ = [
     "matrix_from_json",
     "load_scenario",
     "load_model",
+    "load_state",
     "resolve_input_path",
     "bundled_names",
     "report_bytes",
@@ -160,7 +161,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
             mat = matrix_from_json(spec["matrix"], f"{iw}.matrix")
         else:
             raise FormatError(f"{iw}: needs a 'matrix' or a 'ray'")
-        items[label] = make_item(label, kind, mat)
+        items[label] = make_item(label, kind, mat, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
 
     raw_contexts = data.get("contexts", [])
     if not isinstance(raw_contexts, list):
@@ -245,6 +246,16 @@ def load_model(path: str) -> HVModel:
     if data.get("kind") != "model":
         raise FormatError(f"{path}: kind {data.get('kind')!r} is not a model")
     return model_from_json(data, where=path)
+
+
+def load_state(path: str) -> Density:
+    """A state file: an object whose ``matrix`` (or ``state``) field is a
+    density matrix, validated at ``COARSE_TOL``."""
+    data = _load_json(path)
+    mat = data.get("matrix", data.get("state"))
+    if mat is None:
+        raise ConfigError(f"state file {path} needs a 'matrix' field")
+    return Density.from_matrix(matrix_from_json(mat, path), tol=COARSE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ __all__ = [
     "build_commuting_model",
 ]
 
+BASIS_SEED = 0x6A0E  # Philox key of build_commuting_model's combinations
+
 
 @dataclass(frozen=True)
 class PhaseSpace:
@@ -392,16 +394,15 @@ def build_commuting_model(
     observables: Mapping[str, Observable],
     state: Density,
     tol: float = TOL,
-    basis_seed: int = 0x6A0E,
 ) -> HVModel:
     """Joint-eigenbasis model for a pairwise-commuting family.
 
     Diagonalizes a random real combination of the family to obtain a shared
     eigenbasis (re-verifying that every member is diagonal in it), then sets
     mu(point) = <point|D|point> and f(point, A) = <point|A|point>.  The
-    construction is deterministic: combination coefficients come from a
-    fixed-key Philox stream, with a few retries in case a draw fails to
-    split a degeneracy.
+    construction is deterministic: combination coefficients come from the
+    Philox stream keyed by ``BASIS_SEED``, with a few retries in case a draw
+    fails to split a degeneracy.
     """
     labels = list(observables)
     mats = [observables[k].mat for k in labels]
@@ -420,7 +421,7 @@ def build_commuting_model(
     for attempt in range(8):
         if basis is not None:
             break
-        gen = rng_mod.make_generator(basis_seed, attempt)
+        gen = rng_mod.make_generator(BASIS_SEED, attempt)
         coeffs = gen.standard_normal(len(mats))
         combo = np.sum([c * m for c, m in zip(coeffs, mats)], axis=0)
         _, vecs = np.linalg.eigh((combo + dag(combo)) / 2)

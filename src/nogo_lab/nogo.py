@@ -103,8 +103,8 @@ def random_noncommuting_pair(
 class PairStack:
     """Projector pairs stacked ``(n, d, d)``, with every quantity the two
     forced-commutation routes share computed once: the projector test's
-    defects, AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA) with
-    its witness state, and opnorm(AB - BA)."""
+    defects, AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA), its
+    witness states with their state-test defects, and opnorm(AB - BA)."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a, self.b = a, b
@@ -114,7 +114,8 @@ class PairStack:
         self.sandwich = self.bab - self.aba
         self.gap = opnorm(self.sandwich)
         self.commutator_norm = opnorm(self.ab - self.ba)
-        self._witnesses: dict = {}
+        self.witnesses = opcore.top_eigenprojector(self.sandwich)
+        self.witness_defects = density_defects(self.witnesses)
 
     @classmethod
     def of(cls, a: Projector, b: Projector) -> "PairStack":
@@ -128,13 +129,13 @@ class PairStack:
             projector_rank(self.a.shape[-1], *(x[i] for x in defects), tol)
 
     def witness(self, i: int, tol: float) -> Density:
-        """Pair ``i``'s state of :func:`trace_symmetry_gap`, built once."""
-        if (i, tol) not in self._witnesses:
-            self._witnesses[i, tol] = (
-                Density.maximally_mixed(self.a.shape[-1]) if self.gap[i] <= tol
-                else Density.from_matrix(opcore.annihilation_witness(self.sandwich[i], tol=tol))
-            )
-        return self._witnesses[i, tol]
+        """Pair ``i``'s state of :func:`trace_symmetry_gap`: maximally mixed
+        when the gap is at most ``tol``, else its witness, state-tested."""
+        dim = self.a.shape[-1]
+        if self.gap[i] <= tol:
+            return Density.maximally_mixed(dim)
+        require_density(dim, *(x[i] for x in self.witness_defects), TOL)
+        return Density(self.witnesses[i])
 
 
 def trace_symmetry_gap(a: Projector, b: Projector, tol: float = TOL) -> tuple[float, Density]:
@@ -321,10 +322,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     rho = np.array([basis @ states @ dag(basis) for basis, (_, states) in zip(bases, samples)])
     delta = rho - d_b[:, None]
     gap = opnorm(delta)
-    vals, vecs = np.linalg.eigh((delta + dag(delta)) / 2)
-    top = np.abs(vals).argmax(axis=-1)
-    rays = np.array([[Projector.from_ray(v[:, k]).mat for v, k in zip(*trial)]
-                     for trial in zip(vecs, top)])
+    rays = opcore.top_eigenprojector(delta)
     sep = np.abs(trace(rho @ rays).real - trace(d_b[:, None] @ rays).real)
     below_defect = np.maximum(opnorm(rays @ b[:, None] - rays), opnorm(b[:, None] @ rays - rays))
 

@@ -3,9 +3,10 @@
 The carrier for every operator in the lab is a square ``complex128`` numpy
 array, validated by :func:`as_operator`.  On top of that this module provides
 the spectral decomposition of Hermitian matrices (numpy ``eigh``, with
-eigenvalue clustering for degenerate spectra), positivity tests, trace
-utilities, commutator norms, a constructive annihilation witness, and the
-random-operator samplers that the property suites and batch commands share.
+eigenvalue clustering for degenerate spectra), trace utilities, commutator
+norms, the rank-one state on a top eigenvector (witness and separator of the
+:mod:`nogo_lab.nogo` chains), and the random-operator samplers that the
+property suites and batch commands share.
 
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
 Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
@@ -14,8 +15,9 @@ library is judged against ``tol`` (``--tol``), ``cluster_gap``
 ``floored(tol, entry)``; a chain step derives its bound from the bounds of
 the steps it follows (:mod:`nogo_lab.nogo`).
 
-``dag``, ``opnorm``, ``hermitian_defect`` and ``trace`` also take stacks
-``(..., d, d)``, with the same bits as a loop over the matrices.
+``dag``, ``opnorm``, ``hermitian_defect``, ``trace`` and
+``top_eigenprojector`` also take stacks ``(..., d, d)``, with the same bits
+as a loop over the matrices.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotHermitian,
-    ZeroOperator,
-)
+from .errors import DimensionMismatch, NotHermitian
 
 # Tolerance table: one reason per bound.
 TOL = 1e-9  # default --tol: identities among validated operators, in operator norm
@@ -61,9 +59,8 @@ __all__ = [
     "require_same_dim",
     "SpectralResolution",
     "spectral_decompose",
-    "is_positive",
     "trace_inner",
-    "annihilation_witness",
+    "top_eigenprojector",
     "commutator_norm",
     "complex_gaussian",
     "random_hermitian",
@@ -215,16 +212,6 @@ def spectral_decompose(
     return res
 
 
-def is_positive(m, tol: float = TOL) -> bool:
-    """True iff the Hermitian matrix ``m`` has all eigenvalues >= -tol."""
-    m = as_operator(m)
-    defect = hermitian_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e})")
-    eigs = np.linalg.eigvalsh((m + dag(m)) / 2)
-    return bool(eigs.min() >= -tol)
-
-
 def trace_inner(d, b) -> complex:
     """tr[D B]."""
     d = as_operator(d)
@@ -233,25 +220,21 @@ def trace_inner(d, b) -> complex:
     return complex(np.trace(d @ b))
 
 
-def annihilation_witness(b, tol: float = TOL) -> np.ndarray:
-    """Rank-one density D with |tr[D B]| = opnorm(B), for Hermitian nonzero B.
+def top_eigenprojector(h: np.ndarray) -> np.ndarray:
+    """Rank-one projector onto an eigenvector of a largest-modulus eigenvalue
+    of the Hermitian part of ``h`` (of each matrix of a stack).
 
-    D is the projector onto an eigenvector of a maximal-modulus eigenvalue,
-    so tr[D B] equals that eigenvalue.  This is the constructive converse of
-    the fact that only the zero operator has vanishing trace against every
-    positive operator.
+    For Hermitian H the projector P is a state with |tr[P H]| = opnorm(H):
+    the constructive converse of the fact that only the zero operator has
+    vanishing trace against every state.
     """
-    b = as_operator(b)
-    norm_b = opnorm(b)
-    if norm_b <= tol:
-        raise ZeroOperator(f"operator norm {norm_b:.3e} below tolerance {tol:.1e}")
-    res = spectral_decompose(b, tol=tol)
-    lam, proj = max(res.terms, key=lambda term: abs(term[0]))
-    # Any unit vector in range(proj) will do; take the dominant column.
-    col = int(np.argmax(np.abs(np.diag(proj))))
-    v = proj[:, col]
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
+    top = np.abs(vals).argmax(axis=-1)
+    v = np.take_along_axis(vecs, top[..., None, None], axis=-1)[..., 0]
+    # One 1-D norm per vector: a norm over the stack's last axis rounds differently.
+    norms = [np.linalg.norm(x) for x in v.reshape(-1, v.shape[-1])]
+    v = v / np.reshape(norms, v.shape[:-1] + (1,))
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def commutator_norm(a, b) -> float:

@@ -3,9 +3,7 @@
 Validated operator roles (projector, density, observable), with the
 defects their tests judge computed for single matrices or whole stacks, the
 conditional probability tr[DBAB]/tr[DB] and its conditioning map
-D -> BDB/tr[DB], the projector order relation AB = BA = A,
-orthocomplements, and instance checks of the probability-measure axioms on
-projector families.
+D -> BDB/tr[DB], and the projector order relation AB = BA = A.
 
 Spectra are finite here, so "Borel set" degenerates to a finite set of
 eigenvalues: selections are plain iterables of floats, matched to the
@@ -19,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opcore
-from .check import Check
-from .errors import (
-    ConditioningOnNull,
-    NotDensity,
-    NotOrthogonalFamily,
-    NotProjector,
-)
+from .errors import ConditioningOnNull, NotDensity, NotProjector
 from .opcore import (
     CLUSTER_GAP,
     TOL,
@@ -50,8 +42,6 @@ __all__ = [
     "conditional_probability",
     "luders_density",
     "leq",
-    "orthocomplement",
-    "check_measure_axioms",
 ]
 
 
@@ -226,43 +216,3 @@ def leq(a: Projector, b: Projector, tol: float = TOL) -> bool:
         opnorm(a.mat @ b.mat - a.mat) <= tol
         and opnorm(b.mat @ a.mat - a.mat) <= tol
     )
-
-
-def orthocomplement(a: Projector) -> Projector:
-    """I - A."""
-    return Projector(mat=identity(a.dim) - a.mat, rank=a.dim - a.rank)
-
-
-def check_measure_axioms(
-    d: Density, family: list[Projector], tol: float = TOL
-) -> Check:
-    """Verify A -> tr[DA] behaves as a probability measure on ``family``.
-
-    ``family`` must be pairwise orthogonal.  Checks the range of each
-    tr[D A_i], the values on the zero and identity projectors, and countable
-    additivity over the family (finite here), one part each in that order.
-    """
-    dim = d.dim
-    for i in range(len(family)):
-        require_same_dim(d.mat, family[i].mat)
-        for j in range(i + 1, len(family)):
-            r = opnorm(family[i].mat @ family[j].mat)
-            if r > tol:
-                raise NotOrthogonalFamily(
-                    f"projectors {i} and {j} overlap (residual {r:.3e})"
-                )
-
-    probs = [trace_inner(d.mat, a.mat).real for a in family]
-    direct_sum = sum((a.mat for a in family), opcore.zero(dim))
-    residuals = {
-        "range: every tr[D A_i] lies in [0, 1]": max(
-            (max(-p, p - 1.0, 0.0) for p in probs), default=0.0
-        ),
-        "zero: tr[D 0] = 0": abs(trace_inner(d.mat, opcore.zero(dim))),
-        "unit: tr[D I] = 1": abs(trace_inner(d.mat, identity(dim)).real - 1.0),
-        "additivity: tr[D sum A_i] = sum tr[D A_i]": abs(
-            trace_inner(d.mat, direct_sum).real - sum(probs)
-        ),
-    }
-    parts = [Check.judged(n, float(r), tol) for n, r in residuals.items()]
-    return Check.composite("measure-axioms", parts, rule="measure-axioms")

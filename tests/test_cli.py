@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -325,6 +326,16 @@ class TestFeasibilityCommand:
     def test_bad_angles_string(self):
         assert main(["feasibility", "chsh.scenario", "--angles", "1,2"]) == 2
 
+    def test_items_read_from_files_get_the_file_tolerance(self, tmp_path):
+        # Entries rounded to 7 decimals put the settings' eigenvalues
+        # 2.7e-8 from +-1: inside COARSE_TOL, outside the default CLUSTER_GAP.
+        data = json.loads(Path(fileio.resolve_input_path("chsh")).read_text())
+        for item in data["items"].values():
+            item["matrix"] = np.round(item["matrix"], 7).tolist()
+        path = tmp_path / "rounded.scenario"
+        path.write_text(json.dumps(data))
+        assert main(["feasibility", str(path)]) == 1
+
 
 class TestGoldenReports:
     """Byte-exact goldens for reports whose payload is exact-rational only
@@ -507,6 +518,23 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
 def test_unwritable_out_is_config_error(tmp_path, capsys):
     assert main(["check-model", "commuting.model", "--out", str(tmp_path / "no" / "r")]) == 2
     assert "cannot write --out" in capsys.readouterr().err
+
+
+def test_cli_uses_no_private_library_name():
+    """cli.py imports no ``_``-prefixed name and reads none off an imported
+    module: what the commands need is the library's public surface."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                modules.add(alias.asname or alias.name)
+                private.append(alias.name)
+    private += [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+    ]
+    assert [n for n in private if n.startswith("_") and not n.startswith("__")] == []
 
 
 def test_cli_import_loads_no_scipy():

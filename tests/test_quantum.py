@@ -5,27 +5,22 @@ from hypothesis import given, strategies as st
 from nogo_lab.errors import (
     ConditioningOnNull,
     NotDensity,
-    NotOrthogonalFamily,
     NotProjector,
     UnknownEigenvalue,
 )
 from nogo_lab.opcore import (
-    dag,
     opnorm,
     random_density_matrix,
     random_projector_matrix,
-    random_unitary,
     trace_inner,
 )
 from nogo_lab.quantum import (
     Density,
     Observable,
     Projector,
-    check_measure_axioms,
     conditional_probability,
     leq,
     luders_density,
-    orthocomplement,
     spectral_projector,
 )
 from nogo_lab.rng import make_generator
@@ -160,49 +155,6 @@ class TestOrder:
         a = basis_projector(3, 0)
         b = plus_projector(3, 0, 1)
         assert not leq(a, b)
-
-    def test_orthocomplement(self):
-        assert opnorm(orthocomplement(Projector.identity(3)).mat) == 0.0
-        assert opnorm(orthocomplement(Projector.zero(3)).mat - np.eye(3)) == 0.0
-        p = Projector.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        assert opnorm(orthocomplement(p).mat - np.diag([0.0, 1.0, 1.0])) == 0.0
-        both = p.mat @ orthocomplement(p).mat
-        assert opnorm(both) == 0.0
-
-
-class TestMeasureAxioms:
-    def test_orthonormal_triad(self):
-        family = [basis_projector(3, i) for i in range(3)]
-        rep = check_measure_axioms(Density.maximally_mixed(3), family)
-        assert rep.ok
-        assert rep.parts[3].residual < 1e-15
-        assert rep.parts[2].residual < 1e-15
-
-    def test_identity_family(self):
-        rep = check_measure_axioms(Density.maximally_mixed(2), [Projector.identity(2)])
-        assert rep.ok
-
-    def test_random_orthogonal_split(self):
-        gen = make_generator(9)
-        for _ in range(10):
-            u = random_unitary(gen, 4)
-            cuts = [1, 2]  # ranks 1,1,2 partitioning the identity
-            cols = np.split(np.arange(4), cuts)
-            family = [
-                Projector.from_matrix(u[:, idx] @ dag(u[:, idx]), tol=1e-8)
-                for idx in cols
-            ]
-            d = Density.from_matrix(random_density_matrix(gen, 4))
-            rep = check_measure_axioms(d, family)
-            assert rep.parts[3].residual <= 1e-10
-            assert rep.ok
-
-    def test_rejects_overlapping_family(self):
-        with pytest.raises(NotOrthogonalFamily):
-            check_measure_axioms(
-                Density.maximally_mixed(3),
-                [basis_projector(3, 0), plus_projector(3, 0, 1)],
-            )
 
 
 @given(st.integers(0, 5000))
