@@ -125,11 +125,6 @@ def cmd_verify_commutation(args: argparse.Namespace) -> int:
 
 def cmd_verify_conditioning(args: argparse.Namespace) -> int:
     """Uniqueness of the conditioned state on random (state, projector) pairs."""
-    if args.dim < 3:
-        raise ConfigError(
-            f"conditioning uniqueness is only meaningful for dimension >= 3 "
-            f"(lattice measures are trace functionals there); got --dim {args.dim}"
-        )
     return _emit(args, [nogo.conditioning_batch(args.seed, args.dim, args.trials, args.tol)])
 
 

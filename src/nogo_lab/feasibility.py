@@ -93,9 +93,6 @@ class ScenarioItem:
     def values(self) -> tuple[int, int]:
         return (0, 1) if self.kind == PROJECTOR else (-1, 1)
 
-    def indicator(self, value: int) -> int:
-        return int(value == 1)
-
 
 @dataclass(frozen=True)
 class Context:
@@ -296,24 +293,22 @@ def _rationalize(p: float) -> Fraction:
 
 
 def _quantum_constraints(s: Scenario) -> list[tuple[str, tuple[str, ...], float]]:
-    """(name, involved labels, probability) for marginals and in-context joints."""
-    d = s.state.mat
-    out = []
-    for l in s.labels:
-        p = trace_inner(d, s.items[l].plus)
-        if abs(p.imag) > BUILT_TOL:
-            raise ScenarioError(f"marginal for {l!r} is not real: {p}")
-        out.append((f"marginal[{l}]", (l,), p.real))
-    seen = set()
+    """(name, involved labels, probability) for marginals and in-context
+    joints: the probability tr[D P_x (P_y)] that every involved item takes
+    the value 1."""
+    events = {(l,): f"marginal[{l}]" for l in s.labels}
     for ctx in s.contexts:
-        for x, y in itertools.combinations(sorted(ctx.labels), 2):
-            if (x, y) in seen:
-                continue
-            seen.add((x, y))
-            p = np.trace(d @ s.items[x].plus @ s.items[y].plus)
-            if abs(p.imag) > BUILT_TOL:
-                raise ScenarioError(f"joint for ({x},{y}) is not real: {p}")
-            out.append((f"joint[{x},{y}]", (x, y), p.real))
+        for pair in itertools.combinations(sorted(ctx.labels), 2):
+            events.setdefault(pair, "joint[{},{}]".format(*pair))
+    out = []
+    for involved, name in events.items():
+        prod = s.state.mat
+        for l in involved:
+            prod = prod @ s.items[l].plus
+        p = complex(np.trace(prod))
+        if abs(p.imag) > BUILT_TOL:
+            raise ScenarioError(f"{name} is not real: {p}")
+        out.append((name, involved, p.real))
     return out
 
 
@@ -338,8 +333,7 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
 
     shape = chsh_shape(s)
     if shape is not None:
-        svals = _chsh_combinations(s, shape)
-        boundary = min(abs(2.0 - abs(v)) for v in svals)
+        boundary = min(abs(2.0 - abs(v)) for v in _scenario_combinations(s, shape))
         if boundary <= AMBIGUITY_MARGIN:
             raise NumericalAmbiguity(
                 f"a correlation combination sits {boundary:.2e} from the "
@@ -348,19 +342,15 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
 
     constraints = _quantum_constraints(s)
     position = {l: i for i, l in enumerate(labels)}
+    plus = np.array(assignments) == 1  # [assignment, label]: the item's +1 event
 
     names = ["normalization"] + [name for name, _, _ in constraints]
     rhs = [Fraction(1)] + [_rationalize(p) for _, _, p in constraints]
-    rows: list[list[Fraction]] = []
-    rows.append([Fraction(1)] * len(assignments))
-    for _, involved, _ in constraints:
-        row = []
-        for a in assignments:
-            ind = 1
-            for l in involved:
-                ind *= s.items[l].indicator(a[position[l]])
-            row.append(Fraction(ind))
-        rows.append(row)
+    # Python ints: a numpy integer inside a Fraction keeps its fixed width.
+    rows = [[1] * len(assignments)] + [
+        plus[:, [position[l] for l in involved]].all(axis=1).astype(int).tolist()
+        for _, involved, _ in constraints
+    ]
 
     result = simplex.solve_equality_feasibility(rows, rhs)
     if result.feasible:
@@ -376,26 +366,17 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
         )
 
     # Name the violated aggregate: y.(constraints) is a linear functional
-    # that every assignment distribution keeps <= max_attainable, yet the
-    # quantum values require strictly more.
-    y = result.y
-    terms = [
-        (names[i], y[i]) for i in range(len(names)) if y[i] != 0
-    ]
+    # that every assignment distribution keeps <= max_attainable = max_j y.A_j,
+    # yet the quantum values require y.b, the phase-1 optimum, which is > 0.
     described = " + ".join(
-        f"({coeff})*{name}" for name, coeff in terms
-    )
-    required = sum((y[i] * rhs[i] for i in range(len(rhs))), Fraction(0))
-    max_attainable = max(
-        sum((y[i] * rows[i][j] for i in range(len(rows))), Fraction(0))
-        for j in range(len(assignments))
+        f"({coeff})*{name}" for name, coeff in zip(names, result.y) if coeff != 0
     )
     return FeasibilityResult(
         status="infeasible",
         labels=labels,
         violated_constraint=described,
-        required=required,
-        max_attainable=max_attainable,
+        required=result.infeasibility_gap,
+        max_attainable=result.max_ya,
     )
 
 
@@ -453,12 +434,32 @@ def chsh_value(state: Density, a1, a2, b1, b2) -> float:
             c = commutator_norm(x, y)
             if c > BUILT_TOL:
                 raise CrossTalk(f"[{la}, {lb}] norm {c:.3e}; sides are not local")
+    return float(_chsh_combinations(_correlations(state.mat, (a1, a2), (b1, b2)))[3])
 
-    def corr(x, y):
-        v = trace_inner(state.mat, x @ y)
-        return v.real
 
-    return float(corr(a1, b1) + corr(a1, b2) + corr(a2, b1) - corr(a2, b2))
+def _correlations(d: np.ndarray, side1, side2) -> list[list[float]]:
+    """The 2x2 table E(X, Y) = tr[D XY], X on side 1 (rows), Y on side 2."""
+    return [[trace_inner(d, x @ y).real for y in side2] for x in side1]
+
+
+def _chsh_combinations(e) -> list:
+    """The four sums of the 2x2 table ``e`` with one entry negated, the
+    k-th negating entry k in row-major order; for a 2x2 dichotomic scenario
+    each is classically at most 2 in absolute value, and the fourth is
+    S = E(A,B) + E(A,B') + E(A',B) - E(A',B').
+
+    Each is summed left to right from its first term: integer tables stay
+    exact, and float sums keep the bits of that expression.
+    """
+    entries = [v for row in e for v in row]
+    combos = []
+    for k in range(4):
+        terms = [-v if j == k else v for j, v in enumerate(entries)]
+        total = terms[0]
+        for v in terms[1:]:
+            total += v
+        combos.append(total)
+    return combos
 
 
 def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]:
@@ -484,27 +485,12 @@ def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]
     return None
 
 
-def _chsh_combinations(
+def _scenario_combinations(
     s: Scenario, shape: tuple[tuple[str, str], tuple[str, str]]
 ) -> list[float]:
-    """The four +-E combinations whose absolute bound is classically 2."""
-    (a1, a2), (b1, b2) = shape
-    d = s.state.mat
-
-    def corr(x, y):
-        return trace_inner(d, s.items[x].mat @ s.items[y].mat).real
-
-    e = {
-        (x, y): corr(x, y) for x in (a1, a2) for y in (b1, b2)
-    }
-    combos = []
-    for flip in ((a1, b1), (a1, b2), (a2, b1), (a2, b2)):
-        total = 0.0
-        for x in (a1, a2):
-            for y in (b1, b2):
-                total += -e[(x, y)] if (x, y) == flip else e[(x, y)]
-        combos.append(total)
-    return combos
+    """:func:`_chsh_combinations` of the scenario state's correlations."""
+    side1, side2 = ([s.items[l].mat for l in side] for side in shape)
+    return _chsh_combinations(_correlations(s.state.mat, side1, side2))
 
 
 def bch_inequalities_hold(s: Scenario) -> bool:
@@ -512,25 +498,23 @@ def bch_inequalities_hold(s: Scenario) -> bool:
     shape = chsh_shape(s)
     if shape is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    return all(abs(v) <= 2.0 for v in _chsh_combinations(s, shape))
+    return all(abs(v) <= 2.0 for v in _scenario_combinations(s, shape))
 
 
 def classical_chsh_bound(s: Scenario) -> Fraction:
     """max |S| over the 16 deterministic strategies, in exact arithmetic.
 
-    S pairs the two sides as E(A,B) + E(A,B') + E(A',B) - E(A',B') with the
-    sides and their order taken from the scenario shape (sorted labels).
-    The answer for any genuine 2x2 dichotomic scenario is exactly 2.
+    S = E(A,B) + E(A,B') + E(A',B) - E(A',B') on the correlation table
+    E(X, Y) = v(X) v(Y) of each +-1 value assignment v.  The answer for any
+    genuine 2x2 dichotomic scenario is exactly 2.
     """
-    shape = chsh_shape(s)
-    if shape is None:
+    if chsh_shape(s) is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    (a1, a2), (b1, b2) = shape
-    best = Fraction(0)
-    for va1, va2, vb1, vb2 in itertools.product((-1, 1), repeat=4):
-        sval = Fraction(va1 * vb1 + va1 * vb2 + va2 * vb1 - va2 * vb2)
-        best = max(best, abs(sval))
-    return best
+    return Fraction(max(
+        abs(_chsh_combinations([[a * b for b in side2] for a in side1])[3])
+        for side1 in itertools.product((-1, 1), repeat=2)
+        for side2 in itertools.product((-1, 1), repeat=2)
+    ))
 
 
 def chsh_scenario(

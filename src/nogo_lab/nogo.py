@@ -302,11 +302,14 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
     n, dim = d.shape[:2]
     if dim < 3:
-        raise DimensionTooSmall(f"dimension {dim} < 3")
+        raise DimensionTooSmall(
+            f"conditioning uniqueness is only meaningful for dimension >= 3 "
+            f"(lattice measures are trace functionals there); got dimension {dim}"
+        )
     eye = opcore.identity(dim)
     pb = trace(d @ b).real
-    # A trial with tr[DB] <= tol raises before its numbers are used.
-    pb_safe = np.where(pb > tol, pb, 1.0)[:, None]
+    # A trial with a null event B raises before its numbers are used.
+    pb_safe = np.where(pb > opcore.NULL_EVENT, pb, 1.0)[:, None]
     d_b = b @ d @ b / pb_safe[:, :, None]
     bases, complements = _range_bases(b), _range_bases(eye - b)
 
@@ -331,8 +334,8 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     basis_tol = opcore.floored(tol, opcore.BASIS_TOL)
     k = c.shape[1]
     for i in range(n):
-        if pb[i] <= tol:
-            raise ConditioningOnNull(f"tr[DB] = {pb[i]:.3e} <= tol")
+        if pb[i] <= opcore.NULL_EVENT:
+            raise ConditioningOnNull(f"tr[DB] = {pb[i]:.3e} <= {opcore.NULL_EVENT:.0e}")
         require_density(dim, *(x[i] for x in luders), tol)
         worst = 0.0
         for j in range(k):
@@ -396,8 +399,8 @@ def check_conditional_uniqueness(
     gen = gen if gen is not None else np.random.default_rng(0)
     opcore.require_same_dim(d.mat, b.mat)
     pb = opcore.trace_inner(d.mat, b.mat).real
-    if pb <= tol:  # before any draw, as a zero B has no rank to draw
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= tol")
+    if pb <= opcore.NULL_EVENT:  # before any draw, as a zero B has no rank to draw
+        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
     samples = _draw_samples(gen, b.rank, trials)
     [check] = conditional_uniqueness_stack(d.mat[None], b.mat[None], [samples], tol)
     return check

@@ -37,6 +37,7 @@ BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of
 COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
 SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
 AMBIGUITY_MARGIN = 1e-6  # nearer the feasibility boundary, rounding probabilities can flip it
+NULL_EVENT = 1e-9  # tr[DB] at or below this: B is a null event, and conditioning on it is refused
 
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "COARSE_TOL",
     "SEPARATION_TOL",
     "AMBIGUITY_MARGIN",
+    "NULL_EVENT",
     "floored",
     "as_operator",
     "dag",

@@ -29,10 +29,15 @@ class FeasibleSolution:
 
 @dataclass(frozen=True)
 class InfeasibleCertificate:
-    """Farkas dual: y.A <= 0 and y.b = infeasibility_gap > 0."""
+    """Farkas dual: y.A <= 0 and y.b = infeasibility_gap > 0.
+
+    ``max_ya`` is max_j y.A_j over the columns of A (at most 0; 0 when A
+    has no columns).
+    """
 
     y: tuple[Fraction, ...]
     infeasibility_gap: Fraction
+    max_ya: Fraction
 
     feasible = False
 
@@ -43,7 +48,8 @@ def solve_equality_feasibility(
     """Find x >= 0 with A x = b, or produce a Farkas certificate.
 
     ``a`` is row-major, m rows by n columns.  All entries must be Fractions
-    (or ints); the result is exact.
+    or Python ints (a numpy integer would keep its fixed width inside the
+    Fractions); the result is exact.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -111,9 +117,12 @@ def solve_equality_feasibility(
         # The objective row stores z_j - c_j.  Under artificial column i,
         # z_j = y_i and c_j = 1, so the dual is y_i = obj[n+i] + 1; flips
         # map it back to the original row orientation.  Phase-1 optimality
-        # then gives y.A <= 0 on structural columns while y.b > 0.
+        # then gives y.A <= 0 on structural columns while y.b > 0.  The
+        # flips cancel in the products: y.A_j = obj[j] on structural
+        # columns, and y.b = c_B x_B is the sum of the artificials.
         y = tuple(flip[i] * (obj[n + i] + 1) for i in range(m))
-        return InfeasibleCertificate(y=y, infeasibility_gap=residual)
+        max_ya = max(obj[:n], default=Fraction(0))
+        return InfeasibleCertificate(y=y, infeasibility_gap=residual, max_ya=max_ya)
 
     x = [Fraction(0)] * n
     for i in range(m):

@@ -165,6 +165,10 @@ class TestVerifyConditioning:
     def test_zero_trials_rejected(self):
         assert main(["verify-conditioning", "--dim", "3", "--trials", "0"]) == 2
 
+    def test_loose_tol_passes(self):
+        argv = ["--dim", "4", "--trials", "20", "--seed", "1", "--tol", "0.5"]
+        assert main(["verify-conditioning", *argv]) == 0
+
 
 class TestCheckModel:
     def test_bundled_fixture_passes(self):

@@ -532,3 +532,111 @@ def test_white_noise_crosses_the_classical_bound_once(v):
     state = Density.from_matrix(v * singlet_state().mat + (1 - v) * np.eye(4) / 4)
     status = hv_feasibility(chsh_scenario(state=state)).status
     assert status == ("feasible" if v < THRESHOLD else "infeasible")
+
+
+# ---------------------------------------------------------------------------
+# Exact certificate checker: a FeasibilityResult judged from its scenario
+# alone, with the constraints rebuilt here rather than read from the solver.
+
+
+def _rational(p):
+    return Fraction(round(min(1.0, max(0.0, p)) * 10**9), 10**9)
+
+
+def check_certificate(s, res):
+    """Feasible: positive weights on admissible assignments that sum to 1 and
+    reproduce every rationalized marginal and in-context joint exactly.
+    Infeasible: the printed aggregate ``(c)*name + ...`` recomputed from the
+    scenario requires exactly ``required`` > 0, and no admissible assignment
+    reaches more than ``max_attainable`` <= 0."""
+    pos = {l: i for i, l in enumerate(s.labels)}
+    events = {"normalization": ()}
+    events.update({f"marginal[{l}]": (l,) for l in s.labels})
+    for ctx in s.contexts:
+        for x, y in itertools.combinations(sorted(ctx.labels), 2):
+            events[f"joint[{x},{y}]"] = (x, y)
+
+    def required_value(involved):
+        prod = s.state.mat
+        for l in involved:
+            prod = prod @ s.items[l].plus
+        return _rational(np.trace(prod).real)
+
+    def occurs(assignment, involved):
+        return all(assignment[pos[l]] == 1 for l in involved)
+
+    assignments = enumerate_assignments(s)
+    if res.feasible:
+        weights = dict(res.certificate)
+        assert len(weights) == len(res.certificate)
+        assert set(weights) <= set(assignments)
+        assert all(w > 0 for w in weights.values())
+        for name, involved in events.items():
+            got = sum(w for a, w in weights.items() if occurs(a, involved))
+            assert got == required_value(involved), name
+        return "feasible"
+
+    assert res.status == "infeasible"
+    coeffs = {}
+    for term in res.violated_constraint.split(" + "):
+        coeff, name = term.removeprefix("(").split(")*")
+        assert name in events and name not in coeffs, term
+        coeffs[name] = Fraction(coeff)
+    required = sum(c * required_value(events[name]) for name, c in coeffs.items())
+    attainable = max(
+        sum(c for name, c in coeffs.items() if occurs(a, events[name])) for a in assignments
+    )
+    assert required == res.required
+    assert attainable == res.max_attainable
+    assert attainable <= 0 < required
+    return "infeasible"
+
+
+def scaling_scenario(n, m, state):
+    """n dichotomic settings on side 1 at 180 i/n + 3 degrees, m on side 2 at
+    180 j/m + 47 degrees, all n*m two-party contexts."""
+    settings = {f"A{i}": setting_side1(180 * i / n + 3) for i in range(n)}
+    settings.update({f"B{j}": setting_side2(180 * j / m + 47) for j in range(m)})
+    items = {l: make_item(l, DICHOTOMIC, mat) for l, mat in settings.items()}
+    contexts = [Context(labels=(f"A{i}", f"B{j}")) for i in range(n) for j in range(m)]
+    return make_scenario(4, items, contexts, state=state, name=f"scaling-{n}x{m}")
+
+
+def werner_state(visibility):
+    return Density.from_matrix(
+        visibility * singlet_state().mat + (1 - visibility) * np.eye(4) / 4
+    )
+
+
+CERTIFIED = [
+    ("chsh.scenario", None, "infeasible"),
+    ("ghz.scenario", None, "infeasible"),
+    ("triad-dim3.scenario", None, "feasible"),
+] + [
+    (f"scaling-{n}x{m}", visibility, "infeasible" if visibility == 1.0 else "feasible")
+    for visibility in (1.0, 0.5)
+    for n, m in ((2, 2), (2, 3), (3, 3))
+]
+
+
+class TestExactCertificates:
+    @pytest.mark.parametrize("name,visibility,status", CERTIFIED)
+    def test_certificate_holds_in_exact_arithmetic(self, name, visibility, status):
+        if visibility is None:
+            s = load_scenario(resolve_input_path(name))
+        else:
+            n, m = map(int, name.removeprefix("scaling-").split("x"))
+            s = scaling_scenario(n, m, werner_state(visibility))
+        assert check_certificate(s, hv_feasibility(s)) == status
+
+    def test_random_chsh_instances(self):
+        gen = make_generator(2024)
+        seen = []
+        while len(seen) < 20:
+            s = chsh_scenario(angles=tuple(gen.uniform(0.0, 180.0, 4)))
+            try:
+                res = hv_feasibility(s)
+            except NumericalAmbiguity:
+                continue
+            seen.append(check_certificate(s, res))
+        assert set(seen) == {"feasible", "infeasible"}

@@ -210,6 +210,14 @@ class TestConditionalUniqueness:
         with pytest.raises(ConditioningOnNull):
             check_conditional_uniqueness(d, basis_projector(3, 2), trials=5)
 
+    def test_loose_tol_is_not_a_null_event_threshold(self):
+        # tol bounds the identities only; tr[DB] (0.17 on a trial of this
+        # batch, 1/3 below) is judged against NULL_EVENT.
+        assert nogo.conditioning_batch(1, 4, 20, tol=0.5).verdict == PASS
+        d = Density.maximally_mixed(3)
+        rep = check_conditional_uniqueness(d, basis_projector(3, 2), trials=5, tol=0.5)
+        assert rep.verdict == PASS
+
     def test_random_pairs_pass(self):
         gen = make_generator(71)
         for _ in range(20):

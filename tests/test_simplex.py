@@ -12,13 +12,16 @@ def F(x):
 
 
 def check_farkas(a, b, cert):
-    """Exact verification: y.A <= 0 on every column and y.b > 0."""
+    """Exact verification: y.A <= 0 on every column and y.b > 0, with the
+    certificate's max_ya and infeasibility_gap equal to max_j y.A_j and y.b."""
     m, n = len(a), len(a[0]) if a else 0
-    for j in range(n):
-        col = sum(cert.y[i] * a[i][j] for i in range(m))
+    cols = [sum(cert.y[i] * a[i][j] for i in range(m)) for j in range(n)]
+    for j, col in enumerate(cols):
         assert col <= 0, f"column {j}: y.A = {col} > 0"
     yb = sum(cert.y[i] * b[i] for i in range(m))
     assert yb > 0
+    assert cert.infeasibility_gap == yb
+    assert cert.max_ya == max(cols, default=0)
 
 
 def check_solution(a, b, sol):
@@ -67,6 +70,12 @@ class TestSmallSystems:
     def test_empty_system(self):
         r = solve_equality_feasibility([], [])
         assert r.feasible
+
+    def test_no_columns_and_a_nonzero_rhs(self):
+        a, b = [[], []], [F(1), F(0)]
+        r = solve_equality_feasibility(a, b)
+        assert not r.feasible
+        check_farkas(a, b, r)
 
     def test_exact_rationals_survive(self):
         a = [[Fraction(1, 3), Fraction(1, 7)]]
