@@ -306,19 +306,20 @@ def check_conditional_rule(
     """mu(a AND b)/mu(b) must equal tr[DBAB]/tr[DB] for projector labels.
 
     Raises :class:`ConditioningOnNull` when mu(b) or tr[DB] is at most
-    ``tol``: either ratio is then undefined, and the marginal rule already
-    compares the two.
+    ``NULL_EVENT``: either ratio is then undefined, and the marginal rule
+    already compares the two.  ``tol`` bounds the comparison only, so a
+    loose tolerance judges every instance instead of skipping it.
     """
     pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
     ev_a = _event(m, a, [1.0], cluster_gap)
     ev_b = _event(m, b, [1.0], cluster_gap)
     mu_b = _mass(m, ev_b)
-    if mu_b <= tol:
-        raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= tol for {b!r}")
+    if mu_b <= opcore.NULL_EVENT:
+        raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
     d = m.state.mat
     tr_b = trace_inner(d, pb.mat).real
-    if tr_b <= tol:
-        raise ConditioningOnNull(f"tr[DB] = {tr_b:.3e} <= tol for {b!r}")
+    if tr_b <= opcore.NULL_EVENT:
+        raise ConditioningOnNull(f"tr[DB] = {tr_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
     classical = _mass(m, ev_a & ev_b) / mu_b
     quantum = np.trace(d @ pb.mat @ pa.mat @ pb.mat).real / tr_b
     sides = ("phase-space", "conditioned trace")

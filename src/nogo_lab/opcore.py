@@ -37,7 +37,9 @@ BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of
 COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
 SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
 AMBIGUITY_MARGIN = 1e-6  # nearer the feasibility boundary, rounding probabilities can flip it
-NULL_EVENT = 1e-9  # tr[DB] at or below this: B is a null event, and conditioning on it is refused
+NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
+PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
+RATIO_TIE = 1e-11  # float simplex proposal: min ratios this close tie (finer than 1e-9 grid)
 
 
 __all__ = [
@@ -50,6 +52,8 @@ __all__ = [
     "SEPARATION_TOL",
     "AMBIGUITY_MARGIN",
     "NULL_EVENT",
+    "PIVOT_TOL",
+    "RATIO_TIE",
     "floored",
     "as_operator",
     "dag",

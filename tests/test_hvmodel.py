@@ -16,6 +16,7 @@ from nogo_lab.hvmodel import (
     check_conditional_rule,
     check_joint_rule,
     check_marginal_rule,
+    check_model,
     check_order_rule,
     check_product_rule,
     check_spectrum_rule,
@@ -23,7 +24,8 @@ from nogo_lab.hvmodel import (
     event_weight,
     preimage,
 )
-from nogo_lab.opcore import dag, random_density_matrix, random_unitary
+from nogo_lab.fileio import load_model, resolve_input_path
+from nogo_lab.opcore import TOL, dag, random_density_matrix, random_unitary
 from nogo_lab.quantum import Density, Observable
 from nogo_lab.rng import make_generator
 
@@ -281,6 +283,17 @@ class TestOrderAndConditionalRules:
         m = build_commuting_model(fam, Density.from_matrix(np.diag([0.0, 1.0, 0.0])))
         with pytest.raises(ConditioningOnNull):
             check_conditional_rule(m, "O2", "O1")
+
+    def test_loose_tol_is_not_a_null_event_threshold(self):
+        # The bundled model's conditioning events carry mass 1/6 or more: a
+        # loose --tol judges every one of them instead of skipping some.
+        m = load_model(resolve_input_path("commuting.model"))
+
+        def conditional(tol):
+            (rule,) = [c for c in check_model(m, tol=tol) if c.rule == "conditional-rule"]
+            return rule.name
+
+        assert conditional(0.5) == conditional(TOL) == "conditional-rule over 6 instances"
 
 
 def all_rule_checks(m: HVModel):

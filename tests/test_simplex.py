@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from nogo_lab import simplex
 from nogo_lab.rng import make_generator
-from nogo_lab.simplex import solve_equality_feasibility
+from nogo_lab.simplex import _bland, solve_equality_feasibility
 
 
 def F(x):
@@ -84,6 +88,13 @@ class TestSmallSystems:
         assert r.feasible
         check_solution(a, b, r)
 
+    def test_fraction_rows_are_certified_without_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_bland", None)
+        a = [[Fraction(1, 3), Fraction(1, 7)], [Fraction(-1, 2), Fraction(5, 6)]]
+        for b in ([Fraction(22, 21), Fraction(1, 3)], [Fraction(1), Fraction(-4)]):
+            r = solve_equality_feasibility(a, b)
+            (check_solution if r.feasible else check_farkas)(a, b, r)
+
 
 class TestAgainstFloatOracle:
     def test_random_instances_match_scipy(self):
@@ -139,3 +150,73 @@ def test_certificate_is_exact_not_rounded():
     assert r.feasible
     assert r.x[0] == Fraction(1, 3)
     assert sum(r.x) == 1
+
+
+@st.composite
+def integer_systems(draw):
+    """Small integer systems; half of them feasible by construction."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        b = [sum(v * x for v, x in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return a, b
+
+
+@st.composite
+def probability_systems(draw):
+    """0/1 event rows under a normalization row, with right-hand sides of
+    denominator 10**9: the systems ``hv_feasibility`` builds.  Half of them
+    are the events' probabilities under a drawn distribution."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    events = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        mass = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n).filter(any))
+        total = sum(mass)
+        probs = [sum(w for w, e in zip(mass, row) if e) / total for row in events]
+    else:
+        probs = draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))
+    a = [[1] * n] + events
+    b = [Fraction(1)] + [Fraction(round(p * 10**9), 10**9) for p in probs]
+    return a, b
+
+
+@given(st.one_of(integer_systems(), probability_systems()))
+def test_equals_the_exact_bland_simplex(system):
+    a, b = system
+    r = solve_equality_feasibility(a, b)
+    assert r == _bland(a, b)
+    (check_solution if r.feasible else check_farkas)(a, b, r)
+
+
+# x0 + x1 = 0 and x0 - x1 = 2 have no nonnegative solution; the basis of
+# both columns solves them with x1 = -1.
+NEGATIVE_BASIS_SYSTEM = ([[1, 1], [1, -1]], [0, 2])
+FEASIBLE_SYSTEM = ([[1, 2, 0], [0, 1, 1]], [3, 2])
+
+
+@pytest.mark.parametrize(
+    "basis,system",
+    [
+        (None, NEGATIVE_BASIS_SYSTEM),
+        ([0, 0], NEGATIVE_BASIS_SYSTEM),
+        ([0, 1], NEGATIVE_BASIS_SYSTEM),
+        (None, FEASIBLE_SYSTEM),
+        ([0, 0], FEASIBLE_SYSTEM),
+    ],
+    ids=["no-proposal", "singular-basis", "negative-entry", "no-proposal-feasible", "singular-feasible"],
+)
+def test_a_rejected_proposal_falls_back_to_bland(monkeypatch, basis, system):
+    a, b = system
+    calls = []
+
+    def bland(a, b):
+        calls.append(1)
+        return _bland(a, b)
+
+    monkeypatch.setattr(simplex, "_propose_basis", lambda a, b, flip: basis)
+    monkeypatch.setattr(simplex, "_bland", bland)
+    assert solve_equality_feasibility(a, b) == _bland(a, b)
+    assert calls == [1]
