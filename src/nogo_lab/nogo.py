@@ -261,6 +261,14 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     return check
 
 
+def _require_dim(dim: int) -> None:
+    if dim < 3:
+        raise DimensionTooSmall(
+            f"conditioning uniqueness is only meaningful for dimension >= 3 "
+            f"(lattice measures are trace functionals there); got dimension {dim}"
+        )
+
+
 def _range_bases(p: np.ndarray) -> list[np.ndarray]:
     """Orthonormal columns spanning the range of each projector of a stack,
     from one eigh of the stack."""
@@ -268,32 +276,44 @@ def _range_bases(p: np.ndarray) -> list[np.ndarray]:
     return [v[:, keep] for v, keep in zip(vecs, vals > 0.5)]
 
 
-def _draw_below(gen: np.random.Generator, rank: int) -> np.ndarray:
-    """The draws for a random C <= B, rank(B) = ``rank``: a rank r in
-    [1, rank], then a rank x r Gaussian."""
-    return opcore.complex_gaussian(gen, rank, int(gen.integers(1, rank + 1)))
+def _grouped(keys) -> list[list[int]]:
+    """The indices of ``keys`` grouped by equal key, each group in order."""
+    keys = list(keys)
+    return [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
 
 
 def _draw_samples(gen: np.random.Generator, rank: int, samples: int) -> tuple[list, np.ndarray]:
-    """One conditioning trial's draws: ``samples`` projectors C <= B, then
-    ``samples`` densities on range(B)."""
-    below = [_draw_below(gen, rank) for _ in range(samples)]
+    """One conditioning trial's draws, rank(B) = ``rank``: for each of
+    ``samples`` projectors C <= B a rank r in [1, rank], then a rank x r
+    Gaussian; then ``samples`` densities on range(B)."""
+    below = [opcore.complex_gaussian(gen, rank, int(gen.integers(1, rank + 1)))
+             for _ in range(samples)]
     return below, np.array([opcore.random_density_matrix(gen, rank) for _ in range(samples)])
 
 
-def _projector_below(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
-    q = np.linalg.qr(basis @ g)[0]
-    return q @ dag(q)
+def _projectors_below(bases: list, below: list) -> np.ndarray:
+    """C = QQ† with Q the QR factor of basis @ G, for each trial's basis of
+    range(B) and each of its Gaussians G (:func:`_draw_samples`): shape
+    ``(n, k, d, d)``, from one stacked ``qr`` per rank(C).  Each basis @ G
+    is its own product: a stacked matrix-vector product rounds differently."""
+    products = [basis @ g for basis, gs in zip(bases, below) for g in gs]
+    c = np.empty((len(products),) + (len(bases[0]),) * 2, np.complex128)
+    for idx in _grouped(m.shape for m in products):
+        q = np.linalg.qr(np.array([products[i] for i in idx]))[0]
+        c[idx] = q @ dag(q)
+    return c.reshape(len(bases), -1, *c.shape[1:])
 
 
-def sample_projector_below(b: Projector, gen: np.random.Generator, tol: float = TOL) -> Projector:
-    """Random projector C with C <= B, uniform rank in [1, rank(B)]."""
-    if b.rank < 1:
-        raise ValueError("cannot sample below the zero projector")
-    [basis] = _range_bases(b.mat[None])
-    g = _draw_below(gen, b.rank)
-    tol = opcore.floored(tol, opcore.BASIS_TOL)
-    return Projector.from_matrix(_projector_below(basis, g), tol=tol)
+def _separation(rho: np.ndarray, d_b: np.ndarray, b: np.ndarray) -> tuple:
+    """Each D' of ``rho`` ``(n, k, d, d)`` against D_B through the top
+    eigenpair (lam, v) of D' - D_B and P = vv†: opnorm(D' - D_B) = |lam|,
+    |tr[D'P] - tr[D_B P]| = |v†D'v - v†D_B v|, and the defect of P <= B,
+    max(opnorm(BP - P), opnorm(PB - P)) = max(|Bv - v|, |B†v - v|)."""
+    lam, v = opcore.top_eigenpair(rho - d_b[:, None])
+    row, col = v.conj()[..., None, :], v[..., :, None]
+    sep = np.abs((row @ rho @ col).real - (row @ d_b[:, None] @ col).real)[..., 0, 0]
+    off = [np.linalg.norm(m[:, None] @ col - col, axis=(-2, -1)) for m in (b, dag(b))]
+    return np.abs(lam), sep, np.maximum(*off)
 
 
 def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, tol: float = TOL):
@@ -301,11 +321,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     projector) trials ``d``, ``b`` of shape ``(n, dim, dim)``, yielded in
     order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
     n, dim = d.shape[:2]
-    if dim < 3:
-        raise DimensionTooSmall(
-            f"conditioning uniqueness is only meaningful for dimension >= 3 "
-            f"(lattice measures are trace functionals there); got dimension {dim}"
-        )
+    _require_dim(dim)
     eye = opcore.identity(dim)
     pb = trace(d @ b).real
     # A trial with a null event B raises before its numbers are used.
@@ -313,21 +329,19 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     d_b = b @ d @ b / pb_safe[:, :, None]
     bases, complements = _range_bases(b), _range_bases(eye - b)
 
-    c = np.array([[_projector_below(basis, g) for g in below]
-                  for basis, (below, _) in zip(bases, samples)])
+    c = _projectors_below(bases, [below for below, _ in samples])
     existence = np.abs(trace(d_b[:, None] @ c).real - trace(d[:, None] @ c).real / pb_safe)
     on_b = np.abs(trace(d_b @ b).real - 1.0)
     off_b = np.abs(trace(d_b @ (eye - b)).real)
-    kernel = [opnorm(m @ comp) for m, comp in zip(d_b, complements)]
 
-    # Other densities on range(B), each with a rank-one separator from D_B
-    # built from an eigenvector of the largest-modulus eigenvalue of D' - D_B.
-    rho = np.array([basis @ states @ dag(basis) for basis, (_, states) in zip(bases, samples)])
-    delta = rho - d_b[:, None]
-    gap = opnorm(delta)
-    rays = opcore.top_eigenprojector(delta)
-    sep = np.abs(trace(rho @ rays).real - trace(d_b[:, None] @ rays).real)
-    below_defect = np.maximum(opnorm(rays @ b[:, None] - rays), opnorm(b[:, None] @ rays - rays))
+    # Other densities D' on range(B), with D_B's kernel test stacked per
+    # rank(B), and their rank-one separators from D_B (:func:`_separation`).
+    rho, kernel = np.empty(c.shape, np.complex128), np.empty(n)
+    for idx in _grouped((x.shape, y.shape) for x, y in zip(bases, complements)):
+        basis = np.array([bases[i] for i in idx])[:, None]
+        rho[idx] = basis @ np.array([samples[i][1] for i in idx]) @ dag(basis)
+        kernel[idx] = opnorm(d_b[idx] @ np.array([complements[i] for i in idx]))
+    gap, sep, below_defect = _separation(rho, d_b, b)
 
     luders, rho_defects = density_defects(d_b), density_defects(rho)
     c_defects = projector_defects(c)
@@ -351,7 +365,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
             existence_step,
             _step("support: tr[D_B B] = 1", float(on_b[i]), support),
             _step("support: tr[D_B (I-B)] = 0", float(off_b[i]), support),
-            _step("support: D_B annihilates range(I-B)", kernel[i], opcore.COARSE_TOL),
+            _step("support: D_B annihilates range(I-B)", float(kernel[i]), opcore.COARSE_TOL),
         ]
         worst_sep = np.inf
         for j in range(k):
@@ -475,7 +489,8 @@ def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Ch
     pairs: a full-rank random state and a projector of random rank in
     [1, dim - 1], each with ``SAMPLES`` samples per stage; passes when every
     pair passes, with the residual and bound of the worst step over all
-    pairs.  Needs ``dim >= 3``."""
+    pairs.  Needs ``dim >= 3``, checked before any draw."""
+    _require_dim(dim)
     chains = []
     for block in _blocks(trials, SAMPLES * dim * dim):
         d, b, samples = [], [], []

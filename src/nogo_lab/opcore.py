@@ -4,9 +4,9 @@ The carrier for every operator in the lab is a square ``complex128`` numpy
 array, validated by :func:`as_operator`.  On top of that this module provides
 the spectral decomposition of Hermitian matrices (numpy ``eigh``, with
 eigenvalue clustering for degenerate spectra), trace utilities, commutator
-norms, the rank-one state on a top eigenvector (witness and separator of the
-:mod:`nogo_lab.nogo` chains), and the random-operator samplers that the
-property suites and batch commands share.
+norms, a top eigenpair and the rank-one state on its vector (witness and
+separator of the :mod:`nogo_lab.nogo` chains), and the random-operator
+samplers that the property suites and batch commands share.
 
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
 Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
@@ -15,9 +15,9 @@ library is judged against ``tol`` (``--tol``), ``cluster_gap``
 ``floored(tol, entry)``; a chain step derives its bound from the bounds of
 the steps it follows (:mod:`nogo_lab.nogo`).
 
-``dag``, ``opnorm``, ``hermitian_defect``, ``trace`` and
-``top_eigenprojector`` also take stacks ``(..., d, d)``, with the same bits
-as a loop over the matrices.
+``dag``, ``opnorm``, ``hermitian_defect``, ``trace``, ``top_eigenpair``
+and ``top_eigenprojector`` also take stacks ``(..., d, d)``, with the same
+bits as a loop over the matrices.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "SpectralResolution",
     "spectral_decompose",
     "trace_inner",
+    "top_eigenpair",
     "top_eigenprojector",
     "commutator_norm",
     "complex_gaussian",
@@ -226,20 +227,25 @@ def trace_inner(d, b) -> complex:
     return complex(np.trace(d @ b))
 
 
-def top_eigenprojector(h: np.ndarray) -> np.ndarray:
-    """Rank-one projector onto an eigenvector of a largest-modulus eigenvalue
-    of the Hermitian part of ``h`` (of each matrix of a stack).
-
-    For Hermitian H the projector P is a state with |tr[P H]| = opnorm(H):
-    the constructive converse of the fact that only the zero operator has
-    vanishing trace against every state.
-    """
+def top_eigenpair(h: np.ndarray) -> tuple:
+    """A largest-modulus eigenvalue lam of the Hermitian part H of ``h``
+    and a unit eigenvector v for it, from one ``eigh`` (of each matrix of a
+    stack: lam ``(...)``, v ``(..., d)``); |lam| = opnorm(H)."""
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
-    top = np.abs(vals).argmax(axis=-1)
-    v = np.take_along_axis(vecs, top[..., None, None], axis=-1)[..., 0]
+    top = np.abs(vals).argmax(axis=-1)[..., None]
+    lam = np.take_along_axis(vals, top, axis=-1)[..., 0]
+    v = np.take_along_axis(vecs, top[..., None], axis=-1)[..., 0]
     # One 1-D norm per vector: a norm over the stack's last axis rounds differently.
     norms = [np.linalg.norm(x) for x in v.reshape(-1, v.shape[-1])]
-    v = v / np.reshape(norms, v.shape[:-1] + (1,))
+    return lam, v / np.reshape(norms, v.shape[:-1] + (1,))
+
+
+def top_eigenprojector(h: np.ndarray) -> np.ndarray:
+    """Rank-one projector P = vv† on the :func:`top_eigenpair` vector of
+    ``h`` (of each matrix of a stack): for Hermitian H, a state with
+    |tr[P H]| = opnorm(H), the constructive converse of the fact that only
+    the zero operator has vanishing trace against every state."""
+    v = top_eigenpair(h)[1]
     return v[..., :, None] * v.conj()[..., None, :]
 
 

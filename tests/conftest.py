@@ -27,6 +27,21 @@ def noncommuting_projector_pair(gen, dim, min_comm=0.05):
     return tuple(Projector.from_matrix(m, opcore.BUILT_TOL) for m in pair)
 
 
+def qr_projector(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """QQ† with Q the QR factor of basis @ G: the conditioning batch's C <= B,
+    for one basis of range(B) and one Gaussian G."""
+    q = np.linalg.qr(basis @ g)[0]
+    return q @ opcore.dag(q)
+
+
+def projector_below(b: Projector, gen) -> Projector:
+    """Random projector C <= B of uniform rank r in [1, rank(B)], drawn and
+    built as the conditioning batch does: r, a rank(B) x r Gaussian, QR."""
+    vals, vecs = np.linalg.eigh(b.mat)
+    g = opcore.complex_gaussian(gen, b.rank, int(gen.integers(1, b.rank + 1)))
+    return Projector.from_matrix(qr_projector(vecs[:, vals > 0.5], g), tol=opcore.BASIS_TOL)
+
+
 def basis_projector(dim: int, index: int) -> Projector:
     v = np.zeros(dim)
     v[index] = 1.0

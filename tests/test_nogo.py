@@ -15,10 +15,13 @@ from nogo_lab.nogo import (
 )
 from nogo_lab.opcore import (
     commutator_norm,
+    complex_gaussian,
     dag,
     opnorm,
     random_density_matrix,
     random_projector_matrix,
+    top_eigenprojector,
+    trace,
     trace_inner,
 )
 from nogo_lab.quantum import Density, Projector, luders_density
@@ -29,6 +32,7 @@ from conftest import (
     commuting_projector_pair,
     noncommuting_projector_pair,
     plus_projector,
+    qr_projector,
 )
 
 SPOT_GAP = 1 / (2 * np.sqrt(2))  # for the (e1, (e1+e2)/sqrt 2) ray pair
@@ -210,6 +214,14 @@ class TestConditionalUniqueness:
         with pytest.raises(ConditioningOnNull):
             check_conditional_uniqueness(d, basis_projector(3, 2), trials=5)
 
+    def test_batch_rejects_dim_two_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(nogo, "trial_generator", no_draws)
+        with pytest.raises(DimensionTooSmall, match="got dimension 2"):
+            nogo.conditioning_batch(1, 2, 100)
+
     def test_loose_tol_is_not_a_null_event_threshold(self):
         # tol bounds the identities only; tr[DB] (0.17 on a trial of this
         # batch, 1/3 below) is judged against NULL_EVENT.
@@ -358,3 +370,42 @@ def test_block_arrays_fit_the_entry_budget(monkeypatch):
     nogo.commutation_batch(1, 32, 5)
     nogo.conditioning_batch(1, 32, 2)
     assert max(sizes) <= nogo.BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("dim", [3, 4, 8, 16])
+def test_grouped_projectors_below_equal_the_per_sample_construction(dim):
+    """One stacked qr per (rank(B), rank(C)) gives each C <= B the bits of
+    its own qr, on a block that mixes both ranks."""
+    gen = make_generator(dim)
+    ranks = [int(gen.integers(1, dim + 1)) for _ in range(12)]
+    bases = nogo._range_bases(np.array([random_projector_matrix(gen, dim, r) for r in ranks]))
+    below = [nogo._draw_samples(gen, r, nogo.SAMPLES)[0] for r in ranks]
+    assert len({g.shape for gs in below for g in gs}) >= 4
+    grouped = nogo._projectors_below(bases, below)
+    loop = [[qr_projector(basis, g) for g in gs] for basis, gs in zip(bases, below)]
+    assert np.array_equal(grouped, loop)
+
+
+@pytest.mark.parametrize("generic_b", [False, True])
+@pytest.mark.parametrize("dim", [3, 4, 8, 16, 32])
+def test_separation_agrees_with_the_matrix_formulas(dim, generic_b):
+    """The separator's gap, separation and below-B defect, read off one
+    eigenpair, equal opnorm(D' - D_B), the traces against P = vv†,
+    opnorm(PB - P) and opnorm(BP - P); a generic B tells B from B†."""
+    gen = make_generator(dim)
+    ranks = [int(gen.integers(1, dim)) for _ in range(3)]
+    b = np.array([random_projector_matrix(gen, dim, r) for r in ranks])
+    d_b = np.array([random_density_matrix(gen, dim) for _ in ranks])
+    rho = np.array([
+        [basis @ random_density_matrix(gen, r) @ dag(basis) for _ in range(4)]
+        for basis, r in zip(nogo._range_bases(b), ranks)
+    ])
+    if generic_b:
+        b = b + np.array([complex_gaussian(gen, dim, dim) for _ in ranks]) / dim
+    gap, sep, below = nogo._separation(rho, d_b, b)
+    delta = rho - d_b[:, None]
+    p, bb = top_eigenprojector(delta), b[:, None]
+    assert np.allclose(gap, opnorm(delta), rtol=0, atol=1e-12)
+    assert np.allclose(sep, np.abs(trace(rho @ p).real - trace(d_b[:, None] @ p).real), rtol=0, atol=1e-12)
+    defect = np.maximum(opnorm(p @ bb - p), opnorm(bb @ p - p))
+    assert np.allclose(below, defect, rtol=0, atol=1e-12)

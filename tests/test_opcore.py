@@ -14,6 +14,7 @@ from nogo_lab.opcore import (
     opnorm,
     random_hermitian,
     spectral_decompose,
+    top_eigenpair,
     top_eigenprojector,
     trace_inner,
 )
@@ -225,3 +226,16 @@ def test_stacked_top_eigenprojector_matches_the_loop_bit_for_bit(dim):
     stack = np.array([random_hermitian(gen, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
     loop = [[top_eigenprojector(h) for h in row] for row in stack]
     assert np.array_equal(top_eigenprojector(stack), loop)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4, 16, 32])
+def test_stacked_top_eigenpair_matches_the_loop_bit_for_bit(dim):
+    gen = make_generator(dim)
+    stack = np.array([random_hermitian(gen, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+    lam, v = top_eigenpair(stack)
+    loop = [[top_eigenpair(h) for h in row] for row in stack]
+    assert np.array_equal(lam, [[x for x, _ in row] for row in loop])
+    assert np.array_equal(v, [[y for _, y in row] for row in loop])
+    assert np.allclose(np.abs(lam), opnorm(stack), rtol=0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(stack @ v[..., None], lam[..., None, None] * v[..., None], atol=1e-12)

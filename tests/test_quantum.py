@@ -25,7 +25,7 @@ from nogo_lab.quantum import (
 )
 from nogo_lab.rng import make_generator
 
-from conftest import basis_projector, plus_projector
+from conftest import basis_projector, plus_projector, projector_below
 
 
 class TestRoleValidation:
@@ -179,9 +179,7 @@ def test_order_conditional_collapse():
         dim = int(gen.integers(3, 7))
         rank_b = int(gen.integers(2, dim + 1))
         b = Projector.from_matrix(random_projector_matrix(gen, dim, rank_b), tol=1e-8)
-        from nogo_lab.nogo import sample_projector_below
-
-        c = sample_projector_below(b, gen)
+        c = projector_below(b, gen)
         d = Density.from_matrix(random_density_matrix(gen, dim))
         expected = trace_inner(d.mat, c.mat).real / trace_inner(d.mat, b.mat).real
         assert conditional_probability(d, c, b) == pytest.approx(expected, abs=1e-9)
