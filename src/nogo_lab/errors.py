@@ -76,7 +76,8 @@ class SearchSpaceTooLarge(ScenarioError):
 
 class NumericalAmbiguity(NogoLabError):
     """A quantum probability sits too close to a feasibility boundary for
-    the rationalized verdict to be trusted."""
+    the rationalized verdict to be trusted, or the float simplex found no
+    basis that the exact check accepts."""
 
 
 class FormatError(NogoLabError):

@@ -322,7 +322,8 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     feasible/infeasible boundary, where rounding could flip the verdict:
     for CHSH-shaped scenarios that is measured as the distance of the four
     correlation combinations from the classical bound, and in general as
-    the depth of an infeasibility smaller than the margin.
+    the depth of an infeasibility smaller than the margin.  The simplex
+    raises it too, when no float basis passes its exact check.
     """
     if s.state is None:
         raise ScenarioError("feasibility needs a scenario state")

@@ -39,7 +39,6 @@ SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must real
 AMBIGUITY_MARGIN = 1e-6  # nearer the feasibility boundary, rounding probabilities can flip it
 NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
 PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
-RATIO_TIE = 1e-11  # float simplex proposal: min ratios this close tie (finer than 1e-9 grid)
 
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "AMBIGUITY_MARGIN",
     "NULL_EVENT",
     "PIVOT_TOL",
-    "RATIO_TIE",
     "floored",
     "as_operator",
     "dag",

@@ -1,28 +1,26 @@
 """Exact rational equality-feasibility via phase-1 simplex.
 
 Decides whether A x = b has a solution with x >= 0 by minimizing the sum of
-artificial variables with Bland's rule (anti-cycling, guaranteed
-termination).  On success the solution itself is returned; on failure a
-Farkas certificate y is returned, satisfying  y.A <= 0 componentwise and
-y.b > 0  - an exact proof that no nonnegative solution exists.
+artificial variables.  On success the solution itself is returned; on
+failure a Farkas certificate y is returned, satisfying  y.A <= 0
+componentwise and y.b > 0  - an exact proof that no nonnegative solution
+exists.
 
 The final basis is found in floating point and certified in exact rationals
 (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
 problems", Oper. Res. Lett. 35, 2007):
 
-1. a float64 tableau follows Bland's rule and proposes the final basis B;
+1. a float64 tableau, priced by Dantzig's rule, proposes the final basis B;
 2. x_B is solved from B x_B = b in exact integers.  With x_B >= 0 and every
    basic artificial 0, x is the answer.  Otherwise B^T pi = c_B gives the
    dual, every reduced cost pi.A_j comes from one integer product over the
    rows, and the Farkas certificate is accepted when the basis is
-   phase-1 optimal with pi.b > 0;
-3. a singular basis, a failed check or the pivot cap runs the whole Bland
-   loop in ``fractions.Fraction`` arithmetic instead.
+   phase-1 optimal with pi.b > 0.
 
-x, y and both certificate numbers are fixed by the final basis, so when the
-float tableau follows Bland's path to the basis the exact loop ends on, the
-result equals the exact loop's.  Every returned answer is checked exactly,
-so correctness never rests on the float path.
+Every returned answer is checked exactly, so correctness never rests on the
+float path.  When the tableau proposes no basis, or the exact check rejects
+it, :class:`~nogo_lab.errors.NumericalAmbiguity` is raised instead of a
+verdict.
 
 Problem sizes here are small (tens of rows, at most a few thousand columns),
 so dense tableaus are the simplest correct tool.
@@ -37,7 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .opcore import PIVOT_TOL, RATIO_TIE
+from .errors import NumericalAmbiguity
+from .opcore import PIVOT_TOL
 
 __all__ = ["FeasibleSolution", "InfeasibleCertificate", "solve_equality_feasibility"]
 
@@ -71,7 +70,8 @@ def solve_equality_feasibility(
 
     ``a`` is row-major, m rows by n columns.  All entries must be Fractions
     or Python ints (a numpy integer would keep its fixed width inside the
-    Fractions); the result is exact.
+    Fractions); the result is exact.  :class:`NumericalAmbiguity` is raised
+    when the float tableau proposes no basis or the exact check rejects it.
     """
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
@@ -80,25 +80,32 @@ def solve_equality_feasibility(
         raise ValueError("rhs length does not match row count")
     flip = [-1 if v < 0 else 1 for v in b]
     basis = _propose_basis(a, b, flip)
-    if basis is not None:
-        result = _certify(a, b, flip, basis)
-        if result is not None:
-            return result
-    return _bland(a, b)
+    if basis is None:
+        raise NumericalAmbiguity(
+            "the float simplex proposed no final basis: its phase-1 objective "
+            f"looked unbounded or it reached the pivot cap of {50 * (len(a) + n)}"
+        )
+    result = _certify(a, b, flip, basis)
+    if result is None:
+        raise NumericalAmbiguity(
+            "the float simplex's final basis failed exact certification: it is "
+            "singular, or neither feasible nor phase-1 optimal in rationals"
+        )
+    return result
 
 
 def _propose_basis(a, b, flip: list[int]) -> Optional[list[int]]:
-    """The final basis of Bland's phase 1 on a float64 tableau, or None when
-    the phase-1 objective looks unbounded or the pivot cap is reached.
+    """The final basis of phase 1 on a float64 tableau, or None when the
+    phase-1 objective looks unbounded or the pivot cap is reached.
 
-    Entries and reduced costs at or below ``PIVOT_TOL`` count as zero, and
-    ratios within ``RATIO_TIE`` of the least tie; ties go to the lowest basic
-    variable, as in :func:`_bland`.  The tie bound sits below the 1e-9 grid
-    of rationalized probabilities, so distinct ratios on that grid stay
-    apart, and the entry bound above the rounding that pivots leave on
-    entries that are exactly zero.
+    Dantzig's rule enters the column of largest reduced cost; the row of
+    least ratio leaves, the lowest row on ties.  Entries and reduced costs
+    at or below ``PIVOT_TOL`` count as zero; the bound sits above the
+    rounding that pivots leave on entries that are exactly zero.
     """
     m, n = len(a), len(a[0]) if a else 0
+    if not m:
+        return []
     width = n + m
     sign = np.array(flip, dtype=float)
     tab = np.zeros((m + 1, width + 1))
@@ -109,17 +116,15 @@ def _propose_basis(a, b, flip: list[int]) -> Optional[list[int]]:
     tab[m, width] = tab[:m, width].sum()
     basis = np.arange(n, width)
     for _ in range(50 * width + 1):  # at most 50 (m + n) pivots
-        improving = tab[m, :width] > PIVOT_TOL
-        if not improving.any():
+        enter = int(np.argmax(tab[m, :width]))
+        if tab[m, enter] <= PIVOT_TOL:
             return basis.tolist()
-        enter = int(np.argmax(improving))
         col = tab[:m, enter]
         ratio = np.full(m, np.inf)
         np.divide(tab[:m, width], col, out=ratio, where=col > PIVOT_TOL)
-        if np.isinf(ratio.min()):
+        row = int(np.argmin(ratio))
+        if np.isinf(ratio[row]):
             return None
-        ties = ratio <= ratio.min() + RATIO_TIE
-        row = int(np.argmin(np.where(ties, basis, width)))
         tab[row] /= tab[row, enter]
         factors = tab[:, enter].copy()
         factors[row] = 0.0
@@ -214,85 +219,3 @@ def _solve_integer(mat: Sequence[Sequence[int]], rhs: list[int]) -> Optional[lis
         total = det * row[m] - sum(row[j] * dx[j] for j in range(i + 1, m))
         dx[i] = total // row[i]
     return [Fraction(v, det) for v in dx]
-
-
-def _bland(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> FeasibleSolution | InfeasibleCertificate:
-    """Bland's phase 1 pivoted entirely in ``fractions.Fraction`` arithmetic:
-    the fallback of :func:`solve_equality_feasibility`, and its reference.
-    The system's shape is already checked."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-
-    # Track sign flips so the Farkas vector refers to the original rows.
-    flip = [1] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            flip[i] = -1
-
-    # Tableau columns: n structural + m artificial + rhs.
-    # basis[i] is the variable index currently basic in row i.
-    width = n + m
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-
-    # Phase-1 objective row: reduced costs of min sum(artificials), i.e.
-    # z_j - c_j = sum of rows for structural columns, 0 for artificials.
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(n):
-            obj[j] += tab[i][j]
-        obj[width] += tab[i][width]
-
-    def pivot(row: int, col: int) -> None:
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
-        for r in range(m):
-            if r != row and tab[r][col] != 0:
-                f = tab[r][col]
-                tab[r] = [v - f * w for v, w in zip(tab[r], tab[row])]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(width + 1):
-                obj[j] -= f * tab[row][j]
-        basis[row] = col
-
-    while True:
-        # Bland: entering = lowest-index column with positive reduced cost
-        # (we maximize -sum(artificials), stored so positive obj means improve).
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
-            break
-        best: Optional[tuple[Fraction, int, int]] = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise ArithmeticError("phase-1 objective unbounded; constraint bug")
-        pivot(best[2], enter)
-
-    residual = obj[width]  # = sum of artificial values at optimum
-    if residual > 0:
-        # The objective row stores z_j - c_j.  Under artificial column i,
-        # z_j = y_i and c_j = 1, so the dual is y_i = obj[n+i] + 1; flips
-        # map it back to the original row orientation.  Phase-1 optimality
-        # then gives y.A <= 0 on structural columns while y.b > 0.  The
-        # flips cancel in the products: y.A_j = obj[j] on structural
-        # columns, and y.b = c_B x_B is the sum of the artificials.
-        y = tuple(flip[i] * (obj[n + i] + 1) for i in range(m))
-        max_ya = max(obj[:n], default=Fraction(0))
-        return InfeasibleCertificate(y=y, infeasibility_gap=residual, max_ya=max_ya)
-
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][width]
-    return FeasibleSolution(x=tuple(x))

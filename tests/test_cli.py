@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nogo_lab import cli, fileio, nogo
+from nogo_lab import cli, fileio, nogo, simplex
 from nogo_lab.check import Check
 from nogo_lab.cli import main
 from nogo_lab.opcore import dag, random_unitary
@@ -318,6 +318,13 @@ class TestFeasibilityCommand:
 
     def test_ghz_fixture_is_infeasible(self):
         assert main(["feasibility", "ghz.scenario"]) == 1
+
+    def test_no_simplex_proposal_is_undecidable(self, monkeypatch, capsys):
+        monkeypatch.setattr(simplex, "_propose_basis", lambda a, b, flip: None)
+        assert main(["feasibility", "chsh"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "undecidable at this precision" in err
 
     def test_unknown_scenario_name(self):
         r = run_cli("feasibility", "missing.scenario")

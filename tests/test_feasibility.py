@@ -618,10 +618,12 @@ CERTIFIED = [
     for n, m in ((2, 2), (2, 3), (3, 3))
 ] + [
     # Sizes that only the float-proposed, exactly certified basis decides
-    # in a test's time: exact pivoting alone took 19.5 s, 256 s and 11-15 s.
+    # in a test's time: exact pivoting alone took 19.5 s, 256 s and 11-15 s,
+    # and Bland-priced float pivoting 11-19 s at 6x6 Werner 0.5.
     ("scaling-5x5", 1.0, "infeasible"),
     ("scaling-6x6", 1.0, "infeasible"),
     ("scaling-4x4", 0.5, "feasible"),
+    ("scaling-6x6", 0.5, "feasible"),
 ]
 
 

@@ -7,12 +7,93 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nogo_lab import simplex
+from nogo_lab.errors import NumericalAmbiguity
 from nogo_lab.rng import make_generator
-from nogo_lab.simplex import _bland, solve_equality_feasibility
+from nogo_lab.simplex import FeasibleSolution, InfeasibleCertificate, solve_equality_feasibility
 
 
 def F(x):
     return Fraction(x)
+
+
+def _bland(a, b):
+    """Bland's phase 1 pivoted entirely in ``fractions.Fraction`` arithmetic:
+    the reference that :func:`solve_equality_feasibility` is judged against.
+    Slow (hours at the 6x6 scaling scenario), but it needs no float step."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = [[Fraction(v) for v in row] for row in a]
+    rhs = [Fraction(v) for v in b]
+
+    # Track sign flips so the Farkas vector refers to the original rows.
+    flip = [1] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            flip[i] = -1
+
+    # Tableau columns: n structural + m artificial + rhs.
+    # basis[i] is the variable index currently basic in row i.
+    width = n + m
+    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+
+    # Phase-1 objective row: reduced costs of min sum(artificials), i.e.
+    # z_j - c_j = sum of rows for structural columns, 0 for artificials.
+    obj = [Fraction(0)] * (width + 1)
+    for i in range(m):
+        for j in range(n):
+            obj[j] += tab[i][j]
+        obj[width] += tab[i][width]
+
+    def pivot(row: int, col: int) -> None:
+        piv = tab[row][col]
+        tab[row] = [v / piv for v in tab[row]]
+        for r in range(m):
+            if r != row and tab[r][col] != 0:
+                f = tab[r][col]
+                tab[r] = [v - f * w for v, w in zip(tab[r], tab[row])]
+        if obj[col] != 0:
+            f = obj[col]
+            for j in range(width + 1):
+                obj[j] -= f * tab[row][j]
+        basis[row] = col
+
+    while True:
+        # Bland: entering = lowest-index column with positive reduced cost
+        # (we maximize -sum(artificials), stored so positive obj means improve).
+        enter = next((j for j in range(width) if obj[j] > 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width] / tab[i][enter]
+                key = (ratio, basis[i], i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            raise ArithmeticError("phase-1 objective unbounded; constraint bug")
+        pivot(best[2], enter)
+
+    residual = obj[width]  # = sum of artificial values at optimum
+    if residual > 0:
+        # The objective row stores z_j - c_j.  Under artificial column i,
+        # z_j = y_i and c_j = 1, so the dual is y_i = obj[n+i] + 1; flips
+        # map it back to the original row orientation.  Phase-1 optimality
+        # then gives y.A <= 0 on structural columns while y.b > 0.  The
+        # flips cancel in the products: y.A_j = obj[j] on structural
+        # columns, and y.b = c_B x_B is the sum of the artificials.
+        y = tuple(flip[i] * (obj[n + i] + 1) for i in range(m))
+        max_ya = max(obj[:n], default=Fraction(0))
+        return InfeasibleCertificate(y=y, infeasibility_gap=residual, max_ya=max_ya)
+
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][width]
+    return FeasibleSolution(x=tuple(x))
 
 
 def check_farkas(a, b, cert):
@@ -88,8 +169,7 @@ class TestSmallSystems:
         assert r.feasible
         check_solution(a, b, r)
 
-    def test_fraction_rows_are_certified_without_the_fallback(self, monkeypatch):
-        monkeypatch.setattr(simplex, "_bland", None)
+    def test_fraction_rows_are_certified_without_the_fallback(self):
         a = [[Fraction(1, 3), Fraction(1, 7)], [Fraction(-1, 2), Fraction(5, 6)]]
         for b in ([Fraction(22, 21), Fraction(1, 3)], [Fraction(1), Fraction(-4)]):
             r = solve_equality_feasibility(a, b)
@@ -184,11 +264,18 @@ def probability_systems(draw):
 
 
 @given(st.one_of(integer_systems(), probability_systems()))
-def test_equals_the_exact_bland_simplex(system):
+def test_agrees_with_the_exact_bland_simplex(system):
+    """The float-proposed basis need not be Bland's, so x and y may differ
+    from the reference; the status and the phase-1 optimum y.b may not."""
     a, b = system
     r = solve_equality_feasibility(a, b)
-    assert r == _bland(a, b)
-    (check_solution if r.feasible else check_farkas)(a, b, r)
+    ref = _bland(a, b)
+    assert r.feasible == ref.feasible
+    if r.feasible:
+        check_solution(a, b, r)
+    else:
+        assert r.infeasibility_gap == ref.infeasibility_gap
+        check_farkas(a, b, r)
 
 
 # x0 + x1 = 0 and x0 - x1 = 2 have no nonnegative solution; the basis of
@@ -208,15 +295,8 @@ FEASIBLE_SYSTEM = ([[1, 2, 0], [0, 1, 1]], [3, 2])
     ],
     ids=["no-proposal", "singular-basis", "negative-entry", "no-proposal-feasible", "singular-feasible"],
 )
-def test_a_rejected_proposal_falls_back_to_bland(monkeypatch, basis, system):
-    a, b = system
-    calls = []
-
-    def bland(a, b):
-        calls.append(1)
-        return _bland(a, b)
-
+def test_a_rejected_proposal_is_undecidable(monkeypatch, basis, system):
     monkeypatch.setattr(simplex, "_propose_basis", lambda a, b, flip: basis)
-    monkeypatch.setattr(simplex, "_bland", bland)
-    assert solve_equality_feasibility(a, b) == _bland(a, b)
-    assert calls == [1]
+    cause = "proposed no final basis" if basis is None else "failed exact certification"
+    with pytest.raises(NumericalAmbiguity, match=cause):
+        solve_equality_feasibility(*system)
