@@ -3,7 +3,7 @@
 Each check ends the same way: a residual compared against a bound, then a
 verdict.  :meth:`Check.judged` is the one place where a number becomes a
 verdict (``residual <= bound`` passes, so a NaN residual fails); the bound
-is ``tol``, ``cluster_gap`` or an entry of the tolerance table in
+is ``tol``, ``cluster_gap`` or derived from the tolerance table in
 :mod:`nogo_lab.opcore`.  A composite (:meth:`Check.composite`: the steps
 of a chain, the trials of a batch; :func:`fold`: a rule's instances) passes
 iff every part passes and carries the residual and bound of its worst part,
@@ -30,8 +30,8 @@ EXPECTED = "expected"
 @dataclass(frozen=True)
 class Check:
     """Outcome of one check: residual, verdict, the bound they were judged
-    against (``None`` for an exact decision that compares no residual) and
-    the parts behind it.
+    against (``None`` only for the exact no-admissible-assignments verdict
+    of feasibility, which compares no residual) and the parts behind it.
 
     ``witness`` carries a state realizing a trace asymmetry when the verdict
     is ``hypothesis-violated``.

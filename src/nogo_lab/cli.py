@@ -42,6 +42,7 @@ from . import __version__, fileio, hvmodel, nogo
 from .check import PASS, Check
 from .errors import ConfigError, NogoLabError, NumericalAmbiguity
 from .feasibility import (
+    RATIONALIZATION_BOUND,
     chsh_scenario,
     chsh_shape,
     chsh_value,
@@ -186,8 +187,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     result = hv_feasibility(scenario)
     check = Check(
         f"classical model existence for {scenario.name}",
-        0.0,
+        float(result.margin),
         PASS if result.feasible else result.status,
+        None if result.status == "no-admissible-assignments" else float(RATIONALIZATION_BOUND),
         rule="assignment-feasibility",
     )
     if result.feasible:

@@ -75,9 +75,9 @@ class SearchSpaceTooLarge(ScenarioError):
 
 
 class NumericalAmbiguity(NogoLabError):
-    """A quantum probability sits too close to a feasibility boundary for
-    the rationalized verdict to be trusted, or the float simplex found no
-    basis that the exact check accepts."""
+    """An infeasibility's Farkas margin is within the rounding bound of the
+    quantum statistics, so the rationalized verdict cannot be trusted, or
+    the float simplex found no basis that the exact check accepts."""
 
 
 class FormatError(NogoLabError):

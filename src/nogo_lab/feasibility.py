@@ -15,7 +15,9 @@ then splits into two exact steps:
 Dichotomic observables ride the same constraint pipeline as projectors via
 their +1 spectral projector (X = P+ - P-), which is what lets one solver
 serve CHSH, coloring scenarios, parity squares, and state-forced parity
-games alike.  The CHSH quantity and its exact classical bound live here too.
+games alike, with one boundary rule for every verdict: the Farkas margin
+against ``RATIONALIZATION_BOUND`` (:func:`hv_feasibility`).  The CHSH
+quantity and its exact classical bound live here too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import (
     WrongScenarioShape,
 )
 from .opcore import (
-    AMBIGUITY_MARGIN,
     BUILT_TOL,
     CLUSTER_GAP,
     COARSE_TOL,
@@ -66,7 +67,7 @@ __all__ = [
     "setting_side2",
     "chsh_scenario",
     "DEFAULT_DENOMINATOR",
-    "AMBIGUITY_MARGIN",
+    "RATIONALIZATION_BOUND",
     "MAX_ASSIGNMENT_SPACE",
 ]
 
@@ -74,6 +75,9 @@ PROJECTOR = "projector"
 DICHOTOMIC = "dichotomic"
 
 DEFAULT_DENOMINATOR = 10**9
+# Max-norm distance from the quantum statistics to their rational rounding:
+# half a step of the denominator plus the error of the traces computing them.
+RATIONALIZATION_BOUND = Fraction(1, 2 * DEFAULT_DENOMINATOR) + Fraction(BUILT_TOL)
 MAX_ASSIGNMENT_SPACE = 2**24
 
 
@@ -272,7 +276,9 @@ class FeasibilityResult:
     infeasible, ``violated_constraint`` names an aggregate constraint (a
     rational combination of the imposed marginals/joints) together with the
     largest value any assignment distribution can reach and the value the
-    quantum state requires.
+    quantum state requires, and ``margin`` is the max-norm distance that
+    the Farkas dual proves from every classical statistic vector to the
+    rounded quantum one (0 unless infeasible).
     """
 
     status: str  # "feasible" | "infeasible" | "no-admissible-assignments"
@@ -281,6 +287,7 @@ class FeasibilityResult:
     violated_constraint: Optional[str] = None
     required: Optional[Fraction] = None
     max_attainable: Optional[Fraction] = None
+    margin: Fraction = Fraction(0)
 
     @property
     def feasible(self) -> bool:
@@ -317,13 +324,13 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     reproduces the state's marginals and in-context joints.
 
     Quantum probabilities are rounded to rationals with denominator
-    ``DEFAULT_DENOMINATOR`` before the exact solve.  :class:`NumericalAmbiguity`
-    is raised when the instance sits within ``AMBIGUITY_MARGIN`` of the
-    feasible/infeasible boundary, where rounding could flip the verdict:
-    for CHSH-shaped scenarios that is measured as the distance of the four
-    correlation combinations from the classical bound, and in general as
-    the depth of an infeasibility smaller than the margin.  The simplex
-    raises it too, when no float basis passes its exact check.
+    ``DEFAULT_DENOMINATOR``, within ``RATIONALIZATION_BOUND`` of the quantum
+    values, before the exact solve.  "Feasible" means an exact classical
+    model exists for statistics within that bound.  An infeasible verdict
+    stands when its Farkas margin exceeds the bound; otherwise rounding
+    could have made the instance infeasible, and :class:`NumericalAmbiguity`
+    is raised.  The simplex raises it too, when no float basis passes its
+    exact check.
     """
     if s.state is None:
         raise ScenarioError("feasibility needs a scenario state")
@@ -331,15 +338,6 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     assignments = enumerate_assignments(s)
     if not assignments:
         return FeasibilityResult(status="no-admissible-assignments", labels=labels)
-
-    shape = chsh_shape(s)
-    if shape is not None:
-        boundary = min(abs(2.0 - abs(v)) for v in _scenario_combinations(s, shape))
-        if boundary <= AMBIGUITY_MARGIN:
-            raise NumericalAmbiguity(
-                f"a correlation combination sits {boundary:.2e} from the "
-                f"classical bound 2; rounding could flip the verdict"
-            )
 
     constraints = _quantum_constraints(s)
     position = {l: i for i, l in enumerate(labels)}
@@ -360,10 +358,14 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
         )
         return FeasibilityResult(status="feasible", labels=labels, certificate=cert)
 
-    if float(result.infeasibility_gap) <= AMBIGUITY_MARGIN:
+    # A classical statistic vector c = A x, x >= 0, has y.c <= 0 < y.b and
+    # the exact normalization c[0] = b[0], so y[1:].(b - c)[1:] >= y.b: it
+    # lies at least margin = y.b / |y[1:]|_1 from b in the max norm.
+    margin = result.infeasibility_gap / sum(abs(v) for v in result.y[1:])
+    if margin <= RATIONALIZATION_BOUND:
         raise NumericalAmbiguity(
-            f"infeasibility depth {float(result.infeasibility_gap):.2e} is within "
-            f"the ambiguity margin {AMBIGUITY_MARGIN:.1e}"
+            f"Farkas margin {float(margin):.2e} is within the rounding bound "
+            f"{float(RATIONALIZATION_BOUND):.2e} of the quantum statistics"
         )
 
     # Name the violated aggregate: y.(constraints) is a linear functional
@@ -378,6 +380,7 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
         violated_constraint=described,
         required=result.infeasibility_gap,
         max_attainable=result.max_ya,
+        margin=margin,
     )
 
 
@@ -486,20 +489,13 @@ def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]
     return None
 
 
-def _scenario_combinations(
-    s: Scenario, shape: tuple[tuple[str, str], tuple[str, str]]
-) -> list[float]:
-    """:func:`_chsh_combinations` of the scenario state's correlations."""
-    side1, side2 = ([s.items[l].mat for l in side] for side in shape)
-    return _chsh_combinations(_correlations(s.state.mat, side1, side2))
-
-
 def bch_inequalities_hold(s: Scenario) -> bool:
     """True iff all eight |+-E+-E+-E+-E| <= 2 constraints hold."""
     shape = chsh_shape(s)
     if shape is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    return all(abs(v) <= 2.0 for v in _scenario_combinations(s, shape))
+    e = _correlations(s.state.mat, *([s.items[l].mat for l in side] for side in shape))
+    return all(abs(v) <= 2.0 for v in _chsh_combinations(e))
 
 
 def classical_chsh_bound(s: Scenario) -> Fraction:

@@ -39,7 +39,7 @@ from .opcore import COARSE_TOL, ROUNDING
 from .quantum import Density, Observable
 
 # Versioned apart: a report change leaves saved files and fixtures at theirs.
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 FILE_SCHEMA_VERSION = 1
 
 __all__ = [

@@ -36,9 +36,9 @@ from . import opcore, rng as rng_mod
 from .check import Check, fold
 from .errors import (
     ConditioningOnNull,
-    NogoLabError,
     NotCommuting,
     NotCommutingFamily,
+    NotProjector,
     OrderViolation,
     UnregisteredObservable,
 )
@@ -348,7 +348,8 @@ def check_model(
     label; the pairwise rules run on every commuting pair of labels, the
     order and conditional rules only when both are projectors.  An instance
     whose precondition fails (an unregistered sum or product, an order that
-    does not hold, conditioning on a null event) is skipped.
+    does not hold, conditioning on a null event) is skipped; other errors
+    propagate.
     """
     found: dict[str, list[Check]] = {rule: [] for rule in _RULES}
 
@@ -358,7 +359,7 @@ def check_model(
     def add_unless_skipped(checker, *args) -> None:
         try:
             add(checker(m, *args))
-        except NogoLabError:
+        except (UnregisteredObservable, OrderViolation, ConditioningOnNull):
             pass
 
     add(check_spectrum_rule(m, cluster_gap))
@@ -381,7 +382,7 @@ def check_model(
             try:
                 pa = Projector.from_matrix(mat_a, tol=opcore.COARSE_TOL)
                 pb = Projector.from_matrix(mat_b, tol=opcore.COARSE_TOL)
-            except NogoLabError:
+            except NotProjector:
                 continue
             for (lo, p_lo), (hi, p_hi) in (((la, pa), (lb, pb)), ((lb, pb), (la, pa))):
                 if leq(p_lo, p_hi, opcore.COARSE_TOL):

@@ -36,7 +36,6 @@ BASIS_TOL = 1e-10  # a projector or eigenbasis computed by one QR or eigh factor
 BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of scenario operators
 COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
 SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
-AMBIGUITY_MARGIN = 1e-6  # nearer the feasibility boundary, rounding probabilities can flip it
 NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
 PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
 
@@ -49,7 +48,6 @@ __all__ = [
     "BUILT_TOL",
     "COARSE_TOL",
     "SEPARATION_TOL",
-    "AMBIGUITY_MARGIN",
     "NULL_EVENT",
     "PIVOT_TOL",
     "floored",

@@ -185,12 +185,13 @@ def conditional_probability(
 ) -> float:
     """Pr[A|B] = tr[DBAB] / tr[DB], clamped to [0, 1].
 
-    Raises :class:`ConditioningOnNull` when tr[DB] <= tol.
+    Raises :class:`ConditioningOnNull` when tr[DB] <= ``NULL_EVENT``;
+    ``tol`` bounds only the [0, 1] test.
     """
     require_same_dim(d.mat, a.mat, b.mat)
     pb = trace_inner(d.mat, b.mat).real
-    if pb <= tol:
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= tol")
+    if pb <= opcore.NULL_EVENT:
+        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
     num = np.trace(d.mat @ b.mat @ a.mat @ b.mat)
     val = num.real / pb
     if abs(num.imag) / pb > tol or val < -tol or val > 1 + tol:
@@ -201,11 +202,12 @@ def conditional_probability(
 
 
 def luders_density(d: Density, b: Projector, tol: float = TOL) -> Density:
-    """Conditioned state BDB / tr[DB]."""
+    """Conditioned state BDB / tr[DB]; null events are refused as in
+    :func:`conditional_probability`, and ``tol`` bounds the state test."""
     require_same_dim(d.mat, b.mat)
     pb = trace_inner(d.mat, b.mat).real
-    if pb <= tol:
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= tol")
+    if pb <= opcore.NULL_EVENT:
+        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
     return Density.from_matrix(b.mat @ d.mat @ b.mat / pb, tol=tol)
 
 

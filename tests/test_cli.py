@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nogo_lab import cli, fileio, nogo, simplex
 from nogo_lab.check import Check
 from nogo_lab.cli import main
+from nogo_lab.errors import NotHermitian
 from nogo_lab.opcore import dag, random_unitary
 from nogo_lab.rng import make_generator
 
@@ -51,7 +52,7 @@ class TestVerifyCommutation:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schemaVersion"] == 3
+        assert report["schemaVersion"] == 4
         assert report["config"]["seed"] == 7
         verdicts = {c["rule"]: c["verdict"] for c in report["checks"]}
         assert verdicts["forced-commutation"] == "pass"
@@ -173,6 +174,16 @@ class TestVerifyConditioning:
 class TestCheckModel:
     def test_bundled_fixture_passes(self):
         assert main(["check-model", "commuting.model"]) == 0
+
+    def test_only_a_failed_precondition_skips_an_instance(self, monkeypatch, capsys):
+        # Any other library error inside a rule checker is an error (exit 2),
+        # not a silently dropped rule.
+        def broken(*args, **kwargs):
+            raise NotHermitian("sum of the pair is not Hermitian")
+
+        monkeypatch.setattr(cli.hvmodel, "check_sum_rule", broken)
+        assert main(["check-model", "commuting.model"]) == 2
+        assert "sum of the pair is not Hermitian" in capsys.readouterr().err
 
     def test_corrupted_weight_flags_marginal_rule(self, tmp_path):
         path = fileio.resolve_input_path("commuting.model")
@@ -403,7 +414,8 @@ class TestStateOverrides:
 
     def test_inconsistent_rounding_is_undecidable_not_infeasible(self):
         # all-1/3 marginals cannot be rounded to a consistent rational set at
-        # the fixed denominator; the boundary guard must refuse to conclude
+        # the fixed denominator, but the Farkas margin of that infeasibility
+        # is within the rounding bound, so no verdict may be concluded
         assert main(["feasibility", "triad-dim3.scenario", "--state", "maximally-mixed"]) == 2
 
 
@@ -488,9 +500,9 @@ def _corpus():
 
 @pytest.mark.parametrize("argv", _corpus())
 def test_every_verdict_agrees_with_its_bound(tmp_path, argv):
-    """Every thresholded report entry carries its bound and passes exactly
-    when its residual is within it; only the exact feasibility decision has
-    no bound."""
+    """Every thresholded report entry, feasibility included, carries its
+    bound and passes exactly when its residual is within it; only the exact
+    no-admissible-assignments verdict has no bound."""
     if argv[1] == "corrupted-weight":
         data = json.loads(Path(fileio.resolve_input_path("commuting.model")).read_text())
         data["weights"][0] += 0.05
@@ -499,9 +511,9 @@ def test_every_verdict_agrees_with_its_bound(tmp_path, argv):
     out = tmp_path / "r.json"
     assert main([*argv, "--format", "structured", "--out", str(out)]) in (0, 1)
     report = json.loads(out.read_text())
-    assert report["schemaVersion"] == 3
+    assert report["schemaVersion"] == 4
     for entry in report["checks"]:
-        if entry["rule"] == "assignment-feasibility":
+        if entry["verdict"] == "no-admissible-assignments":
             assert "bound" not in entry
         else:
             assert (entry["verdict"] in ("pass", "expected")) == (

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nogo_lab import simplex
 from nogo_lab.errors import (
     CrossTalk,
     NotDichotomic,
@@ -16,6 +17,7 @@ from nogo_lab.errors import (
 from nogo_lab.feasibility import (
     DICHOTOMIC,
     PROJECTOR,
+    RATIONALIZATION_BOUND,
     Context,
     bch_inequalities_hold,
     chsh_scenario,
@@ -251,14 +253,26 @@ class TestHvFeasibility:
                     weights_true[k]
                 )
 
-    def test_boundary_instance_raises_ambiguity(self):
-        # Werner mixture tuned so the best combination sits at 2 + 1e-7
-        target = 2.0 + 1e-7
-        p = target / (2 * np.sqrt(2))
+    @pytest.mark.parametrize(
+        "excess, status",
+        [(1e-6, "infeasible"), (1e-7, None), (-1e-7, "feasible")],
+        ids=["above-1e-6", "above-1e-7", "below-1e-7"],
+    )
+    def test_werner_chsh_boundary(self, excess, status):
+        """Werner mixtures tuned so the best combination sits at S = 2 +
+        excess.  Above 2 the Farkas margin is (S - 2)/24: it decides once it
+        exceeds the rounding bound 1.05e-8, and within it no verdict stands.
+        Below 2 the rounded statistics have an exact classical model."""
+        p = (2.0 + excess) / (2 * np.sqrt(2))
         rho = p * singlet_state().mat + (1 - p) * np.eye(4) / 4
         s = chsh_scenario(state=Density.from_matrix(rho))
-        with pytest.raises(NumericalAmbiguity):
-            hv_feasibility(s)
+        if status is None:
+            with pytest.raises(NumericalAmbiguity, match="Farkas margin 4.00e-09"):
+                hv_feasibility(s)
+            return
+        res = hv_feasibility(s)
+        assert res.status == status
+        assert float(res.margin) == pytest.approx(max(excess, 0.0) / 24, rel=0.01)
 
     def test_ghz_parity_game_is_state_forced(self):
         obs = {
@@ -487,11 +501,20 @@ def _rebuilt(s, items=None, contexts=None, state=None):
     )
 
 
+def _decided(s):
+    """The verdict, checked to stand clear of the rounding bound.  The margin
+    itself depends on the final basis (ghz reads 0.0397 or 0.0424 across
+    context orders), so only the verdict is compared."""
+    res = hv_feasibility(s)
+    assert res.feasible or res.margin > RATIONALIZATION_BOUND
+    return res.status
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", INVARIANCE_FIXTURES)
 class TestFeasibilityInvariance:
-    """The verdict (status, not certificate bytes) belongs to the scenario,
-    not to how it is written down."""
+    """The verdict (status, not certificate bytes or margin) belongs to the
+    scenario, not to how it is written down."""
 
     def test_relabeling(self, name, seed):
         s = load_scenario(resolve_input_path(name))
@@ -502,13 +525,13 @@ class TestFeasibilityInvariance:
             Context(tuple(new[l] for l in c.labels), c.product_sign) for c in s.contexts
         ]
         relabeled = _rebuilt(s, items=items, contexts=contexts)
-        assert hv_feasibility(relabeled).status == hv_feasibility(s).status
+        assert _decided(relabeled) == _decided(s)
 
     def test_context_order(self, name, seed):
         s = load_scenario(resolve_input_path(name))
         order = make_generator(seed).permutation(len(s.contexts))
         shuffled = _rebuilt(s, contexts=[s.contexts[i] for i in order])
-        assert hv_feasibility(shuffled).status == hv_feasibility(s).status
+        assert _decided(shuffled) == _decided(s)
 
     def test_unitary_conjugation(self, name, seed):
         s = load_scenario(resolve_input_path(name))
@@ -516,7 +539,7 @@ class TestFeasibilityInvariance:
         items = {l: make_item(l, it.kind, u @ it.mat @ dag(u)) for l, it in s.items.items()}
         state = Density.from_matrix(u @ s.state.mat @ dag(u))
         rotated = _rebuilt(s, items=items, state=state)
-        assert hv_feasibility(rotated).status == hv_feasibility(s).status
+        assert _decided(rotated) == _decided(s)
 
 
 THRESHOLD = 2**-0.5
@@ -543,6 +566,35 @@ def _rational(p):
     return Fraction(round(min(1.0, max(0.0, p)) * 10**9), 10**9)
 
 
+def _lp_rows(s):
+    """Row name -> the labels whose +1 events it intersects (none for the
+    normalization row)."""
+    events = {"normalization": ()}
+    events.update({f"marginal[{l}]": (l,) for l in s.labels})
+    for ctx in s.contexts:
+        for x, y in itertools.combinations(sorted(ctx.labels), 2):
+            events[f"joint[{x},{y}]"] = (x, y)
+    return events
+
+
+def _required(s, involved):
+    """The rationalized probability that every involved item takes +1."""
+    prod = s.state.mat
+    for l in involved:
+        prod = prod @ s.items[l].plus
+    return _rational(np.trace(prod).real)
+
+
+def _aggregate(res):
+    """Row name -> coefficient of the printed aggregate ``(c)*name + ...``."""
+    coeffs = {}
+    for term in res.violated_constraint.split(" + "):
+        coeff, name = term.removeprefix("(").split(")*")
+        assert name not in coeffs, term
+        coeffs[name] = Fraction(coeff)
+    return coeffs
+
+
 def check_certificate(s, res):
     """Feasible: positive weights on admissible assignments that sum to 1 and
     reproduce every rationalized marginal and in-context joint exactly.
@@ -550,17 +602,7 @@ def check_certificate(s, res):
     scenario requires exactly ``required`` > 0, and no admissible assignment
     reaches more than ``max_attainable`` <= 0."""
     pos = {l: i for i, l in enumerate(s.labels)}
-    events = {"normalization": ()}
-    events.update({f"marginal[{l}]": (l,) for l in s.labels})
-    for ctx in s.contexts:
-        for x, y in itertools.combinations(sorted(ctx.labels), 2):
-            events[f"joint[{x},{y}]"] = (x, y)
-
-    def required_value(involved):
-        prod = s.state.mat
-        for l in involved:
-            prod = prod @ s.items[l].plus
-        return _rational(np.trace(prod).real)
+    events = _lp_rows(s)
 
     def occurs(assignment, involved):
         return all(assignment[pos[l]] == 1 for l in involved)
@@ -573,16 +615,13 @@ def check_certificate(s, res):
         assert all(w > 0 for w in weights.values())
         for name, involved in events.items():
             got = sum(w for a, w in weights.items() if occurs(a, involved))
-            assert got == required_value(involved), name
+            assert got == _required(s, involved), name
         return "feasible"
 
     assert res.status == "infeasible"
-    coeffs = {}
-    for term in res.violated_constraint.split(" + "):
-        coeff, name = term.removeprefix("(").split(")*")
-        assert name in events and name not in coeffs, term
-        coeffs[name] = Fraction(coeff)
-    required = sum(c * required_value(events[name]) for name, c in coeffs.items())
+    coeffs = _aggregate(res)
+    assert set(coeffs) <= set(events)
+    required = sum(c * _required(s, events[name]) for name, c in coeffs.items())
     attainable = max(
         sum(c for name, c in coeffs.items() if occurs(a, events[name])) for a in assignments
     )
@@ -625,6 +664,35 @@ CERTIFIED = [
     ("scaling-4x4", 0.5, "feasible"),
     ("scaling-6x6", 0.5, "feasible"),
 ]
+
+
+@pytest.mark.parametrize("name", ["chsh", "ghz", "scaling-3x3"])
+def test_the_margin_is_a_certified_distance(name):
+    """The margin is d = y.b / |y[1:]|_1 for the printed aggregate y, and
+    the max-norm move of the rounded statistics that lowers y.b fastest
+    (each row but the exact normalization against the sign of its
+    coefficient) leaves the exact LP infeasible when it is just under d."""
+    if name == "scaling-3x3":
+        s = scaling_scenario(3, 3, werner_state(1.0))
+    else:
+        s = load_scenario(resolve_input_path(name))
+    res = hv_feasibility(s)
+    y = _aggregate(res)
+    y0 = y.pop("normalization", 0)
+    rows = _lp_rows(s)
+    b = {row: _required(s, involved) for row, involved in rows.items()}
+    yb = y0 * b["normalization"] + sum(c * b[row] for row, c in y.items())
+    assert res.margin == yb / sum(abs(c) for c in y.values())
+    assert res.margin > RATIONALIZATION_BOUND
+
+    t = res.margin * (1 - Fraction(1, 2**10))
+    moved = [b[row] - t * ((y.get(row, 0) > 0) - (y.get(row, 0) < 0)) for row in rows]
+    pos = {l: i for i, l in enumerate(s.labels)}
+    a = [
+        [int(all(x[pos[l]] == 1 for l in involved)) for x in enumerate_assignments(s)]
+        for involved in rows.values()
+    ]
+    assert not simplex.solve_equality_feasibility(a, moved).feasible
 
 
 class TestExactCertificates:

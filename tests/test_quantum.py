@@ -101,6 +101,13 @@ class TestConditionalProbability:
         with pytest.raises(ConditioningOnNull):
             conditional_probability(d, basis_projector(3, 0), b)
 
+    def test_loose_tol_is_not_a_null_event_threshold(self):
+        # tr[DB] = 0.25 is no null event, however loose the comparison tol
+        d = Density.maximally_mixed(4)
+        b = basis_projector(4, 0)
+        assert conditional_probability(d, b, b, tol=0.5) == pytest.approx(1.0)
+        assert opnorm(luders_density(d, b, tol=0.5).mat - b.mat) < 1e-12
+
     @given(st.integers(0, 5000))
     def test_numerator_positive_and_bounded(self, seed):
         gen = make_generator(seed)
