@@ -16,9 +16,10 @@ Four deterministic commands, each a thin call into the library:
 
 This module parses flags, calls the command's library function and
 serializes the :class:`~nogo_lab.check.Check` records it returns
-(:func:`_emit`); it holds no rule logic.  ``_COMMANDS`` is the one flag
-table: each command accepts exactly the flags it reads, and the structured
-report's ``config`` echoes them.
+(:func:`_emit`); it holds no rule logic.  Each handler imports its own
+library layer, so a command loads no other command's modules.
+``_COMMANDS`` is the one flag table: each command accepts exactly the flags
+it reads, and the structured report's ``config`` echoes them.
 
 Exit codes: 0 all checks pass / feasible; 1 a checked property fails or the
 scenario is infeasible; 2 configuration, parse, or validation errors; 3 an
@@ -34,27 +35,19 @@ import math
 import os
 import sys
 import traceback
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import __version__, fileio, hvmodel, nogo
+from . import __version__, fileio
 from .check import PASS, Check
 from .errors import ConfigError, NogoLabError, NumericalAmbiguity
-from .feasibility import (
-    RATIONALIZATION_BOUND,
-    chsh_scenario,
-    chsh_shape,
-    chsh_value,
-    classical_chsh_bound,
-    hv_feasibility,
-    Scenario,
-    make_scenario,
-    singlet_state,
-)
 from .opcore import CLUSTER_GAP, TOL
 from .quantum import Density
 from .rng import MAX_SEED
+
+if TYPE_CHECKING:
+    from .feasibility import Scenario
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -101,7 +94,7 @@ def _emit(args: argparse.Namespace, checks: list[Check], extra: dict | None = No
         seed = getattr(args, "seed", None)
         lines = [f"nogo-lab {args.command}" + ("" if seed is None else f" (seed={seed})")]
         for c in checks:
-            bound = "" if c.bound is None else f" bound={c.bound:.1e}"
+            bound = "" if c.bound is None else f" bound={c.bound:.3e}"
             lines.append(f"  [{c.verdict:>9}] {c.name}  residual={c.residual:.3e}{bound}")
         for key, val in (extra or {}).items():
             lines.append(f"  {key}: {val}")
@@ -120,22 +113,30 @@ def _emit(args: argparse.Namespace, checks: list[Check], extra: dict | None = No
 
 def cmd_verify_commutation(args: argparse.Namespace) -> int:
     """Both forced-commutation routes on random pairs."""
+    from . import nogo
+
     checks, tallies = nogo.commutation_batch(args.seed, args.dim, args.trials, args.tol)
     return _emit(args, checks, extra={"verdictCounts": tallies})
 
 
 def cmd_verify_conditioning(args: argparse.Namespace) -> int:
     """Uniqueness of the conditioned state on random (state, projector) pairs."""
+    from . import nogo
+
     return _emit(args, [nogo.conditioning_batch(args.seed, args.dim, args.trials, args.tol)])
 
 
 def cmd_check_model(args: argparse.Namespace) -> int:
     """Every axiom checker on a model file; exit 1 on any flagged rule."""
+    from . import hvmodel
+
     model = fileio.load_model(fileio.resolve_input_path(args.path))
     return _emit(args, hvmodel.check_model(model, args.tol, args.cluster_gap))
 
 
 def _named_state(name: str, dim: int) -> Density:
+    from .feasibility import singlet_state
+
     if name == "singlet":
         if dim != 4:
             raise ConfigError(f"state 'singlet' needs a 4-dimensional scenario, got {dim}")
@@ -156,6 +157,8 @@ def _named_state(name: str, dim: int) -> Density:
 
 
 def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
+    from .feasibility import chsh_scenario, chsh_shape, make_scenario
+
     if args.angles is not None:
         if chsh_shape(scenario) is None:
             raise ConfigError("--angles only applies to 2x2 dichotomic scenarios")
@@ -171,6 +174,14 @@ def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     """Classical-model existence for a scenario; exit 0 feasible, 1 not."""
+    from .feasibility import (
+        RATIONALIZATION_BOUND,
+        chsh_shape,
+        chsh_value,
+        classical_chsh_bound,
+        hv_feasibility,
+    )
+
     path = fileio.resolve_input_path(args.path)
     scenario = _apply_overrides(args, fileio.load_scenario(path))
     if scenario.state is None:

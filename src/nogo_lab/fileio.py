@@ -10,6 +10,10 @@ One JSON family serves all artifacts, discriminated by ``kind``:
 * reports      - produced by the CLI; canonical bytes via :func:`report_bytes`
   so identical configurations yield identical files.
 
+The scenario and model loaders import their layers (``feasibility``,
+``hvmodel``) when called, so reading a state or writing a report loads
+neither.
+
 Complex numbers are two-element ``[re, im]`` arrays (plain reals accepted on
 input); matrices are row-major nested arrays.  Parse failures raise
 :class:`FormatError` naming the offending field.
@@ -22,21 +26,17 @@ import os
 import sys
 from collections import Counter
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .feasibility import (
-    DICHOTOMIC,
-    PROJECTOR,
-    Context,
-    Scenario,
-    make_item,
-    make_scenario,
-)
-from .hvmodel import HVModel, PhaseSpace
 from .opcore import COARSE_TOL, ROUNDING
 from .quantum import Density, Observable
+
+if TYPE_CHECKING:
+    from .feasibility import Scenario
+    from .hvmodel import HVModel
 
 # Versioned apart: a report change leaves saved files and fixtures at theirs.
 REPORT_SCHEMA_VERSION = 4
@@ -45,7 +45,6 @@ FILE_SCHEMA_VERSION = 1
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "FILE_SCHEMA_VERSION",
-    "matrix_to_json",
     "matrix_from_json",
     "load_scenario",
     "load_model",
@@ -54,14 +53,6 @@ __all__ = [
     "bundled_names",
     "report_bytes",
 ]
-
-
-def _complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_json(complex(v)) for v in row] for row in np.asarray(m)]
 
 
 def _is_number(v) -> bool:
@@ -133,6 +124,8 @@ def _load_json(path: str) -> dict:
 
 
 def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
+    from .feasibility import DICHOTOMIC, PROJECTOR, Context, make_item, make_scenario
+
     dim = _require(data, "dim", where)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FormatError(f"{where}: dim must be a positive integer")
@@ -206,6 +199,8 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     Structural validation only: weights that fail the measure axioms or
     table values off the spectrum load fine and are the checkers' business.
     """
+    from .hvmodel import HVModel, PhaseSpace
+
     dim = _require(data, "dim", where)
     state = Density.from_matrix(
         matrix_from_json(_require(data, "state", where), f"{where}.state"), tol=COARSE_TOL

@@ -91,11 +91,15 @@ def random_noncommuting_pair(
     gen: np.random.Generator, dim: int, min_comm: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random projector matrices with commutator norm above ``min_comm``, by
-    rejection; each draw takes both ranks, then both projectors."""
+    rejection; each draw takes both ranks, then both projectors.  The test
+    runs an SVD only when ||C||_F/sqrt(dim) <= opnorm(C) <= ||C||_F leaves it
+    open: a bound past ``min_comm`` by a factor 2 decides it."""
     for _ in range(1000):
         ranks = [int(gen.integers(1, dim)) for _ in range(2)]
         a, b = (opcore.random_projector_matrix(gen, dim, r) for r in ranks)
-        if opcore.commutator_norm(a, b) > min_comm:
+        c = a @ b - b @ a
+        if (np.linalg.norm(c) / math.sqrt(dim) > 2 * min_comm
+                or opcore.guard_opnorm(c, min_comm) > min_comm):
             return a, b
     raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 
@@ -103,39 +107,49 @@ def random_noncommuting_pair(
 class PairStack:
     """Projector pairs stacked ``(n, d, d)``, with every quantity the two
     forced-commutation routes share computed once: the projector test's
-    defects, AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA), its
-    witness states with their state-test defects, and opnorm(AB - BA)."""
+    defects (guard values at ``tol``, the finest tolerance the pairs are
+    tested at), AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA)
+    and opnorm(AB - BA); witness states only on first use."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray, tol: float = TOL):
         self.a, self.b = a, b
-        self.defects = projector_defects(a), projector_defects(b)
+        self.defects = projector_defects(a, tol), projector_defects(b, tol)
         self.ab, self.ba = a @ b, b @ a
         self.aba, self.bab = self.ab @ a, self.ba @ b
         self.sandwich = self.bab - self.aba
         self.gap = opnorm(self.sandwich)
         self.commutator_norm = opnorm(self.ab - self.ba)
-        self.witnesses = opcore.top_eigenprojector(self.sandwich)
-        self.witness_defects = density_defects(self.witnesses)
+        self._witnesses: dict[int, tuple] = {}
 
     @classmethod
-    def of(cls, a: Projector, b: Projector) -> "PairStack":
+    def of(cls, a: Projector, b: Projector, tol: float = TOL) -> "PairStack":
         opcore.require_same_dim(a.mat, b.mat)
-        return cls(a.mat[None], b.mat[None])
+        return cls(a.mat[None], b.mat[None], tol)
 
     def require_projectors(self, i: int, tol: float) -> None:
-        """:meth:`Projector.from_matrix`'s test of pair ``i`` at ``tol``, A
-        first: raises :class:`NotProjector` on failure."""
+        """:meth:`Projector.from_matrix`'s test of pair ``i`` at ``tol``, no
+        finer than the stack's, A first: raises :class:`NotProjector` on
+        failure."""
         for defects in self.defects:
             projector_rank(self.a.shape[-1], *(x[i] for x in defects), tol)
 
     def witness(self, i: int, tol: float) -> Density:
         """Pair ``i``'s state of :func:`trace_symmetry_gap`: maximally mixed
-        when the gap is at most ``tol``, else its witness, state-tested."""
+        when the gap is at most ``tol``, else its witness, state-tested.  The
+        first call builds the witness of every pair whose gap exceeds
+        ``tol``, in one stacked call."""
         dim = self.a.shape[-1]
         if self.gap[i] <= tol:
             return Density.maximally_mixed(dim)
-        require_density(dim, *(x[i] for x in self.witness_defects), TOL)
-        return Density(self.witnesses[i])
+        if i not in self._witnesses:
+            idx = np.flatnonzero(self.gap > tol)
+            states = opcore.top_eigenprojector(self.sandwich[idx])
+            defects = density_defects(states, TOL)
+            for k, j in enumerate(idx.tolist()):
+                self._witnesses[j] = states[k], [x[k] for x in defects]
+        state, defects = self._witnesses[i]
+        require_density(dim, *defects, TOL)
+        return Density(state)
 
 
 def trace_symmetry_gap(a: Projector, b: Projector, tol: float = TOL) -> tuple[float, Density]:
@@ -145,7 +159,7 @@ def trace_symmetry_gap(a: Projector, b: Projector, tol: float = TOL) -> tuple[fl
     eigenprojector of BAB - ABA realizing it (the maximally mixed state when
     the gap is zero).
     """
-    pairs = PairStack.of(a, b)
+    pairs = PairStack.of(a, b, tol)
     return float(pairs.gap[0]), pairs.witness(0, tol)
 
 
@@ -192,7 +206,7 @@ def check_forced_commutation(a: Projector, b: Projector, tol: float = TOL) -> Ch
     When the hypothesis fails, the verdict is ``hypothesis-violated`` and the
     witness state shows the trace symmetry cannot hold for all states.
     """
-    [check] = forced_commutation_stack(PairStack.of(a, b), tol)
+    [check] = forced_commutation_stack(PairStack.of(a, b, tol), tol)
     return check
 
 
@@ -257,7 +271,7 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     from {A, B, A~, B~} - turns it into A = BAB + B~ A B~, from which
     AB = BAB = BA follows by multiplying with B on either side.
     """
-    [check] = forced_commutation_alt_stack(PairStack.of(a, b), tol)
+    [check] = forced_commutation_alt_stack(PairStack.of(a, b, tol), tol)
     return check
 
 
@@ -343,9 +357,9 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
         kernel[idx] = opnorm(d_b[idx] @ np.array([complements[i] for i in idx]))
     gap, sep, below_defect = _separation(rho, d_b, b)
 
-    luders, rho_defects = density_defects(d_b), density_defects(rho)
-    c_defects = projector_defects(c)
     basis_tol = opcore.floored(tol, opcore.BASIS_TOL)
+    luders, rho_defects = density_defects(d_b, tol), density_defects(rho, opcore.BUILT_TOL)
+    c_defects = projector_defects(c, basis_tol)
     k = c.shape[1]
     for i in range(n):
         if pb[i] <= opcore.NULL_EVENT:
@@ -439,7 +453,8 @@ def commutation_batch(
         gens = (trial_generator(seed, t) for t in block)
         samplers = (random_commuting_pair, random_noncommuting_pair)
         drawn = (f(gen, dim) for gen in gens for f in samplers)  # both from one generator
-        pairs = PairStack(*(np.array(side) for side in zip(*drawn)))
+        # The routes test the pairs at tol, the sampler's test at BUILT_TOL.
+        pairs = PairStack(*(np.array(side) for side in zip(*drawn)), min(tol, opcore.BUILT_TOL))
         first = iter(forced_commutation_stack(pairs, tol))
         second = iter(forced_commutation_alt_stack(pairs, tol))
         for i in range(len(pairs.a)):
@@ -501,7 +516,7 @@ def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Ch
             b.append(opcore.random_projector_matrix(gen, dim, rank))
             samples.append(_draw_samples(gen, rank, SAMPLES))
         d, b = np.array(d), np.array(b)
-        states, projectors = density_defects(d), projector_defects(b)
+        states, projectors = density_defects(d, TOL), projector_defects(b, opcore.BUILT_TOL)
         checks = iter(conditional_uniqueness_stack(d, b, samples, tol))
         for i in range(len(block)):
             require_density(dim, *(x[i] for x in states), TOL)  # the sampler's tests

@@ -25,7 +25,6 @@ from .opcore import (
     as_operator,
     dag,
     identity,
-    opnorm,
     require_same_dim,
     trace_inner,
 )
@@ -45,10 +44,13 @@ __all__ = [
 ]
 
 
-def projector_defects(m: np.ndarray) -> tuple:
+def projector_defects(m: np.ndarray, tol: float = TOL) -> tuple:
     """Hermitian and idempotence defects and real trace of a matrix, or of
-    each matrix of a stack: the numbers :meth:`Projector.from_matrix` judges."""
-    return opcore.hermitian_defect(m), opnorm(m @ m - m), opcore.trace(m).real
+    each matrix of a stack: the numbers :meth:`Projector.from_matrix` judges
+    at ``tol``.  The defects are :func:`~nogo_lab.opcore.guard_opnorm`
+    values, so they give the exact verdict at ``tol`` or any coarser bound."""
+    guard = opcore.guard_opnorm
+    return guard(m - dag(m), tol), guard(m @ m - m, tol), opcore.trace(m).real
 
 
 def projector_rank(dim: int, herm: float, idem: float, tr: float, tol: float = TOL) -> int:
@@ -64,11 +66,12 @@ def projector_rank(dim: int, herm: float, idem: float, tr: float, tol: float = T
     return rank
 
 
-def density_defects(m: np.ndarray) -> tuple:
+def density_defects(m: np.ndarray, tol: float = TOL) -> tuple:
     """Hermitian defect, least eigenvalue and real trace of a matrix, or of
-    each matrix of a stack: the numbers :meth:`Density.from_matrix` judges."""
+    each matrix of a stack: the numbers :meth:`Density.from_matrix` judges
+    at ``tol``, the defect a guard value as in :func:`projector_defects`."""
     least = np.linalg.eigvalsh((m + dag(m)) / 2).min(axis=-1)
-    return opcore.hermitian_defect(m), least, opcore.trace(m).real
+    return opcore.guard_opnorm(m - dag(m), tol), least, opcore.trace(m).real
 
 
 def require_density(dim: int, herm: float, least: float, tr: float, tol: float = TOL) -> None:
@@ -92,7 +95,7 @@ class Projector:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "Projector":
         m = as_operator(m)
-        return cls(mat=m, rank=projector_rank(m.shape[0], *projector_defects(m), tol))
+        return cls(mat=m, rank=projector_rank(m.shape[0], *projector_defects(m, tol), tol))
 
     @classmethod
     def from_ray(cls, vec, tol: float = TOL) -> "Projector":
@@ -126,7 +129,7 @@ class Density:
     @classmethod
     def from_matrix(cls, m, tol: float = TOL) -> "Density":
         m = as_operator(m)
-        require_density(m.shape[0], *density_defects(m), tol)
+        require_density(m.shape[0], *density_defects(m, tol), tol)
         return cls(mat=m)
 
     @classmethod
@@ -214,7 +217,5 @@ def luders_density(d: Density, b: Projector, tol: float = TOL) -> Density:
 def leq(a: Projector, b: Projector, tol: float = TOL) -> bool:
     """Projector order: A <= B iff AB = BA = A."""
     require_same_dim(a.mat, b.mat)
-    return (
-        opnorm(a.mat @ b.mat - a.mat) <= tol
-        and opnorm(b.mat @ a.mat - a.mat) <= tol
-    )
+    guard = opcore.guard_opnorm
+    return guard(a.mat @ b.mat - a.mat, tol) <= tol and guard(b.mat @ a.mat - a.mat, tol) <= tol

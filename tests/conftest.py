@@ -27,6 +27,16 @@ def noncommuting_projector_pair(gen, dim, min_comm=0.05):
     return tuple(Projector.from_matrix(m, opcore.BUILT_TOL) for m in pair)
 
 
+# Test-only builders: no command writes a matrix or draws a plain Hermitian.
+def matrix_to_json(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in map(complex, row)] for row in np.asarray(m)]
+
+
+def random_hermitian(gen, dim: int) -> np.ndarray:
+    g = opcore.complex_gaussian(gen, dim, dim)
+    return (g + opcore.dag(g)) / 2
+
+
 def qr_projector(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
     """QQ† with Q the QR factor of basis @ G: the conditioning batch's C <= B,
     for one basis of range(B) and one Gaussian G."""

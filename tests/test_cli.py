@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nogo_lab import cli, fileio, nogo, simplex
+from nogo_lab import cli, fileio, hvmodel, nogo, simplex
 from nogo_lab.check import Check
 from nogo_lab.cli import main
 from nogo_lab.errors import NotHermitian
 from nogo_lab.opcore import dag, random_unitary
 from nogo_lab.rng import make_generator
+
+from conftest import matrix_to_json
 
 
 def run_cli(*args):
@@ -181,7 +183,7 @@ class TestCheckModel:
         def broken(*args, **kwargs):
             raise NotHermitian("sum of the pair is not Hermitian")
 
-        monkeypatch.setattr(cli.hvmodel, "check_sum_rule", broken)
+        monkeypatch.setattr(hvmodel, "check_sum_rule", broken)
         assert main(["check-model", "commuting.model"]) == 2
         assert "sum of the pair is not Hermitian" in capsys.readouterr().err
 
@@ -210,7 +212,7 @@ class TestCheckModel:
         u = random_unitary(make_generator(3), 3)
 
         def rotate(mat):
-            return fileio.matrix_to_json(u @ fileio.matrix_from_json(mat) @ dag(u))
+            return matrix_to_json(u @ fileio.matrix_from_json(mat) @ dag(u))
 
         data["observables"] = {k: rotate(v) for k, v in data["observables"].items()}
         data["state"] = rotate(data["state"])
@@ -230,7 +232,7 @@ class TestCheckModel:
         mismatch; no NaN reaches the report."""
 
         def diag(*d):
-            return fileio.matrix_to_json(np.diag(d))
+            return matrix_to_json(np.diag(d))
 
         model = {
             "kind": "model",
@@ -304,6 +306,11 @@ class TestFeasibilityCommand:
         assert report["chshValue"] == pytest.approx(2.8284271247461903)
         assert report["checks"][0]["verdict"] == "infeasible"
         assert "violatedConstraint" in report
+
+    def test_human_output_prints_the_bound_as_precisely_as_the_residual(self, capsys):
+        # The rounding bound is 1.05e-8; one decimal would print 1.0e-08.
+        assert main(["feasibility", "chsh"]) == 1
+        assert "residual=3.452e-02 bound=1.050e-08" in capsys.readouterr().out
 
     def test_magic_square_has_no_assignments(self, tmp_path):
         out = tmp_path / "r.json"
@@ -531,7 +538,7 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli.hvmodel, "check_model", broken)
+    monkeypatch.setattr(hvmodel, "check_model", broken)
     assert main(["check-model", "commuting.model"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("nogo-lab: internal error:")

@@ -10,12 +10,13 @@ from nogo_lab.fileio import (
     load_model,
     load_scenario,
     matrix_from_json,
-    matrix_to_json,
     resolve_input_path,
 )
 from nogo_lab.hvmodel import build_commuting_model, check_spectrum_rule
 from nogo_lab.opcore import opnorm
 from nogo_lab.quantum import Density, Observable
+
+from conftest import matrix_to_json
 
 
 # Writers for the loaders' round trips.  No command writes a scenario or a

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,6 +13,7 @@ from nogo_lab.nogo import (
     check_conditional_uniqueness,
     check_forced_commutation,
     check_forced_commutation_alt,
+    random_noncommuting_pair,
     trace_symmetry_gap,
 )
 from nogo_lab.opcore import (
@@ -409,3 +412,39 @@ def test_separation_agrees_with_the_matrix_formulas(dim, generic_b):
     assert np.allclose(sep, np.abs(trace(rho @ p).real - trace(d_b[:, None] @ p).real), rtol=0, atol=1e-12)
     defect = np.maximum(opnorm(p @ bb - p), opnorm(bb @ p - p))
     assert np.allclose(below, defect, rtol=0, atol=1e-12)
+
+
+def _noncommuting_pair_by_svd(gen, dim, min_comm):
+    """:func:`random_noncommuting_pair` with every draw judged by the exact
+    commutator norm: the reference for its bounded test."""
+    for _ in range(1000):
+        ranks = [int(gen.integers(1, dim)) for _ in range(2)]
+        a, b = (random_projector_matrix(gen, dim, r) for r in ranks)
+        if commutator_norm(a, b) > min_comm:
+            return a, b
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32])
+@pytest.mark.parametrize("min_comm", [0.05, 0.2, 0.45, 0.49])
+def test_noncommuting_sampler_accepts_as_the_exact_test(dim, min_comm):
+    # At 0.05 the Frobenius bounds decide most draws; near the largest
+    # commutator norm 1/2, most go to the SVD.
+    for seed in range(10):
+        got = random_noncommuting_pair(make_generator(seed), dim, min_comm)
+        want = _noncommuting_pair_by_svd(make_generator(seed), dim, min_comm)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_a_conditioning_trial_takes_one_svd(monkeypatch):
+    """Of the 23 matrices whose opnorm a dim-32 conditioning trial judges,
+    only the reported kernel norm goes through an SVD; the projector and
+    state tests are decided by their Frobenius bound."""
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a)[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    nogo.conditioning_batch(1, 32, 2)
+    assert sum(math.prod(s) for s in shapes) == 2

@@ -11,8 +11,8 @@ from nogo_lab.opcore import (
     as_operator,
     commutator_norm,
     dag,
+    guard_opnorm,
     opnorm,
-    random_hermitian,
     spectral_decompose,
     top_eigenpair,
     top_eigenprojector,
@@ -21,7 +21,7 @@ from nogo_lab.opcore import (
 from nogo_lab.quantum import density_defects, require_density
 from nogo_lab.rng import make_generator
 
-from conftest import basis_projector, plus_projector
+from conftest import basis_projector, plus_projector, random_hermitian
 
 
 class TestAsOperator:
@@ -239,3 +239,28 @@ def test_stacked_top_eigenpair_matches_the_loop_bit_for_bit(dim):
     assert np.allclose(np.abs(lam), opnorm(stack), rtol=0, atol=1e-12)
     assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-14)
     assert np.allclose(stack @ v[..., None], lam[..., None, None] * v[..., None], atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
+def test_guard_opnorm_is_exact_wherever_the_bound_cannot_decide(tol):
+    """The Frobenius norm where it is at most tol/2, else the exact opnorm,
+    bit for bit; for one matrix and for a stack."""
+    gen = make_generator(31)
+    stack = []
+    for f in (1e-3, 0.4, 0.5 + 1e-3, 1 - 1e-3, 1 + 1e-3, 1.5):
+        g = opcore.complex_gaussian(gen, 4, 4)
+        stack.append(g * (f * tol / opnorm(g)))
+    stack = np.array(stack)
+    fro = np.linalg.norm(stack, axis=(-2, -1))
+    want = np.where(fro <= tol / 2, fro, [opnorm(x) for x in stack])
+    assert np.array_equal(guard_opnorm(stack, tol), want)
+    assert [guard_opnorm(x, tol) for x in stack] == want.tolist()
+    assert fro[0] <= tol / 2 < fro[2:].min()  # both paths are taken
+    assert guard_opnorm(stack.reshape(2, 3, 4, 4), tol).shape == (2, 3)
+
+
+def test_guard_opnorm_does_not_trust_an_underflowed_frobenius_norm():
+    # Entries of 1e-170 square to zero, so the summed Frobenius norm reads 0.
+    x = np.full((4, 4), 1e-170, dtype=complex)
+    assert np.linalg.norm(x) == 0.0
+    assert guard_opnorm(x, 1e-300) == opnorm(x) > 1e-300

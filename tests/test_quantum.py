@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +11,14 @@ from nogo_lab.errors import (
     UnknownEigenvalue,
 )
 from nogo_lab.opcore import (
+    COARSE_TOL,
+    TOL,
+    dag,
     opnorm,
     random_density_matrix,
     random_projector_matrix,
+    random_unitary,
+    trace,
     trace_inner,
 )
 from nogo_lab.quantum import (
@@ -19,8 +26,12 @@ from nogo_lab.quantum import (
     Observable,
     Projector,
     conditional_probability,
+    density_defects,
     leq,
     luders_density,
+    projector_defects,
+    projector_rank,
+    require_density,
     spectral_projector,
 )
 from nogo_lab.rng import make_generator
@@ -190,3 +201,65 @@ def test_order_conditional_collapse():
         d = Density.from_matrix(random_density_matrix(gen, dim))
         expected = trace_inner(d.mat, c.mat).real / trace_inner(d.mat, b.mat).real
         assert conditional_probability(d, c, b) == pytest.approx(expected, abs=1e-9)
+
+
+# Guard values decide as exact opnorms: defects of operator norm f * tol for
+# f on both sides of the bound, and of the bound's factor 2.
+FACTORS = (1e-3, 0.5 - 1e-3, 0.5 + 1e-3, 1 - 1e-3, 1 + 1e-3, 1.5)
+
+
+def _conjugated(gen, diagonal):
+    u = random_unitary(gen, len(diagonal))
+    return u @ np.diag(diagonal).astype(complex) @ dag(u)
+
+
+def _defect_cases(gen, tol):
+    """5 x 5 projector-like and state-like matrices, each with one defect of
+    operator norm f * tol: idempotence (P with one eigenvalue 1 - eps,
+    eps - eps^2 = f tol) or Hermitian (X + iH, opnorm(2iH) = f tol)."""
+    p = _conjugated(gen, [1, 1, 0, 0, 0])
+    d = random_density_matrix(gen, 5)
+    projectors, states = [], []
+    for f in FACTORS:
+        eps = (1 - math.sqrt(1 - 4 * f * tol)) / 2
+        skew = 1j * _conjugated(gen, [f * tol / 2, -0.3 * f * tol, 0.2 * f * tol, 0, 0])
+        projectors += [_conjugated(gen, [1 - eps, 1, 0, 0, 0]), p + skew]
+        states.append(d + skew)
+    return np.array(projectors), np.array(states)
+
+
+def _exact_projector_defects(m):
+    return opnorm(m - dag(m)), opnorm(m @ m - m), trace(m).real
+
+
+def _exact_density_defects(m):
+    return opnorm(m - dag(m)), np.linalg.eigvalsh((m + dag(m)) / 2).min(), trace(m).real
+
+
+def _verdict(judge, defects, tol):
+    try:
+        return judge(5, *defects, tol)
+    except (NotProjector, NotDensity) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-12, TOL, COARSE_TOL, 1e-3])
+def test_guard_defects_decide_as_the_exact_defects(tol):
+    """Every verdict and message of the projector and state tests, on one
+    matrix and on a stack, at the guard's tolerance and a coarser one,
+    equals the SVD path's."""
+    projectors, states = _defect_cases(make_generator(29), tol)
+    verdicts = []
+    for stack, defects, exact, judge in (
+        (projectors, projector_defects, _exact_projector_defects, projector_rank),
+        (states, density_defects, _exact_density_defects, require_density),
+    ):
+        stacked = defects(stack, tol)
+        for i, m in enumerate(stack):
+            for at in (tol, 2 * tol):
+                want = _verdict(judge, exact(m), at)
+                assert _verdict(judge, defects(m, tol), at) == want
+                assert _verdict(judge, [x[i] for x in stacked], at) == want
+                verdicts.append(want)
+    assert any(isinstance(v, tuple) for v in verdicts)
+    assert any(not isinstance(v, tuple) for v in verdicts)
