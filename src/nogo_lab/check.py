@@ -3,14 +3,14 @@
 Each check ends the same way: a residual compared against a bound, then a
 verdict.  :meth:`Check.judged` is the one place where a number becomes a
 verdict (``residual <= bound`` passes, so a NaN residual fails); the bound
-is ``tol``, ``cluster_gap`` or derived from the tolerance table in
-:mod:`nogo_lab.opcore`.  A composite (:meth:`Check.composite`: the steps
-of a chain, the trials of a batch; :func:`fold`: a rule's instances) passes
-iff every part passes and carries the residual and bound of its worst part,
-so no check shows ``residual <= bound`` with a failing verdict.  The same
-record serves chains and batches (:mod:`nogo_lab.nogo`), phase-space rules
-(:mod:`nogo_lab.hvmodel`) and the feasibility verdict; :meth:`Check.as_dict`
-is the entry format of the structured report.
+is ``tol``, ``cluster_gap`` or derived from the tolerance table below, which
+:mod:`nogo_lab.opcore` re-exports.  A composite (:meth:`Check.composite`:
+the steps of a chain, the trials of a batch; :func:`fold`: a rule's
+instances) passes iff every part passes and carries the residual and bound
+of its worst part, so no check shows ``residual <= bound`` with a failing
+verdict.  The same record serves chains and batches (:mod:`nogo_lab.nogo`),
+phase-space rules (:mod:`nogo_lab.hvmodel`) and the feasibility verdict;
+:meth:`Check.as_dict` is the entry format of the structured report.
 """
 
 from __future__ import annotations
@@ -20,6 +20,17 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 __all__ = ["PASS", "FAIL", "HYPOTHESIS_VIOLATED", "EXPECTED", "Check", "fold"]
+
+# Tolerance table: one reason per bound.
+TOL = 1e-9  # default --tol: identities among validated operators, in operator norm
+CLUSTER_GAP = 1e-8  # default --cluster-gap: eigenvalues closer than this are one level
+ROUNDING = 1e-12  # double-precision rounding of a short product of unit-norm matrices
+BASIS_TOL = 1e-10  # a projector or eigenbasis computed by one QR or eigh factorization
+BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of scenario operators
+COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
+SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
+NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
+PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
 
 PASS = "pass"
 FAIL = "fail"

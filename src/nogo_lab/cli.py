@@ -16,14 +16,18 @@ Four deterministic commands, each a thin call into the library:
 
 This module parses flags, calls the command's library function and
 serializes the :class:`~nogo_lab.check.Check` records it returns
-(:func:`_emit`); it holds no rule logic.  Each handler imports its own
-library layer, so a command loads no other command's modules.
+(:func:`_emit`); it holds no rule logic.  Importing it loads no numpy:
+:func:`_settle` checks every flag and :mod:`~nogo_lab.fileio` the structure
+of the input file before a handler imports its own library layer, so
+rejected input exits 2 without the numeric import, a command loads no other
+command's modules, and a failed numeric import is an internal error.
 ``_COMMANDS`` is the one flag table: each command accepts exactly the flags
 it reads, and the structured report's ``config`` echoes them.
 
 Exit codes: 0 all checks pass / feasible; 1 a checked property fails or the
 scenario is infeasible; 2 configuration, parse, or validation errors; 3 an
-internal error (a bug: the traceback goes to stderr).
+internal error (a bug: the traceback goes to stderr).  :func:`main`
+returns the code; :func:`run`, the console script, exits with it.
 Structured reports with the same flags are byte-identical; see
 :mod:`nogo_lab.rng` for the generator contract.
 """
@@ -31,23 +35,21 @@ Structured reports with the same flags are byte-identical; see
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 import traceback
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from . import __version__, fileio
-from .check import PASS, Check
-from .errors import ConfigError, NogoLabError, NumericalAmbiguity
-from .opcore import CLUSTER_GAP, TOL
-from .quantum import Density
+from .check import CLUSTER_GAP, PASS, TOL, Check
+from .errors import ConfigError, DimensionTooSmall, NogoLabError, NumericalAmbiguity
 from .rng import MAX_SEED
 
 if TYPE_CHECKING:
     from .feasibility import Scenario
+    from .quantum import Density
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,6 +57,7 @@ EXIT_ERROR = 2
 EXIT_INTERNAL = 3
 
 MIN_DIM, MAX_DIM = 2, 32
+NAMED_STATES = ("singlet", "maximally-mixed", "ghz")
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -121,6 +124,7 @@ def cmd_verify_commutation(args: argparse.Namespace) -> int:
 
 def cmd_verify_conditioning(args: argparse.Namespace) -> int:
     """Uniqueness of the conditioned state on random (state, projector) pairs."""
+    DimensionTooSmall.require(args.dim)
     from . import nogo
 
     return _emit(args, [nogo.conditioning_batch(args.seed, args.dim, args.trials, args.tol)])
@@ -128,14 +132,15 @@ def cmd_verify_conditioning(args: argparse.Namespace) -> int:
 
 def cmd_check_model(args: argparse.Namespace) -> int:
     """Every axiom checker on a model file; exit 1 on any flagged rule."""
+    model = fileio.load_model(fileio.resolve_input_path(args.path))
     from . import hvmodel
 
-    model = fileio.load_model(fileio.resolve_input_path(args.path))
     return _emit(args, hvmodel.check_model(model, args.tol, args.cluster_gap))
 
 
 def _named_state(name: str, dim: int) -> Density:
     from .feasibility import singlet_state
+    from .quantum import Density
 
     if name == "singlet":
         if dim != 4:
@@ -146,14 +151,9 @@ def _named_state(name: str, dim: int) -> Density:
     if name == "ghz":
         if dim != 8:
             raise ConfigError(f"state 'ghz' needs an 8-dimensional scenario, got {dim}")
-        v = np.zeros(8, dtype=np.complex128)
-        v[0] = v[7] = 1 / np.sqrt(2)
-        return Density.pure(v)
-    if os.path.exists(name):
-        return fileio.load_state(name)
-    raise ConfigError(
-        f"unknown state {name!r}: use singlet, maximally-mixed, ghz, or a file path"
-    )
+        amplitude = 1 / math.sqrt(2)
+        return Density.pure([amplitude, 0, 0, 0, 0, 0, 0, amplitude])
+    return fileio.load_state(name)  # _settle found the file
 
 
 def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
@@ -174,16 +174,11 @@ def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     """Classical-model existence for a scenario; exit 0 feasible, 1 not."""
+    scenario = _apply_overrides(args, fileio.load_scenario(fileio.resolve_input_path(args.path)))
     from .feasibility import (
-        RATIONALIZATION_BOUND,
-        chsh_shape,
-        chsh_value,
-        classical_chsh_bound,
-        hv_feasibility,
+        RATIONALIZATION_BOUND, chsh_shape, chsh_value, classical_chsh_bound, hv_feasibility
     )
 
-    path = fileio.resolve_input_path(args.path)
-    scenario = _apply_overrides(args, fileio.load_scenario(path))
     if scenario.state is None:
         raise ConfigError("scenario has no state; provide one with --state")
 
@@ -300,8 +295,9 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _settle(args: argparse.Namespace) -> None:
-    """Resolve ``--seed`` and ``--angles`` and range-check the flags the
-    command has; argparse has already checked their types and choices."""
+    """Resolve ``--seed`` and ``--angles`` and check the flags the command
+    has, before any file is read; argparse has already checked their types
+    and choices."""
     flags = vars(args)
     if "seed" in flags:
         args.seed = _resolve_seed(args.seed)
@@ -316,6 +312,9 @@ def _settle(args: argparse.Namespace) -> None:
             raise ConfigError(f"--{key.replace('_', '-')} must be positive and finite")
     if flags.get("angles") is not None:
         args.angles = _parse_angles(args.angles)
+    state = flags.get("state")
+    if state is not None and state not in NAMED_STATES and not os.path.exists(state):
+        raise ConfigError(f"unknown state {state!r}: use {', '.join(NAMED_STATES)}, or a file path")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -335,5 +334,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The console script: :func:`main`, then ``gc.freeze()``, so the
+    interpreter's exit-time collections skip every object still alive."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -53,6 +53,15 @@ class OrderViolation(NogoLabError):
 class DimensionTooSmall(NogoLabError):
     """The check requires Hilbert-space dimension >= 3."""
 
+    @classmethod
+    def require(cls, dim: int) -> None:
+        """Conditioning uniqueness needs ``dim`` >= 3; raise otherwise."""
+        if dim < 3:
+            raise cls(
+                "conditioning uniqueness is only meaningful for dimension >= 3 "
+                f"(lattice measures are trace functionals there); got dimension {dim}"
+            )
+
 
 class NotDichotomic(NogoLabError):
     """An observable required to have spectrum in {-1, +1} does not."""

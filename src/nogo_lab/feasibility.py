@@ -23,6 +23,7 @@ quantity and its exact classical bound live here too.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -240,12 +241,8 @@ def enumerate_assignments(s: Scenario) -> list[tuple[int, ...]]:
             vals = [values[position[l]] for l in ctx.labels]
             if ctx.resolves_identity and sum(vals) != 1:
                 return False
-            if ctx.product_sign is not None:
-                prod = 1
-                for v in vals:
-                    prod *= v
-                if prod != ctx.product_sign:
-                    return False
+            if ctx.product_sign is not None and math.prod(vals) != ctx.product_sign:
+                return False
         return True
 
     def recurse(depth: int) -> None:
@@ -524,16 +521,7 @@ def chsh_scenario(
     """
     state = state if state is not None else singlet_state()
     a, a2, b, b2 = angles
-    items = {
-        "A1": make_item("A1", DICHOTOMIC, setting_side1(a)),
-        "A2": make_item("A2", DICHOTOMIC, setting_side1(a2)),
-        "B1": make_item("B1", DICHOTOMIC, setting_side2(b)),
-        "B2": make_item("B2", DICHOTOMIC, setting_side2(b2)),
-    }
-    contexts = [
-        Context(labels=("A1", "B1")),
-        Context(labels=("A1", "B2")),
-        Context(labels=("A2", "B1")),
-        Context(labels=("A2", "B2")),
-    ]
+    mats = (setting_side1(a), setting_side1(a2), setting_side2(b), setting_side2(b2))
+    items = {l: make_item(l, DICHOTOMIC, m) for l, m in zip(("A1", "A2", "B1", "B2"), mats)}
+    contexts = [Context(labels=(x, y)) for x in ("A1", "A2") for y in ("B1", "B2")]
     return make_scenario(4, items, contexts, state=state, name=name)

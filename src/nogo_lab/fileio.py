@@ -10,9 +10,11 @@ One JSON family serves all artifacts, discriminated by ``kind``:
 * reports      - produced by the CLI; canonical bytes via :func:`report_bytes`
   so identical configurations yield identical files.
 
-The scenario and model loaders import their layers (``feasibility``,
-``hvmodel``) when called, so reading a state or writing a report loads
-neither.
+A loader checks the whole file's structure in pure Python first (types,
+finiteness, shapes, label sets, duplicate points, ``productSign``), and only
+then loads numpy and its layer to build the operators and run their numeric
+tests.  So malformed input is rejected without numpy, and a structural fault
+anywhere in a file is reported before a numeric one.
 
 Complex numbers are two-element ``[re, im]`` arrays (plain reals accepted on
 input); matrices are row-major nested arrays.  Parse failures raise
@@ -28,15 +30,15 @@ from collections import Counter
 from importlib import resources
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .check import COARSE_TOL, ROUNDING
 from .errors import ConfigError, FormatError
-from .opcore import COARSE_TOL, ROUNDING
-from .quantum import Density, Observable
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .feasibility import Scenario
     from .hvmodel import HVModel
+    from .quantum import Density
 
 # Versioned apart: a report change leaves saved files and fixtures at theirs.
 REPORT_SCHEMA_VERSION = 4
@@ -64,10 +66,10 @@ def _is_number(v) -> bool:
     )
 
 
-def _numbers_from_json(data, n: int, where: str) -> np.ndarray:
+def _numbers_from_json(data, n: int, where: str) -> list[float]:
     if not isinstance(data, list) or len(data) != n or not all(map(_is_number, data)):
         raise FormatError(f"{where}: expected {n} finite numbers")
-    return np.array([float(v) for v in data])
+    return [float(v) for v in data]
 
 
 def _entry_from_json(v, where: str) -> complex:
@@ -80,22 +82,30 @@ def _entry_from_json(v, where: str) -> complex:
     )
 
 
-def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
+def _rows_from_json(data, where: str) -> list[list[complex]]:
+    """The entries of a square matrix, checked in pure Python."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise FormatError(f"{where}: expected a nested array")
     n = len(data)
     if any(len(r) != n for r in data):
         raise FormatError(f"{where}: matrix must be square")
-    return np.array(
-        [[_entry_from_json(v, where) for v in row] for row in data],
-        dtype=np.complex128,
-    )
+    return [[_entry_from_json(v, where) for v in row] for row in data]
 
 
-def _vector_from_json(data, where: str) -> np.ndarray:
+def _vector_from_json(data, where: str) -> list[complex]:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{where}: expected a nonempty array")
-    return np.array([_entry_from_json(v, where) for v in data], dtype=np.complex128)
+    return [_entry_from_json(v, where) for v in data]
+
+
+def _array(entries, dtype=complex) -> np.ndarray:
+    import numpy as np
+
+    return np.array(entries, dtype=dtype)
+
+
+def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
+    return _array(_rows_from_json(data, where))
 
 
 def _require(obj: dict, key: str, where: str):
@@ -124,8 +134,6 @@ def _load_json(path: str) -> dict:
 
 
 def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
-    from .feasibility import DICHOTOMIC, PROJECTOR, Context, make_item, make_scenario
-
     dim = _require(data, "dim", where)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FormatError(f"{where}: dim must be a positive integer")
@@ -133,28 +141,23 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
     if not isinstance(raw_items, dict) or not raw_items:
         raise FormatError(f"{where}: items must be a nonempty object")
 
-    items = {}
+    specs = {}  # label -> (kind, is a ray, entries)
     for label, spec in raw_items.items():
         iw = f"{where}.items[{label}]"
         if not isinstance(spec, dict):
             raise FormatError(f"{iw}: expected an object")
-        kind = spec.get("kind", PROJECTOR)
-        if kind not in (PROJECTOR, DICHOTOMIC):
-            raise FormatError(f"{iw}: kind must be {PROJECTOR!r} or {DICHOTOMIC!r}")
+        kind = spec.get("kind", "projector")
+        if kind not in ("projector", "dichotomic"):
+            raise FormatError(f"{iw}: kind must be 'projector' or 'dichotomic'")
         if "ray" in spec:
-            v = _vector_from_json(spec["ray"], f"{iw}.ray")
-            if len(v) != dim:
+            entries = _vector_from_json(spec["ray"], f"{iw}.ray")
+            if len(entries) != dim:
                 raise FormatError(f"{iw}.ray: expected length {dim}")
-            norm = np.linalg.norm(v)
-            if norm < ROUNDING:
-                raise FormatError(f"{iw}.ray: zero vector")
-            v = v / norm
-            mat = np.outer(v, v.conj())
         elif "matrix" in spec:
-            mat = matrix_from_json(spec["matrix"], f"{iw}.matrix")
+            entries = _rows_from_json(spec["matrix"], f"{iw}.matrix")
         else:
             raise FormatError(f"{iw}: needs a 'matrix' or a 'ray'")
-        items[label] = make_item(label, kind, mat, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
+        specs[label] = (kind, "ray" in spec, entries)
 
     raw_contexts = data.get("contexts", [])
     if not isinstance(raw_contexts, list):
@@ -170,16 +173,29 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
         sign = raw.get("productSign")
         if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
             raise FormatError(f"{cw}.productSign: must be -1 or 1")
-        contexts.append(Context(labels=tuple(labels), product_sign=sign))
+        contexts.append((tuple(labels), sign))
+    state = data.get("state")
+    state = None if state is None else _rows_from_json(state, f"{where}.state")
 
-    state = None
-    if data.get("state") is not None:
-        state = Density.from_matrix(
-            matrix_from_json(data["state"], f"{where}.state"), tol=COARSE_TOL
-        )
+    import numpy as np
+
+    from .feasibility import Context, make_item, make_scenario
+    from .quantum import Density
+
+    items = {}
+    for label, (kind, is_ray, entries) in specs.items():
+        mat = _array(entries)
+        if is_ray:
+            norm = np.linalg.norm(mat)
+            if norm < ROUNDING:
+                raise FormatError(f"{where}.items[{label}].ray: zero vector")
+            mat = np.outer(mat / norm, (mat / norm).conj())
+        items[label] = make_item(label, kind, mat, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
+    if state is not None:
+        state = Density.from_matrix(_array(state), tol=COARSE_TOL)
     name = data.get("name", os.path.splitext(os.path.basename(where))[0])
-    scenario = make_scenario(dim, items, contexts, state=state, name=name)
-    return scenario
+    contexts = [Context(labels=labels, product_sign=sign) for labels, sign in contexts]
+    return make_scenario(dim, items, contexts, state=state, name=name)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -199,21 +215,16 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     Structural validation only: weights that fail the measure axioms or
     table values off the spectrum load fine and are the checkers' business.
     """
-    from .hvmodel import HVModel, PhaseSpace
-
     dim = _require(data, "dim", where)
-    state = Density.from_matrix(
-        matrix_from_json(_require(data, "state", where), f"{where}.state"), tol=COARSE_TOL
-    )
+    state = _rows_from_json(_require(data, "state", where), f"{where}.state")
     raw_obs = _require(data, "observables", where)
     if not isinstance(raw_obs, dict) or not raw_obs:
         raise FormatError(f"{where}.observables: expected a nonempty object")
     observables = {}
     for label, mat in raw_obs.items():
-        m = matrix_from_json(mat, f"{where}.observables[{label}]")
-        if m.shape[0] != dim:
+        observables[label] = _rows_from_json(mat, f"{where}.observables[{label}]")
+        if len(observables[label]) != dim:
             raise FormatError(f"{where}.observables[{label}]: wrong dimension")
-        observables[label] = Observable.from_matrix(m, tol=COARSE_TOL)
 
     points = _require(data, "points", where)
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
@@ -232,7 +243,14 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
         for label, row in values.items()
     }
 
-    space = PhaseSpace(points=tuple(points), weights=weights)
+    from .hvmodel import HVModel, PhaseSpace
+    from .quantum import Density, Observable
+
+    state = Density.from_matrix(_array(state), tol=COARSE_TOL)
+    for label, rows in observables.items():
+        observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
+    space = PhaseSpace(points=tuple(points), weights=_array(weights, float))
+    table = {label: _array(row, float) for label, row in table.items()}
     return HVModel(space=space, registered=observables, values=table, state=state)
 
 
@@ -250,7 +268,10 @@ def load_state(path: str) -> Density:
     mat = data.get("matrix", data.get("state"))
     if mat is None:
         raise ConfigError(f"state file {path} needs a 'matrix' field")
-    return Density.from_matrix(matrix_from_json(mat, path), tol=COARSE_TOL)
+    mat = matrix_from_json(mat, path)
+    from .quantum import Density
+
+    return Density.from_matrix(mat, tol=COARSE_TOL)
 
 
 # ---------------------------------------------------------------------------

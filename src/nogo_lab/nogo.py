@@ -275,14 +275,6 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     return check
 
 
-def _require_dim(dim: int) -> None:
-    if dim < 3:
-        raise DimensionTooSmall(
-            f"conditioning uniqueness is only meaningful for dimension >= 3 "
-            f"(lattice measures are trace functionals there); got dimension {dim}"
-        )
-
-
 def _range_bases(p: np.ndarray) -> list[np.ndarray]:
     """Orthonormal columns spanning the range of each projector of a stack,
     from one eigh of the stack."""
@@ -335,7 +327,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     projector) trials ``d``, ``b`` of shape ``(n, dim, dim)``, yielded in
     order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
     n, dim = d.shape[:2]
-    _require_dim(dim)
+    DimensionTooSmall.require(dim)
     eye = opcore.identity(dim)
     pb = trace(d @ b).real
     # A trial with a null event B raises before its numbers are used.
@@ -505,7 +497,7 @@ def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Ch
     [1, dim - 1], each with ``SAMPLES`` samples per stage; passes when every
     pair passes, with the residual and bound of the worst step over all
     pairs.  Needs ``dim >= 3``, checked before any draw."""
-    _require_dim(dim)
+    DimensionTooSmall.require(dim)
     chains = []
     for block in _blocks(trials, SAMPLES * dim * dim):
         d, b, samples = [], [], []

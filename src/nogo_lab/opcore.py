@@ -11,9 +11,10 @@ samplers that the property suites and batch commands share.
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
 Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
 library is judged against ``tol`` (``--tol``), ``cluster_gap``
-(``--cluster-gap``), an entry of the tolerance table below, or
-``floored(tol, entry)``; a chain step derives its bound from the bounds of
-the steps it follows (:mod:`nogo_lab.nogo`).  A guard test, one that only
+(``--cluster-gap``), an entry of the tolerance table (defined in
+:mod:`nogo_lab.check`, re-exported here), or ``floored(tol, entry)``; a
+chain step derives its bound from the bounds of the steps it follows
+(:mod:`nogo_lab.nogo`).  A guard test, one that only
 passes or raises (a projector, state or Hermitian test), reads its norm
 through :func:`guard_opnorm`, which skips the SVD wherever the Frobenius
 norm already decides.
@@ -30,19 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .check import (  # noqa: F401
+    BASIS_TOL, BUILT_TOL, CLUSTER_GAP, COARSE_TOL, NULL_EVENT, PIVOT_TOL, ROUNDING, SEPARATION_TOL,
+    TOL,
+)
 from .errors import DimensionMismatch, NotHermitian
-
-# Tolerance table: one reason per bound.
-TOL = 1e-9  # default --tol: identities among validated operators, in operator norm
-CLUSTER_GAP = 1e-8  # default --cluster-gap: eigenvalues closer than this are one level
-ROUNDING = 1e-12  # double-precision rounding of a short product of unit-norm matrices
-BASIS_TOL = 1e-10  # a projector or eigenbasis computed by one QR or eigh factorization
-BUILT_TOL = 1e-8  # matrices built in floating point: sampled pairs, products of scenario operators
-COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividing by tr[DB]
-SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
-NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
-PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
-
 
 __all__ = [
     "TOL",

@@ -69,8 +69,18 @@ def projector_rank(dim: int, herm: float, idem: float, tr: float, tol: float = T
 def density_defects(m: np.ndarray, tol: float = TOL) -> tuple:
     """Hermitian defect, least eigenvalue and real trace of a matrix, or of
     each matrix of a stack: the numbers :meth:`Density.from_matrix` judges
-    at ``tol``, the defect a guard value as in :func:`projector_defects`."""
-    least = np.linalg.eigvalsh((m + dag(m)) / 2).min(axis=-1)
+    at ``tol``, the defect a guard value as in :func:`projector_defects`.
+    The least eigenvalue of H = (m + m†)/2 is a guard value too: ``eigvalsh``'s
+    unless every H + (tol/2)I has a Cholesky factor R and lost = (d+1)²·eps·‖R‖_F²,
+    covering R's rounding (Higham, *Accuracy and Stability*, Thm 10.3) and
+    eigvalsh's, is at most tol/4; then it is the lower bound -tol/2 - lost."""
+    h, d = (m + dag(m)) / 2, m.shape[-1]
+    try:
+        r = np.linalg.cholesky(h + tol / 2 * identity(d))
+        lost = (d + 1) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(r, axis=(-2, -1)) ** 2
+    except np.linalg.LinAlgError:  # an eigenvalue at or below -tol/2
+        lost = np.inf
+    least = -tol / 2 - lost if np.all(lost <= tol / 4) else np.linalg.eigvalsh(h).min(axis=-1)
     return opcore.guard_opnorm(m - dag(m), tol), least, opcore.trace(m).real
 
 

@@ -534,6 +534,20 @@ def test_console_entry_point_smoke():
     assert "nogo-lab" in r.stdout
 
 
+def test_console_script_writes_the_bytes_main_writes(capsysbinary):
+    """``python -m nogo_lab.cli`` runs :func:`cli.run`, which exits with the
+    code of ``main`` after writing the same report bytes."""
+    argv = ["feasibility", "chsh", "--format", "structured"]
+    r = subprocess.run([sys.executable, "-m", "nogo_lab.cli", *argv], capture_output=True)
+    assert main(argv) == r.returncode == 1
+    assert r.stdout == capsysbinary.readouterr().out
+
+
+def test_state_flag_is_checked_before_the_file_is_read(capsys):
+    assert main(["feasibility", "no-such-scenario", "--state", "wat"]) == 2
+    assert capsys.readouterr().err.startswith("nogo-lab: error: unknown state 'wat'")
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nogo_lab import fileio
-from nogo_lab.errors import FormatError
+from nogo_lab.errors import FormatError, NotDensity
 from nogo_lab.feasibility import chsh_scenario, enumerate_assignments
 from nogo_lab.fileio import (
     load_model,
@@ -209,6 +209,21 @@ class TestModelFiles:
         path = tmp_path / "m.model"
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
+            load_model(str(path))
+
+    def test_a_structural_fault_is_reported_before_a_numeric_one(self, tmp_path):
+        """The whole file's structure is checked before any operator is
+        built, so a string weight beats a state that is no density."""
+        data = json.loads(open(resolve_input_path("commuting.model")).read())
+        data["state"][0][0] = [-0.5, 0.0]
+        data["weights"][1] = "a"
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=r"\.weights: expected 3 finite numbers"):
+            load_model(str(path))
+        data["weights"][1] = 0.25
+        path.write_text(json.dumps(data))
+        with pytest.raises(NotDensity, match="negative eigenvalue"):
             load_model(str(path))
 
     def test_kind_mismatch(self, tmp_path):

@@ -1,14 +1,17 @@
-"""Each command loads only its own layer of the package.
+"""Each command loads only its own layer of the package, and rejected input
+loads no numpy.
 
 Every command runs in a fresh interpreter, so nothing another test imported
 counts.  The module needs only the package, so it also runs without pytest:
 ``python tests/test_imports.py``.
 """
 
+import json
 import os
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 
 # argv -> modules the command must not load
 NOT_LOADED = {
@@ -16,25 +19,108 @@ NOT_LOADED = {
     ("verify-commutation", "--dim", "4", "--trials", "2"): ("nogo_lab.simplex", "fractions"),
     ("check-model", "commuting.model"): ("nogo_lab.simplex",),
 }
-PROBE = "import sys; from nogo_lab.cli import main; main(sys.argv[1:]); print(*sorted(sys.modules))"
+PROBE = "import sys; from nogo_lab.cli import main; print(main(sys.argv[1:]), *sorted(sys.modules))"
+# The console script in an interpreter where numpy cannot be imported.
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from nogo_lab.cli import run; run()"
+
+# One field of commuting.model broken: name -> (field path, raw JSON)
+BAD_MODELS = {
+    "weights-string": (("weights", 1), '"a"'),
+    "value-row-null": (("values", "O1", 2), "null"),
+    "state-non-finite": (("state", 0, 0), "[1e999, 0.0]"),
+}
+# Malformed input -> the whole of its stderr ({} is the input's path).
+MALFORMED = {
+    ("feasibility", "{truncated}"): "{}: invalid JSON at line 1, column 31: "
+    "Expecting property name enclosed in double quotes",
+    ("feasibility", "chsh", "--state", "bell-17"): "unknown state 'bell-17': "
+    "use singlet, maximally-mixed, ghz, or a file path",
+    ("feasibility", "chsh", "--angles", "0,90,45"): "--angles expects four "
+    "comma-separated degrees: a,a',b,b'",
+    ("verify-conditioning", "--dim", "2"): "conditioning uniqueness is only meaningful "
+    "for dimension >= 3 (lattice measures are trace functionals there); got dimension 2",
+    ("check-model", "{weights-string}"): "{}.weights: expected 3 finite numbers",
+    ("check-model", "{value-row-null}"): "{}.values[O1]: expected 3 finite numbers",
+    ("check-model", "{state-non-finite}"): "{}.state: matrix entry must be a finite number "
+    "or [re, im], got [inf, 0.0]",
+}
 
 
-def loaded_modules(argv) -> set:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "report")
-        proc = subprocess.run(
-            [sys.executable, "-c", PROBE, *argv, "--out", out], capture_output=True, text=True, check=True
-        )
-    return set(proc.stdout.split())
+def _python(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True)
+
+
+def probe(argv) -> tuple:
+    """(main's exit code, the modules it loaded, its stderr) in a fresh
+    interpreter."""
+    proc = _python("-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded), proc.stderr
+
+
+def malformed_inputs(tmp: str) -> dict:
+    """Input name -> path: the truncated scenario and the three bad models."""
+    paths = {"truncated": os.path.join(tmp, "truncated.scenario")}
+    with open(paths["truncated"], "w", encoding="utf-8") as fh:
+        fh.write('{"kind": "scenario", "dim": 4,')
+    text = (resources.files("nogo_lab") / "scenarios" / "commuting.model").read_text()
+    for name, ((*outer, last), raw) in BAD_MODELS.items():
+        data = json.loads(text)
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = "<raw>"
+        paths[name] = os.path.join(tmp, f"{name}.model")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data).replace('"<raw>"', raw))
+    return paths
 
 
 def test_each_command_loads_only_its_own_layer():
     for argv, banned in NOT_LOADED.items():
-        loaded = loaded_modules(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            _, loaded, _ = probe([*argv, "--out", os.path.join(tmp, "report")])
         assert argv[0] != "feasibility" or "nogo_lab.feasibility" in loaded  # the probe ran
         assert not loaded & set(banned), (argv, sorted(loaded & set(banned)))
 
 
+def test_importing_the_front_end_loads_no_numpy():
+    proc = _python("-c", "import sys, nogo_lab.cli; print('numpy' in sys.modules)")
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def test_malformed_input_exits_2_with_its_message_and_no_numpy():
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = malformed_inputs(tmp)
+        for argv, message in MALFORMED.items():
+            argv = [a.format(**paths) for a in argv]
+            path = next((a for a in argv if a.startswith(tmp)), None)
+            code, loaded, err = probe(argv)
+            assert (code, err) == (2, f"nogo-lab: error: {message.format(path)}\n"), argv
+            assert "numpy" not in loaded, argv
+
+
+def test_a_failed_numeric_import_is_an_internal_error():
+    """Exit 3, not the 'infeasible' 1, when numpy cannot be imported; a bad
+    flag still exits 2, as it is checked first."""
+    proc = _python("-c", NO_NUMPY, "feasibility", "chsh")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("nogo-lab: internal error:\nTraceback")
+    assert "ModuleNotFoundError" in proc.stderr
+    proc = _python("-c", NO_NUMPY, "feasibility", "chsh", "--angles", "0,90,45")
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_the_package_names_resolve_on_first_use():
+    proc = _python("-c", "import nogo_lab; print(nogo_lab.TOL, nogo_lab.Density.__name__)")
+    assert proc.stdout.split() == ["1e-09", "Density"], proc.stderr
+
+
 if __name__ == "__main__":
     test_each_command_loads_only_its_own_layer()
-    print("import graph: no command loads another command's layer")
+    test_importing_the_front_end_loads_no_numpy()
+    test_malformed_input_exits_2_with_its_message_and_no_numpy()
+    test_a_failed_numeric_import_is_an_internal_error()
+    test_the_package_names_resolve_on_first_use()
+    print("import graph: no command loads another command's layer; rejected input loads no numpy")

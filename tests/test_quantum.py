@@ -263,3 +263,65 @@ def test_guard_defects_decide_as_the_exact_defects(tol):
                 verdicts.append(want)
     assert any(isinstance(v, tuple) for v in verdicts)
     assert any(not isinstance(v, tuple) for v in verdicts)
+
+
+# Least eigenvalues, in units of tol, on both sides of the state test's bound
+# and of the tol/2 shift that the Cholesky factorization tries.
+LEAST = (-(1 - 1e-3), -(1 + 1e-3), -(1 - 0.5), -(1 + 0.5), -0.25, 0.25)
+
+
+def _states_with_least(gen, dim, tol):
+    """Unit-trace Hermitian matrices U diag(f tol, rest) U†, one per f in
+    ``LEAST``."""
+    states = []
+    for f in LEAST:
+        rest = gen.uniform(0.5, 1.0, dim - 1)
+        states.append(_conjugated(gen, [f * tol, *(rest * (1 - f * tol) / rest.sum())]))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 32])
+@pytest.mark.parametrize("tol", [1e-12, TOL, COARSE_TOL, 1e-3])
+def test_the_state_test_decides_as_eigvalsh(tol, dim):
+    """Every verdict and message of the state test, on each matrix and on
+    stacks that fail and pass, at the guard's tolerance and a coarser one,
+    equals the one from the ``eigvalsh`` least eigenvalue."""
+    states = _states_with_least(make_generator(31), dim, tol)
+    passing = states[[k for k, f in enumerate(LEAST) if f > -0.5]]
+    verdicts = []
+    for stack in (states, passing):
+        stacked = density_defects(stack, tol)
+        for i, m in enumerate(stack):
+            for at in (tol, 2 * tol):
+                want = _verdict(require_density, _exact_density_defects(m), at)
+                assert _verdict(require_density, density_defects(m, tol), at) == want
+                assert _verdict(require_density, [x[i] for x in stacked], at) == want
+                verdicts.append(want)
+    assert any(isinstance(v, tuple) for v in verdicts)
+    assert any(not isinstance(v, tuple) for v in verdicts)
+
+
+def test_a_passing_stack_of_states_takes_no_eigvalsh(monkeypatch):
+    states = np.array([random_density_matrix(make_generator(k), 32) for k in range(6)])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    herm, least, tr = density_defects(states, TOL)
+    for i in range(len(states)):
+        require_density(32, herm[i], least[i], tr[i], TOL)
+    assert np.all(least >= -TOL)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-15, TOL])
+def test_rounding_on_a_singular_state_is_judged_as_eigvalsh_judges_it(tol):
+    """A pure state's zero eigenvalues come out of ``eigvalsh`` as rounding
+    of either sign, far beyond a tiny ``tol``; the Cholesky path must not
+    decide where its own rounding is as large."""
+    gen = make_generator(37)
+    for dim in (2, 5, 32):
+        for _ in range(8):
+            m = _conjugated(gen, [1.0] + [0.0] * (dim - 1))
+            want = _verdict(require_density, _exact_density_defects(m), tol)
+            assert _verdict(require_density, density_defects(m, tol), tol) == want

@@ -1,5 +1,5 @@
 """The tolerance policy: every threshold below 1e-3 is a named entry of the
-opcore tolerance table, and multiples or floors of ``tol`` are not written
+tolerance table in ``check``, and multiples or floors of ``tol`` are not written
 out by hand in the modules that judge residuals."""
 
 import ast
@@ -29,7 +29,7 @@ def test_small_float_literals_live_in_the_opcore_table():
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted(SRC.glob("*.py"))
         for lineno, line in _small_float_literals(path)
-        if not (path.name == "opcore.py" and TABLE_ENTRY.match(line))
+        if not (path.name == "check.py" and TABLE_ENTRY.match(line))
     ]
     assert found == []
 
