@@ -10,14 +10,15 @@ instances) passes iff every part passes and carries the residual and bound
 of its worst part, so no check shows ``residual <= bound`` with a failing
 verdict.  The same record serves chains and batches (:mod:`nogo_lab.nogo`),
 phase-space rules (:mod:`nogo_lab.hvmodel`) and the feasibility verdict;
-:meth:`Check.as_dict` is the entry format of the structured report.
+:meth:`Check.as_dict` is the entry format of the structured report.  It and
+the other layers' records are ``typing.NamedTuple`` classes: immutable,
+copied with ``._replace``, and defined without dataclass-generated methods.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["PASS", "FAIL", "HYPOTHESIS_VIOLATED", "EXPECTED", "Check", "fold"]
 
@@ -38,8 +39,7 @@ HYPOTHESIS_VIOLATED = "hypothesis-violated"
 EXPECTED = "expected"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of one check: residual, verdict, the bound they were judged
     against (``None`` only for the exact no-admissible-assignments verdict
     of feasibility, which compares no residual) and the parts behind it.
@@ -114,4 +114,4 @@ def fold(rule: str, instances: list[Check]) -> Check:
     instance passes, the residual and bound of the worst instance, and the
     instances' sites as parts."""
     folded = Check.composite(f"{rule} over {len(instances)} instances", instances, rule=rule)
-    return replace(folded, parts=tuple(p for c in instances for p in c.parts))
+    return folded._replace(parts=tuple(p for c in instances for p in c.parts))

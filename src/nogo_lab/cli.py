@@ -27,7 +27,9 @@ it reads, and the structured report's ``config`` echoes them.
 Exit codes: 0 all checks pass / feasible; 1 a checked property fails or the
 scenario is infeasible; 2 configuration, parse, or validation errors; 3 an
 internal error (a bug: the traceback goes to stderr).  :func:`main`
-returns the code; :func:`run`, the console script, exits with it.
+returns the code and leaves the garbage collector as it found it;
+:func:`run`, the console script, calls it with the collector off and exits
+with the code.
 Structured reports with the same flags are byte-identical; see
 :mod:`nogo_lab.rng` for the generator contract.
 """
@@ -39,7 +41,6 @@ import gc
 import math
 import os
 import sys
-import traceback
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__, fileio
@@ -329,14 +330,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"nogo-lab: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:
+        import traceback
+
         print("nogo-lab: internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
 
 
 def run() -> None:
-    """The console script: :func:`main`, then ``gc.freeze()``, so the
-    interpreter's exit-time collections skip every object still alive."""
+    """The console script: :func:`main` with the cyclic collector off, as
+    reference counting frees what a command allocates, then ``gc.freeze()``,
+    so the interpreter's exit-time collections skip every object still alive."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

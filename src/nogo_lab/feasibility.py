@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -82,8 +81,7 @@ RATIONALIZATION_BOUND = Fraction(1, 2 * DEFAULT_DENOMINATOR) + Fraction(BUILT_TO
 MAX_ASSIGNMENT_SPACE = 2**24
 
 
-@dataclass(frozen=True)
-class ScenarioItem:
+class ScenarioItem(NamedTuple):
     """One labeled measurement: a projector or a +-1-valued observable.
 
     ``plus`` is the projector whose indicator an assignment value tracks:
@@ -99,8 +97,7 @@ class ScenarioItem:
         return (0, 1) if self.kind == PROJECTOR else (-1, 1)
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """A pairwise-commuting label set, optionally product-constrained.
 
     ``product_sign`` of +-1 asserts that the product of the member operators
@@ -114,8 +111,7 @@ class Context:
     resolves_identity: bool = False
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     dim: int
     items: dict[str, ScenarioItem]
     contexts: tuple[Context, ...]
@@ -263,8 +259,7 @@ def enumerate_assignments(s: Scenario) -> list[tuple[int, ...]]:
 # Exact feasibility
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Outcome of the classical-model existence decision.
 
     ``certificate`` (when feasible) maps assignments - as value tuples over

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from collections import Counter
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .check import COARSE_TOL, ROUNDING
@@ -43,6 +42,7 @@ if TYPE_CHECKING:
 # Versioned apart: a report change leaves saved files and fixtures at theirs.
 REPORT_SCHEMA_VERSION = 4
 FILE_SCHEMA_VERSION = 1
+_MAX = sys.float_info.max  # a file's numbers must be finite doubles
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -59,11 +59,7 @@ __all__ = [
 
 def _is_number(v) -> bool:
     """A JSON number that is finite as a float; ``true``/``false`` are not."""
-    return (
-        isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max
-    )
+    return isinstance(v, (int, float)) and v.__class__ is not bool and -_MAX <= v <= _MAX
 
 
 def _numbers_from_json(data, n: int, where: str) -> list[float]:
@@ -73,23 +69,25 @@ def _numbers_from_json(data, n: int, where: str) -> list[float]:
 
 
 def _entry_from_json(v, where: str) -> complex:
-    if _is_number(v):
-        return complex(v, 0.0)
-    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
-        return complex(v[0], v[1])
+    re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+    if _is_number(re) and _is_number(im):
+        return complex(re, im)
     raise FormatError(
         f"{where}: matrix entry must be a finite number or [re, im], got {v!r}"
     )
 
 
-def _rows_from_json(data, where: str) -> list[list[complex]]:
-    """The entries of a square matrix, checked in pure Python."""
+def _rows_from_json(data, where: str, dim: int | None = None) -> list[list[complex]]:
+    """A square matrix's entries (and size, given ``dim``), checked in pure Python."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise FormatError(f"{where}: expected a nested array")
     n = len(data)
     if any(len(r) != n for r in data):
         raise FormatError(f"{where}: matrix must be square")
-    return [[_entry_from_json(v, where) for v in row] for row in data]
+    rows = [[_entry_from_json(v, where) for v in row] for row in data]
+    if dim is not None and n != dim:
+        raise FormatError(f"{where}: wrong dimension")
+    return rows
 
 
 def _vector_from_json(data, where: str) -> list[complex]:
@@ -114,6 +112,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _dim_from_json(data: dict, where: str) -> int:
+    dim = _require(data, "dim", where)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise FormatError(f"{where}: dim must be a positive integer")
+    return dim
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,9 +139,7 @@ def _load_json(path: str) -> dict:
 
 
 def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
-    dim = _require(data, "dim", where)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FormatError(f"{where}: dim must be a positive integer")
+    dim = _dim_from_json(data, where)
     raw_items = _require(data, "items", where)
     if not isinstance(raw_items, dict) or not raw_items:
         raise FormatError(f"{where}: items must be a nonempty object")
@@ -215,16 +218,14 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     Structural validation only: weights that fail the measure axioms or
     table values off the spectrum load fine and are the checkers' business.
     """
-    dim = _require(data, "dim", where)
-    state = _rows_from_json(_require(data, "state", where), f"{where}.state")
+    dim = _dim_from_json(data, where)
+    state = _rows_from_json(_require(data, "state", where), f"{where}.state", dim)
     raw_obs = _require(data, "observables", where)
     if not isinstance(raw_obs, dict) or not raw_obs:
         raise FormatError(f"{where}.observables: expected a nonempty object")
     observables = {}
     for label, mat in raw_obs.items():
-        observables[label] = _rows_from_json(mat, f"{where}.observables[{label}]")
-        if len(observables[label]) != dim:
-            raise FormatError(f"{where}.observables[{label}]: wrong dimension")
+        observables[label] = _rows_from_json(mat, f"{where}.observables[{label}]", dim)
 
     points = _require(data, "points", where)
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
@@ -279,6 +280,8 @@ def load_state(path: str) -> Density:
 
 
 def bundled_names() -> list[str]:
+    from importlib import resources
+
     root = resources.files("nogo_lab") / "scenarios"
     return sorted(p.name for p in root.iterdir() if p.name.endswith((".scenario", ".model")))
 
@@ -287,6 +290,8 @@ def resolve_input_path(name_or_path: str) -> str:
     """Existing filesystem path, or the bundled fixture with that name."""
     if os.path.exists(name_or_path):
         return name_or_path
+    from importlib import resources
+
     base = os.path.basename(name_or_path)
     candidates = [base] if "." in base else [base + ".scenario", base + ".model"]
     root = resources.files("nogo_lab") / "scenarios"

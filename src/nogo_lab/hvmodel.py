@@ -27,8 +27,7 @@ and is the positive complement to the no-go checks in :mod:`nogo_lab.nogo`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,8 +63,7 @@ __all__ = [
 BASIS_SEED = 0x6A0E  # Philox key of build_commuting_model's combinations
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
+class PhaseSpace(NamedTuple):
     """Finite sample space: ordered point labels with probability weights."""
 
     points: tuple[str, ...]
@@ -83,8 +81,7 @@ class PhaseSpace:
             raise ValueError(f"weights sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
-class HVModel:
+class HVModel(NamedTuple):
     """Phase space + per-point observable values + the quantum state.
 
     ``values[label]`` is an array of f(point, observable) aligned with

@@ -7,9 +7,9 @@ verifiers here run those identity chains numerically on concrete projector
 pairs and return a :class:`~nogo_lab.check.Check` whose parts are the
 steps, one residual each.
 
-The ``*_stack`` functions evaluate each step for a stack of inputs
-``(n, d, d)`` at once and yield one check per input, in order; the
-single-input verifiers are their stack-of-one case.  ``commutation_batch``
+The ``*_stack`` functions evaluate each step at once for the inputs of a
+stack ``(n, d, d)`` that reach it and yield one check per input, in order;
+the single-input verifiers are their stack-of-one case.  ``commutation_batch``
 and ``conditioning_batch`` draw seeded inputs trial by trial and evaluate
 them in blocks of at most ``BLOCK_ENTRIES`` entries per stacked array.
 
@@ -24,7 +24,6 @@ hold unconditionally; it should never occur.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -168,19 +167,22 @@ def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
     in order; a pair is judged as a projector pair at ``tol`` first."""
     name = "forced-commutation"
     rounding = opcore.floored(tol, opcore.ROUNDING)
-    a, b, aba, bab = pairs.a, pairs.b, pairs.aba, pairs.bab
-    c = pairs.ab - pairs.ba
+    held = np.flatnonzero(pairs.gap <= tol)  # only these pairs reach the chain's steps
+    a, b, aba, bab = pairs.a[held], pairs.b[held], pairs.aba[held], pairs.bab[held]
+    c = pairs.ab[held] - pairs.ba[held]
     c2 = c @ c
     # C^2 = A(BAB - ABA) + B(ABA - BAB) once A^2 = A, B^2 = B are used.
     expand = opnorm(c2 - (aba @ b + bab @ a - aba - bab))
-    rows = np.stack([pairs.gap, opnorm(c + dag(c)), expand, opnorm(c2), pairs.commutator_norm], -1)
-    del c, c2  # the generator's frame outlives the stacked phase
-    for i, (gap, skew, expanded, square, norm_c) in enumerate(rows.tolist()):
+    steps = np.stack([opnorm(c + dag(c)), expand, opnorm(c2)], -1)
+    chain = dict(zip(held.tolist(), steps.tolist()))
+    del a, b, aba, bab, c, c2  # the generator's frame outlives the stacked phase
+    for i, (gap, norm_c) in enumerate(zip(pairs.gap.tolist(), pairs.commutator_norm.tolist())):
         pairs.require_projectors(i, tol)
         hypothesis = _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, tol)
         if not hypothesis.ok:
             yield _theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
             continue
+        skew, expanded, square = chain[i]
         nilpotent = _step("C^2 = 0 under the hypothesis", square, tol)
         yield _theorem(name, [
             hypothesis,
@@ -224,19 +226,21 @@ def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
         for x, y in duos
     ])
     bt = family["I-B"]
-    rows = np.stack([
-        opnorm(a - (pairs.aba + a @ bt @ a)),
-        defects.max(axis=0, initial=0.0),
+    decomps, worsts = opnorm(a - (pairs.aba + a @ bt @ a)), defects.max(axis=0, initial=0.0)
+    # Only the pairs past the decomposition and the hypothesis reach the later steps.
+    held = np.flatnonzero((decomps <= rounding) & (worsts <= tol))
+    a, bab, bt = a[held], bab[held], bt[held]
+    chain = dict(zip(held.tolist(), np.stack([
         # A - BAB - (I-B)A(I-B) is the decomposition defect plus the
         # hypothesis defects of (A, B) and (A, I-B).
         opnorm(a - (bab + bt @ a @ bt)),
-        opnorm(pairs.ab - bab),
-        opnorm(pairs.ba - bab),
-        pairs.commutator_norm,
-    ], -1)
-    del family, bt  # the generator's frame outlives the stacked phase
+        opnorm(pairs.ab[held] - bab),
+        opnorm(pairs.ba[held] - bab),
+    ], -1).tolist()))
+    del family, a, bab, bt  # the generator's frame outlives the stacked phase
     culprits = defects.argmax(axis=0).tolist()
-    for i, (decomp, worst, substituted, ab, ba, norm_c) in enumerate(rows.tolist()):
+    rows = zip(decomps.tolist(), worsts.tolist(), pairs.commutator_norm.tolist())
+    for i, (decomp, worst, norm_c) in enumerate(rows):
         pairs.require_projectors(i, tol)
         steps = [_step("unconditional identity A = ABA + A(I-B)A", decomp, rounding)]
         if not steps[0].ok:
@@ -245,9 +249,10 @@ def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
         hypothesis = _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, tol)
         if not hypothesis.ok:
             x, y = duos[culprits[i]]
-            steps.append(replace(hypothesis, name=f"{hypothesis.name} (violated by ({x}, {y}))"))
+            steps.append(hypothesis._replace(name=f"{hypothesis.name} (violated by ({x}, {y}))"))
             yield _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
             continue
+        substituted, ab, ba = chain[i]
         # Four hypothesis bounds leave room for the rounding of I - B.
         substitute = _step("substitution A = BAB + (I-B)A(I-B)", substituted, 4 * hypothesis.bound)
         # Multiplying by B adds at most the idempotence defect of B.

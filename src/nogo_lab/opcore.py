@@ -27,7 +27,7 @@ bits as a loop over the matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def require_same_dim(*mats: np.ndarray) -> int:
     return dims.pop()
 
 
-@dataclass(frozen=True)
-class SpectralResolution:
+class SpectralResolution(NamedTuple):
     """Eigenvalue / eigenprojector terms of a Hermitian matrix.
 
     ``terms`` is ordered by decreasing eigenvalue, one term per clustered

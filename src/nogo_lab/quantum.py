@@ -12,7 +12,7 @@ clustered spectrum of the owning observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def require_density(dim: int, herm: float, least: float, tr: float, tol: float =
         raise NotDensity(f"trace {tr} != 1")
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(NamedTuple):
     """Hermitian idempotent operator; ``rank`` is its trace rounded."""
 
     mat: np.ndarray
@@ -130,8 +129,7 @@ class Projector:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(NamedTuple):
     """Positive unit-trace Hermitian operator (a quantum state)."""
 
     mat: np.ndarray
@@ -157,12 +155,11 @@ class Density:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(NamedTuple):
     """Hermitian operator together with its spectral resolution."""
 
     mat: np.ndarray
-    resolution: SpectralResolution = field(repr=False)
+    resolution: SpectralResolution
 
     @classmethod
     def from_matrix(

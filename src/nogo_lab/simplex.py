@@ -29,9 +29,8 @@ so dense tableaus are the simplest correct tool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,15 +40,13 @@ from .opcore import PIVOT_TOL
 __all__ = ["FeasibleSolution", "InfeasibleCertificate", "solve_equality_feasibility"]
 
 
-@dataclass(frozen=True)
-class FeasibleSolution:
+class FeasibleSolution(NamedTuple):
     x: tuple[Fraction, ...]
 
     feasible = True
 
 
-@dataclass(frozen=True)
-class InfeasibleCertificate:
+class InfeasibleCertificate(NamedTuple):
     """Farkas dual: y.A <= 0 and y.b = infeasibility_gap > 0.
 
     ``max_ya`` is max_j y.A_j over the columns of A (at most 0; 0 when A

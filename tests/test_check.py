@@ -1,8 +1,60 @@
 import math
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from nogo_lab import check, feasibility, hvmodel, opcore, quantum, simplex
 from nogo_lab.check import EXPECTED, FAIL, PASS, Check, fold
+
+
+def _records() -> list:
+    """One instance of every record class of the package."""
+    obs = quantum.Observable.from_matrix(np.diag([1.0, 0.0]))
+    scenario = feasibility.chsh_scenario()
+    model = hvmodel.build_commuting_model({"O": obs}, quantum.Density.maximally_mixed(2))
+    one = (Fraction(1),)
+    return [
+        Check("x", 0.0, PASS),
+        obs.resolution,
+        quantum.Projector.identity(2),
+        quantum.Density.maximally_mixed(2),
+        obs,
+        next(iter(scenario.items.values())),
+        scenario.contexts[0],
+        scenario,
+        feasibility.FeasibilityResult("feasible", ("A",)),
+        simplex.FeasibleSolution(one),
+        simplex.InfeasibleCertificate(one, one[0], Fraction(0)),
+        model.space,
+        model,
+    ]
+
+
+RECORDS = _records()
+
+
+def test_every_record_class_is_covered():
+    defined = {
+        obj for mod in (check, opcore, quantum, feasibility, simplex, hvmodel)
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__ and hasattr(obj, "_fields")
+    }
+    assert defined == {type(r) for r in RECORDS}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_copied_with_replace(record):
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    copy = record._replace()
+    assert type(copy) is type(record) and all(a is b for a, b in zip(copy, record))
+    marker = object()
+    changed = record._replace(**{first: marker})
+    assert getattr(changed, first) is marker and getattr(record, first) is not marker
+    assert all(a is b for a, b in zip(changed[1:], record[1:]))
 
 
 def test_nan_residual_fails():

@@ -1,11 +1,11 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +99,9 @@ class TestVerifyCommutation:
 
         def loose(pairs, tol):
             for check in concluding(pairs, tol):
-                parts = [replace(p, residual=1e-6) if p.name == "conclusion AB = BA" else p
+                parts = [p._replace(residual=1e-6) if p.name == "conclusion AB = BA" else p
                          for p in check.parts]
-                yield replace(check, parts=tuple(parts))
+                yield check._replace(parts=tuple(parts))
 
         monkeypatch.setattr(nogo, "forced_commutation_stack", loose)
         checks, tallies = nogo.commutation_batch(1, 4, 10)
@@ -541,6 +541,26 @@ def test_console_script_writes_the_bytes_main_writes(capsysbinary):
     r = subprocess.run([sys.executable, "-m", "nogo_lab.cli", *argv], capture_output=True)
     assert main(argv) == r.returncode == 1
     assert r.stdout == capsysbinary.readouterr().out
+
+
+def test_the_console_script_runs_without_the_cyclic_collector():
+    probe = ("import atexit, gc; atexit.register(lambda: print(gc.isenabled())); "
+             "from nogo_lab.cli import run; run()")
+    r = subprocess.run([sys.executable, "-c", probe, "--version"], capture_output=True, text=True)
+    assert r.stdout.split() == ["nogo-lab", "0.1.0", "False"], r.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path):
+    """Only the console script turns the cyclic collector off; in-process
+    callers keep theirs."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["feasibility", "chsh", "--out", str(tmp_path / "report")]) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_state_flag_is_checked_before_the_file_is_read(capsys):

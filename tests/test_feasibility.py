@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -520,7 +519,7 @@ class TestFeasibilityInvariance:
         s = load_scenario(resolve_input_path(name))
         order = make_generator(seed).permutation(len(s.labels))
         new = {old: f"x{k}" for old, k in zip(s.labels, order)}
-        items = {new[l]: dataclasses.replace(it, label=new[l]) for l, it in s.items.items()}
+        items = {new[l]: it._replace(label=new[l]) for l, it in s.items.items()}
         contexts = [
             Context(tuple(new[l] for l in c.labels), c.product_sign) for c in s.contexts
         ]

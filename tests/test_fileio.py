@@ -226,6 +226,21 @@ class TestModelFiles:
         with pytest.raises(NotDensity, match="negative eigenvalue"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"dim": 3.0}, r"m\.model: dim must be a positive integer$"),
+        ({"dim": "3"}, r"m\.model: dim must be a positive integer$"),
+        ({"state": [[0.5, 0.0], [0.0, 0.5]]}, r"m\.model\.state: wrong dimension$"),
+    ], ids=["float-dim", "string-dim", "state-smaller-than-dim"])
+    def test_dim_is_checked_and_the_state_against_it(self, tmp_path, fields, message):
+        """As a scenario's ``dim`` is, and before any operator is built, so a
+        state of the wrong size is located in the file."""
+        data = json.loads(open(resolve_input_path("commuting.model")).read())
+        data.update(fields)
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=message):
+            load_model(str(path))
+
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text(json.dumps({"kind": "scenario", "dim": 2, "items": {}}))

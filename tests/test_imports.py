@@ -1,5 +1,6 @@
-"""Each command loads only its own layer of the package, and rejected input
-loads no numpy.
+"""Each command loads only its own layer of the package, rejected input
+loads no numpy, and the front end loads no module that only an internal
+error, a bundled name or generated record code would need.
 
 Every command runs in a fresh interpreter, so nothing another test imported
 counts.  The module needs only the package, so it also runs without pytest:
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import tempfile
 from importlib import resources
+
+import nogo_lab
 
 # argv -> modules the command must not load
 NOT_LOADED = {
@@ -28,6 +31,9 @@ BAD_MODELS = {
     "weights-string": (("weights", 1), '"a"'),
     "value-row-null": (("values", "O1", 2), "null"),
     "state-non-finite": (("state", 0, 0), "[1e999, 0.0]"),
+    "dim-float": (("dim",), "3.0"),
+    "dim-string": (("dim",), '"3"'),
+    "state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
 }
 # Malformed input -> the whole of its stderr ({} is the input's path).
 MALFORMED = {
@@ -43,7 +49,14 @@ MALFORMED = {
     ("check-model", "{value-row-null}"): "{}.values[O1]: expected 3 finite numbers",
     ("check-model", "{state-non-finite}"): "{}.state: matrix entry must be a finite number "
     "or [re, im], got [inf, 0.0]",
+    ("check-model", "{dim-float}"): "{}: dim must be a positive integer",
+    ("check-model", "{dim-string}"): "{}: dim must be a positive integer",
+    ("check-model", "{state-2x2}"): "{}.state: wrong dimension",
 }
+# Modules that only an internal error (traceback), a bundled name
+# (importlib.resources) or generated record code (dataclasses, inspect) need:
+# importing the front end loads none of them.
+DEFERRED = ("dataclasses", "inspect", "traceback", "importlib.resources")
 
 
 def _python(*args) -> subprocess.CompletedProcess:
@@ -60,7 +73,7 @@ def probe(argv) -> tuple:
 
 
 def malformed_inputs(tmp: str) -> dict:
-    """Input name -> path: the truncated scenario and the three bad models."""
+    """Input name -> path: the truncated scenario and the bad models."""
     paths = {"truncated": os.path.join(tmp, "truncated.scenario")}
     with open(paths["truncated"], "w", encoding="utf-8") as fh:
         fh.write('{"kind": "scenario", "dim": 4,')
@@ -88,6 +101,16 @@ def test_each_command_loads_only_its_own_layer():
 def test_importing_the_front_end_loads_no_numpy():
     proc = _python("-c", "import sys, nogo_lab.cli; print('numpy' in sys.modules)")
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def test_importing_the_front_end_defers_what_only_some_paths_need():
+    """In a clean interpreter (no site module, whose ``.pth`` hooks may
+    import any of these), with only the package's source on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nogo_lab.__file__)))
+    probe = f"import sys; sys.path.insert(0, {src!r}); import nogo_lab.cli; print(*sys.modules)"
+    proc = _python("-S", "-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert not set(proc.stdout.split()) & set(DEFERRED), proc.stdout
 
 
 def test_malformed_input_exits_2_with_its_message_and_no_numpy():
@@ -120,7 +143,9 @@ def test_the_package_names_resolve_on_first_use():
 if __name__ == "__main__":
     test_each_command_loads_only_its_own_layer()
     test_importing_the_front_end_loads_no_numpy()
+    test_importing_the_front_end_defers_what_only_some_paths_need()
     test_malformed_input_exits_2_with_its_message_and_no_numpy()
     test_a_failed_numeric_import_is_an_internal_error()
     test_the_package_names_resolve_on_first_use()
-    print("import graph: no command loads another command's layer; rejected input loads no numpy")
+    print("import graph: no command loads another command's layer; rejected input loads no numpy;"
+          " the front end defers " + ", ".join(DEFERRED))
