@@ -11,10 +11,11 @@ One JSON family serves all artifacts, discriminated by ``kind``:
   so identical configurations yield identical files.
 
 A loader checks the whole file's structure in pure Python first (types,
-finiteness, shapes, label sets, duplicate points, ``productSign``), and only
-then loads numpy and its layer to build the operators and run their numeric
-tests.  So malformed input is rejected without numpy, and a structural fault
-anywhere in a file is reported before a numeric one.
+finiteness, shapes, every matrix's size against ``dim``, label sets, a
+context's labels against the items, duplicate points, ``productSign``), and
+only then loads numpy and its layer to build the operators and run their
+numeric tests.  So malformed input is rejected without numpy, and a
+structural fault anywhere in a file is reported before a numeric one.
 
 Complex numbers are two-element ``[re, im]`` arrays (plain reals accepted on
 input); matrices are row-major nested arrays.  Parse failures raise
@@ -157,7 +158,7 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
             if len(entries) != dim:
                 raise FormatError(f"{iw}.ray: expected length {dim}")
         elif "matrix" in spec:
-            entries = _rows_from_json(spec["matrix"], f"{iw}.matrix")
+            entries = _rows_from_json(spec["matrix"], f"{iw}.matrix", dim)
         else:
             raise FormatError(f"{iw}: needs a 'matrix' or a 'ray'")
         specs[label] = (kind, "ray" in spec, entries)
@@ -173,12 +174,15 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
         labels = _require(raw, "labels", cw)
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise FormatError(f"{cw}.labels: expected an array of strings")
+        unknown = [l for l in labels if l not in specs]
+        if unknown:
+            raise FormatError(f"{cw}.labels: unknown label {unknown[0]!r}")
         sign = raw.get("productSign")
         if sign is not None and (isinstance(sign, bool) or sign not in (-1, 1)):
             raise FormatError(f"{cw}.productSign: must be -1 or 1")
         contexts.append((tuple(labels), sign))
     state = data.get("state")
-    state = None if state is None else _rows_from_json(state, f"{where}.state")
+    state = None if state is None else _rows_from_json(state, f"{where}.state", dim)
 
     import numpy as np
 

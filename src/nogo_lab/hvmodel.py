@@ -42,7 +42,7 @@ from .errors import (
     UnregisteredObservable,
 )
 from .opcore import CLUSTER_GAP, TOL, commutator_norm, dag, opnorm, trace_inner
-from .quantum import Density, Observable, Projector, leq, spectral_projector
+from .quantum import Density, Observable, Projector, conditional_probability, leq, spectral_projector
 
 __all__ = [
     "PhaseSpace",
@@ -305,7 +305,8 @@ def check_conditional_rule(
     Raises :class:`ConditioningOnNull` when mu(b) or tr[DB] is at most
     ``NULL_EVENT``: either ratio is then undefined, and the marginal rule
     already compares the two.  ``tol`` bounds the comparison only, so a
-    loose tolerance judges every instance instead of skipping it.
+    loose tolerance judges every instance instead of skipping it; the
+    quantum side's [0, 1] test is no finer than ``COARSE_TOL``.
     """
     pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
     ev_a = _event(m, a, [1.0], cluster_gap)
@@ -313,12 +314,8 @@ def check_conditional_rule(
     mu_b = _mass(m, ev_b)
     if mu_b <= opcore.NULL_EVENT:
         raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
-    d = m.state.mat
-    tr_b = trace_inner(d, pb.mat).real
-    if tr_b <= opcore.NULL_EVENT:
-        raise ConditioningOnNull(f"tr[DB] = {tr_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
     classical = _mass(m, ev_a & ev_b) / mu_b
-    quantum = np.trace(d @ pb.mat @ pa.mat @ pb.mat).real / tr_b
+    quantum = conditional_probability(m.state, pa, pb, opcore.floored(tol, opcore.COARSE_TOL))
     sides = ("phase-space", "conditioned trace")
     return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
 

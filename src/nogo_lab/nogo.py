@@ -29,11 +29,12 @@ import numpy as np
 
 from . import opcore
 from .check import EXPECTED, FAIL, HYPOTHESIS_VIOLATED, PASS, Check
-from .errors import ConditioningOnNull, DimensionTooSmall
+from .errors import DimensionTooSmall
 from .opcore import TOL, dag, opnorm, trace
 from .quantum import (
     Density,
     Projector,
+    condition,
     density_defects,
     projector_defects,
     projector_rank,
@@ -280,11 +281,11 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     return check
 
 
-def _range_bases(p: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal columns spanning the range of each projector of a stack,
-    from one eigh of the stack."""
+def _range_bases(p: np.ndarray) -> tuple[list, list]:
+    """Orthonormal bases of range(P) and range(I - P) for each projector P of a
+    stack: the eigenvectors of one eigh with eigenvalues above and below 1/2."""
     vals, vecs = np.linalg.eigh((p + dag(p)) / 2)
-    return [v[:, keep] for v, keep in zip(vecs, vals > 0.5)]
+    return [v[:, x > 0.5] for v, x in zip(vecs, vals)], [v[:, x < 0.5] for v, x in zip(vecs, vals)]
 
 
 def _grouped(keys) -> list[list[int]]:
@@ -333,17 +334,13 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
     n, dim = d.shape[:2]
     DimensionTooSmall.require(dim)
-    eye = opcore.identity(dim)
-    pb = trace(d @ b).real
-    # A trial with a null event B raises before its numbers are used.
-    pb_safe = np.where(pb > opcore.NULL_EVENT, pb, 1.0)[:, None]
-    d_b = b @ d @ b / pb_safe[:, :, None]
-    bases, complements = _range_bases(b), _range_bases(eye - b)
+    pb, d_b = condition(d, b)
+    bases, complements = _range_bases(b)
 
     c = _projectors_below(bases, [below for below, _ in samples])
-    existence = np.abs(trace(d_b[:, None] @ c).real - trace(d[:, None] @ c).real / pb_safe)
+    existence = np.abs(trace(d_b[:, None] @ c).real - trace(d[:, None] @ c).real / pb[:, None])
     on_b = np.abs(trace(d_b @ b).real - 1.0)
-    off_b = np.abs(trace(d_b @ (eye - b)).real)
+    off_b = np.abs(trace(d_b @ (opcore.identity(dim) - b)).real)
 
     # Other densities D' on range(B), with D_B's kernel test stacked per
     # rank(B), and their rank-one separators from D_B (:func:`_separation`).
@@ -359,8 +356,6 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     c_defects = projector_defects(c, basis_tol)
     k = c.shape[1]
     for i in range(n):
-        if pb[i] <= opcore.NULL_EVENT:
-            raise ConditioningOnNull(f"tr[DB] = {pb[i]:.3e} <= {opcore.NULL_EVENT:.0e}")
         require_density(dim, *(x[i] for x in luders), tol)
         worst = 0.0
         for j in range(k):
@@ -423,9 +418,7 @@ def check_conditional_uniqueness(
         raise ValueError("trials must be >= 1")
     gen = gen if gen is not None else np.random.default_rng(0)
     opcore.require_same_dim(d.mat, b.mat)
-    pb = opcore.trace_inner(d.mat, b.mat).real
-    if pb <= opcore.NULL_EVENT:  # before any draw, as a zero B has no rank to draw
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
+    condition(d.mat, b.mat)  # refuses a null event before any draw: a zero B has no rank to draw
     samples = _draw_samples(gen, b.rank, trials)
     [check] = conditional_uniqueness_stack(d.mat[None], b.mat[None], [samples], tol)
     return check

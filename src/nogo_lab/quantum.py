@@ -2,8 +2,8 @@
 
 Validated operator roles (projector, density, observable), with the
 defects their tests judge computed for single matrices or whole stacks, the
-conditional probability tr[DBAB]/tr[DB] and its conditioning map
-D -> BDB/tr[DB], and the projector order relation AB = BA = A.
+conditioning step D -> (tr[DB], BDB/tr[DB]) that every caller shares, the
+conditional probability tr[DBAB]/tr[DB], and the projector order AB = BA = A.
 
 Spectra are finite here, so "Borel set" degenerates to a finite set of
 eigenvalues: selections are plain iterables of floats, matched to the
@@ -26,7 +26,6 @@ from .opcore import (
     dag,
     identity,
     require_same_dim,
-    trace_inner,
 )
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "Density",
     "Observable",
     "spectral_projector",
+    "condition",
     "conditional_probability",
     "luders_density",
     "leq",
@@ -190,18 +190,26 @@ def spectral_projector(
     return Projector.from_matrix(mat)
 
 
+def condition(d: np.ndarray, b: np.ndarray) -> tuple:
+    """tr[DB] and BDB/tr[DB] for a (state, projector) matrix pair, or for each
+    pair of two ``(n, dim, dim)`` stacks with the bits of a loop over them;
+    :class:`ConditioningOnNull` for the first tr[DB] <= ``NULL_EVENT``."""
+    pb = opcore.trace(d @ b).real
+    null = pb[pb <= opcore.NULL_EVENT]
+    if null.size:
+        raise ConditioningOnNull(f"tr[DB] = {null[0]:.3e} <= {opcore.NULL_EVENT:.0e}")
+    return pb, b @ d @ b / pb[..., None, None]
+
+
 def conditional_probability(
     d: Density, a: Projector, b: Projector, tol: float = TOL
 ) -> float:
     """Pr[A|B] = tr[DBAB] / tr[DB], clamped to [0, 1].
 
-    Raises :class:`ConditioningOnNull` when tr[DB] <= ``NULL_EVENT``;
-    ``tol`` bounds only the [0, 1] test.
+    Null events are refused by :func:`condition`; ``tol`` bounds the [0, 1] test.
     """
     require_same_dim(d.mat, a.mat, b.mat)
-    pb = trace_inner(d.mat, b.mat).real
-    if pb <= opcore.NULL_EVENT:
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
+    pb = condition(d.mat, b.mat)[0]
     num = np.trace(d.mat @ b.mat @ a.mat @ b.mat)
     val = num.real / pb
     if abs(num.imag) / pb > tol or val < -tol or val > 1 + tol:
@@ -212,13 +220,10 @@ def conditional_probability(
 
 
 def luders_density(d: Density, b: Projector, tol: float = TOL) -> Density:
-    """Conditioned state BDB / tr[DB]; null events are refused as in
-    :func:`conditional_probability`, and ``tol`` bounds the state test."""
+    """Conditioned state BDB / tr[DB] (:func:`condition`); ``tol`` bounds
+    the state test."""
     require_same_dim(d.mat, b.mat)
-    pb = trace_inner(d.mat, b.mat).real
-    if pb <= opcore.NULL_EVENT:
-        raise ConditioningOnNull(f"tr[DB] = {pb:.3e} <= {opcore.NULL_EVENT:.0e}")
-    return Density.from_matrix(b.mat @ d.mat @ b.mat / pb, tol=tol)
+    return Density.from_matrix(condition(d.mat, b.mat)[1], tol=tol)
 
 
 def leq(a: Projector, b: Projector, tol: float = TOL) -> bool:

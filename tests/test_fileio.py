@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nogo_lab import fileio
+from nogo_lab import feasibility, fileio
 from nogo_lab.errors import FormatError, NotDensity
 from nogo_lab.feasibility import chsh_scenario, enumerate_assignments
 from nogo_lab.fileio import (
@@ -173,6 +173,29 @@ class TestScenarioFiles:
         with pytest.raises(FormatError) as err:
             load_scenario(str(path))
         assert "contexts: expected an array" in str(err.value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (("items", "A1", "matrix"), [[1, 0], [0, -1]], r"c\.scenario\.items\[A1\]\.matrix: wrong dimension$"),
+        (("state",), [[0.5, 0.0], [0.0, 0.5]], r"c\.scenario\.state: wrong dimension$"),
+        (("contexts", 0, "labels"), ["A1", "Z9"], r"c\.scenario\.contexts\[0\]\.labels: unknown label 'Z9'$"),
+    ], ids=["item-smaller-than-dim", "state-smaller-than-dim", "unknown-context-label"])
+    def test_sizes_and_context_labels_are_structure(self, tmp_path, monkeypatch, field, value, message):
+        """Checked in the pure-Python pass, with the fault located in the
+        file, before any operator is built."""
+        def no_operators(*args, **kwargs):
+            raise AssertionError("built an operator")
+
+        monkeypatch.setattr(feasibility, "make_item", no_operators)
+        data = json.loads(open(resolve_input_path("chsh")).read())
+        *outer, last = field
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "c.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=message):
+            load_scenario(str(path))
 
 
 class TestModelFiles:

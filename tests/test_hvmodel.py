@@ -25,9 +25,11 @@ from nogo_lab.hvmodel import (
     preimage,
 )
 from nogo_lab.fileio import load_model, resolve_input_path
-from nogo_lab.opcore import TOL, dag, random_density_matrix, random_unitary
-from nogo_lab.quantum import Density, Observable
+from nogo_lab.opcore import COARSE_TOL, TOL, dag, random_density_matrix, random_unitary
+from nogo_lab.quantum import Density, Observable, conditional_probability
 from nogo_lab.rng import make_generator
+
+from conftest import commuting_projector_pair
 
 
 def diagonal_family():
@@ -294,6 +296,25 @@ class TestOrderAndConditionalRules:
             return rule.name
 
         assert conditional(0.5) == conditional(TOL) == "conditional-rule over 6 instances"
+
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_the_quantum_side_is_the_conditional_probability(self, dim):
+        gen = make_generator(dim)
+        compared = 0
+        for _ in range(6):
+            pair = commuting_projector_pair(gen, dim)
+            named = dict(zip("PQ", pair))
+            family = {label: Observable.from_matrix(p.mat) for label, p in named.items()}
+            m = build_commuting_model(family, Density.from_matrix(random_density_matrix(gen, dim)))
+            for a, b in ("PQ", "QP"):
+                try:
+                    rep = check_conditional_rule(m, a, b)
+                except ConditioningOnNull:
+                    continue
+                want = conditional_probability(m.state, named[a], named[b], COARSE_TOL)
+                assert rep.parts[0].detail.endswith(f"conditioned trace {want}")
+                compared += 1
+        assert compared
 
 
 def all_rule_checks(m: HVModel):

@@ -35,6 +35,12 @@ BAD_MODELS = {
     "dim-string": (("dim",), '"3"'),
     "state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
 }
+# One field of chsh.scenario broken, as above.
+BAD_SCENARIOS = {
+    "item-2x2": (("items", "A1", "matrix"), "[[1, 0], [0, -1]]"),
+    "scenario-state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
+    "unknown-label": (("contexts", 0, "labels"), '["A1", "Z9"]'),
+}
 # Malformed input -> the whole of its stderr ({} is the input's path).
 MALFORMED = {
     ("feasibility", "{truncated}"): "{}: invalid JSON at line 1, column 31: "
@@ -52,6 +58,9 @@ MALFORMED = {
     ("check-model", "{dim-float}"): "{}: dim must be a positive integer",
     ("check-model", "{dim-string}"): "{}: dim must be a positive integer",
     ("check-model", "{state-2x2}"): "{}.state: wrong dimension",
+    ("feasibility", "{item-2x2}"): "{}.items[A1].matrix: wrong dimension",
+    ("feasibility", "{scenario-state-2x2}"): "{}.state: wrong dimension",
+    ("feasibility", "{unknown-label}"): "{}.contexts[0].labels: unknown label 'Z9'",
 }
 # Modules that only an internal error (traceback), a bundled name
 # (importlib.resources) or generated record code (dataclasses, inspect) need:
@@ -73,20 +82,22 @@ def probe(argv) -> tuple:
 
 
 def malformed_inputs(tmp: str) -> dict:
-    """Input name -> path: the truncated scenario and the bad models."""
+    """Input name -> path: the truncated scenario, the bad models and the
+    bad scenarios."""
     paths = {"truncated": os.path.join(tmp, "truncated.scenario")}
     with open(paths["truncated"], "w", encoding="utf-8") as fh:
         fh.write('{"kind": "scenario", "dim": 4,')
-    text = (resources.files("nogo_lab") / "scenarios" / "commuting.model").read_text()
-    for name, ((*outer, last), raw) in BAD_MODELS.items():
-        data = json.loads(text)
-        target = data
-        for key in outer:
-            target = target[key]
-        target[last] = "<raw>"
-        paths[name] = os.path.join(tmp, f"{name}.model")
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data).replace('"<raw>"', raw))
+    for fixture, bad in (("commuting.model", BAD_MODELS), ("chsh.scenario", BAD_SCENARIOS)):
+        text = (resources.files("nogo_lab") / "scenarios" / fixture).read_text()
+        for name, ((*outer, last), raw) in bad.items():
+            data = json.loads(text)
+            target = data
+            for key in outer:
+                target = target[key]
+            target[last] = "<raw>"
+            paths[name] = os.path.join(tmp, name + os.path.splitext(fixture)[1])
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data).replace('"<raw>"', raw))
     return paths
 
 

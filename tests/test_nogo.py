@@ -381,7 +381,7 @@ def test_grouped_projectors_below_equal_the_per_sample_construction(dim):
     its own qr, on a block that mixes both ranks."""
     gen = make_generator(dim)
     ranks = [int(gen.integers(1, dim + 1)) for _ in range(12)]
-    bases = nogo._range_bases(np.array([random_projector_matrix(gen, dim, r) for r in ranks]))
+    bases = nogo._range_bases(np.array([random_projector_matrix(gen, dim, r) for r in ranks]))[0]
     below = [nogo._draw_samples(gen, r, nogo.SAMPLES)[0] for r in ranks]
     assert len({g.shape for gs in below for g in gs}) >= 4
     grouped = nogo._projectors_below(bases, below)
@@ -401,7 +401,7 @@ def test_separation_agrees_with_the_matrix_formulas(dim, generic_b):
     d_b = np.array([random_density_matrix(gen, dim) for _ in ranks])
     rho = np.array([
         [basis @ random_density_matrix(gen, r) @ dag(basis) for _ in range(4)]
-        for basis, r in zip(nogo._range_bases(b), ranks)
+        for basis, r in zip(nogo._range_bases(b)[0], ranks)
     ])
     if generic_b:
         b = b + np.array([complex_gaussian(gen, dim, dim) for _ in ranks]) / dim
@@ -448,3 +448,17 @@ def test_a_conditioning_trial_takes_one_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     nogo.conditioning_batch(1, 32, 2)
     assert sum(math.prod(s) for s in shapes) == 2
+
+
+def test_a_conditioning_block_takes_two_eighs(monkeypatch):
+    """One eigh of B gives both range(B) and range(I - B); the other is the
+    separators' top eigenpairs."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    nogo.conditioning_batch(1, 32, 2)
+    assert len(calls) == 2 * len(nogo._blocks(2, nogo.SAMPLES * 32 * 32)) == 4

@@ -11,6 +11,7 @@ from nogo_lab.errors import (
     UnknownEigenvalue,
 )
 from nogo_lab.opcore import (
+    BUILT_TOL,
     COARSE_TOL,
     TOL,
     dag,
@@ -25,6 +26,7 @@ from nogo_lab.quantum import (
     Density,
     Observable,
     Projector,
+    condition,
     conditional_probability,
     density_defects,
     leq,
@@ -158,6 +160,35 @@ class TestLudersDensity:
         p = basis_projector(3, 0)
         d = Density.from_matrix(p.mat)
         assert opnorm(luders_density(d, p).mat - p.mat) < 1e-12
+
+
+class TestCondition:
+    """The conditioning step every caller shares: tr[DB], the null-event
+    refusal and BDB/tr[DB]."""
+
+    @pytest.mark.parametrize("dim", [3, 8, 32])
+    def test_a_stack_has_the_bits_of_its_pairs(self, dim):
+        gen = make_generator(dim)
+        d = np.array([random_density_matrix(gen, dim) for _ in range(5)])
+        b = np.array([random_projector_matrix(gen, dim, int(gen.integers(1, dim))) for _ in d])
+        pb, d_b = condition(d, b)
+        pairs = [condition(x, y) for x, y in zip(d, b)]
+        assert np.array_equal(pb, [p for p, _ in pairs])
+        assert np.array_equal(d_b, [m for _, m in pairs])
+
+    def test_a_stack_refuses_its_first_null_trial(self):
+        d = np.array([np.diag([1 - 1e-10, 1e-10, 0.0]).astype(complex)] * 3)
+        b = np.array([basis_projector(3, k).mat for k in range(3)])
+        with pytest.raises(ConditioningOnNull, match=r"^tr\[DB\] = 1\.000e-10 <= 1e-09$"):
+            condition(d, b)
+        with pytest.raises(ConditioningOnNull, match=r"^tr\[DB\] = 0\.000e\+00 <= 1e-09$"):
+            condition(d[[0, 2, 1]], b[[0, 2, 1]])
+
+    def test_luders_density_is_the_conditioned_state(self):
+        gen = make_generator(11)
+        d = Density.from_matrix(random_density_matrix(gen, 4))
+        b = Projector.from_matrix(random_projector_matrix(gen, 4, 2), BUILT_TOL)
+        assert np.array_equal(luders_density(d, b).mat, condition(d.mat, b.mat)[1])
 
 
 class TestOrder:
