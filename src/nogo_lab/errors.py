@@ -26,7 +26,7 @@ class NotDensity(NogoLabError):
 
 
 class ConditioningOnNull(NogoLabError):
-    """Conditioning event has probability below tolerance."""
+    """Conditioning event has probability at or below ``NULL_EVENT``, whatever ``--tol``."""
 
 
 class UnknownEigenvalue(NogoLabError):

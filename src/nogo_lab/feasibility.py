@@ -132,8 +132,8 @@ def make_item(
         p = Projector.from_matrix(mat, tol=tol)
         return ScenarioItem(label=label, kind=kind, mat=p.mat, plus=p.mat)
     if kind == DICHOTOMIC:
-        obs = Observable.from_matrix(mat, cluster_gap=cluster_gap, tol=tol)
-        eigs = obs.eigenvalues()
+        obs = Observable.from_matrix(mat, tol=tol)
+        eigs = obs.eigenvalues(cluster_gap)
         if any(min(abs(e - 1.0), abs(e + 1.0)) > cluster_gap for e in eigs):
             raise NotDichotomic(
                 f"item {label!r} has eigenvalues {eigs}, expected a subset of -1, +1"
@@ -337,7 +337,7 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
 
     names = ["normalization"] + [name for name, _, _ in constraints]
     rhs = [Fraction(1)] + [_rationalize(p) for _, _, p in constraints]
-    # Python ints: a numpy integer inside a Fraction keeps its fixed width.
+    # Python ints, the only row entries the simplex takes.
     rows = [[1] * len(assignments)] + [
         plus[:, [position[l] for l in involved]].all(axis=1).astype(int).tolist()
         for _, involved, _ in constraints

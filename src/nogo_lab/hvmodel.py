@@ -17,7 +17,9 @@ Each checker returns the composite :class:`~nogo_lab.check.Check` of the
 sites it compared, each judged against ``tol`` (``cluster_gap`` for the
 spectrum, 0 for the exact order-events inclusion); ``check_model`` runs
 every checker over every instance it applies to and folds each rule into
-one check.
+one check.  ``cluster_gap`` is also the resolution of a set S: the levels of
+an observable, its events and its spectral projectors are all grouped at the
+gap the check is given, never at one fixed when the model was loaded.
 
 ``build_commuting_model`` constructs the joint-eigenbasis model that any
 pairwise-commuting family admits; it passes every checker by construction
@@ -161,10 +163,10 @@ def event_weight(m: HVModel, event: frozenset[str]) -> float:
 
 
 def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> Check:
-    """Every table value must be an eigenvalue of its observable."""
+    """Every table value must be within ``cluster_gap`` of a level of its observable."""
     sites = []
     for label in m.registered:
-        eigs = np.array(m.observable(label).eigenvalues())
+        eigs = np.array(m.observable(label).eigenvalues(cluster_gap))
         row = m.value_row(label)
         for i, v in enumerate(row):
             dist = float(np.abs(eigs - v).min())
@@ -358,7 +360,7 @@ def check_model(
 
     add(check_spectrum_rule(m, cluster_gap))
     labels = sorted(m.registered)
-    spectra = {la: sorted(set(m.registered[la].eigenvalues())) for la in labels}
+    spectra = {la: sorted(set(m.registered[la].eigenvalues(cluster_gap))) for la in labels}
     for la in labels:
         for v in spectra[la]:
             add(check_marginal_rule(m, la, [v], tol, cluster_gap))

@@ -2,11 +2,11 @@
 
 The carrier for every operator in the lab is a square ``complex128`` numpy
 array, validated by :func:`as_operator`.  On top of that this module provides
-the spectral decomposition of Hermitian matrices (numpy ``eigh``, with
-eigenvalue clustering for degenerate spectra), trace utilities, commutator
-norms, a top eigenpair and the rank-one state on its vector (witness and
-separator of the :mod:`nogo_lab.nogo` chains), and the random-operator
-samplers that the property suites and batch commands share.
+trace utilities, commutator norms, a top eigenpair and the rank-one state on
+its vector (witness and separator of the :mod:`nogo_lab.nogo` chains), and
+the random-operator samplers that the property suites and batch commands
+share.  The spectral decomposition of an observable, and its grouping into
+levels at a cluster gap, live in :mod:`nogo_lab.quantum`.
 
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
 Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
@@ -27,7 +27,6 @@ bits as a loop over the matrices.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .check import (  # noqa: F401
     BASIS_TOL, BUILT_TOL, CLUSTER_GAP, COARSE_TOL, NULL_EVENT, PIVOT_TOL, ROUNDING, SEPARATION_TOL,
     TOL,
 )
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
 __all__ = [
     "TOL",
@@ -56,8 +55,6 @@ __all__ = [
     "identity",
     "zero",
     "require_same_dim",
-    "SpectralResolution",
-    "spectral_decompose",
     "trace_inner",
     "top_eigenpair",
     "top_eigenprojector",
@@ -136,93 +133,6 @@ def require_same_dim(*mats: np.ndarray) -> int:
     if len(dims) != 1:
         raise DimensionMismatch(f"dimension mismatch: {sorted(dims)}")
     return dims.pop()
-
-
-class SpectralResolution(NamedTuple):
-    """Eigenvalue / eigenprojector terms of a Hermitian matrix.
-
-    ``terms`` is ordered by decreasing eigenvalue, one term per clustered
-    (possibly degenerate) level.  The projectors are pairwise orthogonal and
-    sum to the identity; ``sum(lam * P)`` rebuilds the source matrix.
-    """
-
-    terms: tuple[tuple[float, np.ndarray], ...]
-    source_dim: int
-
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.terms)
-
-    def reconstruct(self) -> np.ndarray:
-        out = zero(self.source_dim)
-        for lam, p in self.terms:
-            out += lam * p
-        return out
-
-    def projector_for(self, values, gap: float = CLUSTER_GAP) -> np.ndarray:
-        """Sum of eigenprojectors for the levels matching ``values``.
-
-        Raises :class:`UnknownEigenvalue` if a requested value is farther
-        than ``gap`` from every level.
-        """
-        from .errors import UnknownEigenvalue
-
-        out = zero(self.source_dim)
-        for v in values:
-            dists = [abs(complex(v) - lam) for lam, _ in self.terms]
-            k = int(np.argmin(dists))
-            if dists[k] > gap:
-                raise UnknownEigenvalue(
-                    f"value {v!r} is not an eigenvalue (closest level "
-                    f"{self.terms[k][0]!r}, distance {dists[k]:.3e})"
-                )
-            out += self.terms[k][1]
-        return out
-
-
-def spectral_decompose(
-    m, cluster_gap: float = CLUSTER_GAP, tol: float = TOL
-) -> SpectralResolution:
-    """Spectral resolution of a Hermitian matrix.
-
-    Eigenvalues whose mutual distance is below ``cluster_gap`` (transitively)
-    are merged into a single level whose projector is the sum of the member
-    eigenprojectors (its eigenvalue is the member mean).
-
-    Raises :class:`NotHermitian` when ``m`` fails the Hermitian test at
-    ``tol`` or the decomposition fails its post-conditions.
-    """
-    m = as_operator(m)
-    defect = guard_opnorm(m - dag(m), tol)
-    if defect > tol:
-        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
-
-    eigs, z = np.linalg.eigh((m + dag(m)) / 2)
-    # One residual e = opnorm(Z^H Z - I) covers the projector properties:
-    # P_i P_j = Z_i (Z_i^H Z_j) Z_j^H with Z_i^H Z_j a block of Z^H Z - I, so
-    # opnorm(P_i P_j) <= e (1 + e) for i != j; and sum P_i - I = Z Z^H - I,
-    # whose norm equals e for square Z.
-    unitarity = guard_opnorm(dag(z) @ z - identity(m.shape[0]), tol)
-    if unitarity > tol:
-        raise NotHermitian(f"eigenbasis is not orthonormal (residual {unitarity:.3e})")
-
-    terms = []
-    spread = 0.0
-    # eigh sorts ascending, so each level is a run of consecutive gaps below cluster_gap.
-    breaks = np.flatnonzero(np.diff(eigs) >= cluster_gap) + 1
-    for idx in np.split(np.arange(len(eigs)), breaks):
-        cols = z[:, idx]
-        lam = float(eigs[idx].mean())
-        spread = max(spread, float(np.abs(eigs[idx] - lam).max()))
-        terms.append((lam, cols @ dag(cols)))
-
-    res = SpectralResolution(terms=tuple(reversed(terms)), source_dim=m.shape[0])
-    # Clustering may move each merged eigenvalue by up to the cluster spread.
-    residual = guard_opnorm(res.reconstruct() - m, tol + spread)
-    if residual > tol + spread:
-        raise NotHermitian(
-            f"spectral reconstruction residual {residual:.3e} exceeds {tol + spread:.3e}"
-        )
-    return res
 
 
 def trace_inner(d, b) -> complex:

@@ -6,8 +6,10 @@ conditioning step D -> (tr[DB], BDB/tr[DB]) that every caller shares, the
 conditional probability tr[DBAB]/tr[DB], and the projector order AB = BA = A.
 
 Spectra are finite here, so "Borel set" degenerates to a finite set of
-eigenvalues: selections are plain iterables of floats, matched to the
-clustered spectrum of the owning observable.
+eigenvalues: selections are plain iterables of floats.  An observable keeps
+its one ``eigh``; :func:`_levels` alone groups the eigenvalues into levels,
+at the cluster gap its caller passes, and a selection adds each level it
+names once.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opcore
-from .errors import ConditioningOnNull, NotDensity, NotProjector
+from .errors import ConditioningOnNull, NotDensity, NotHermitian, NotProjector, UnknownEigenvalue
 from .opcore import (
     CLUSTER_GAP,
     TOL,
-    SpectralResolution,
     as_operator,
     dag,
     identity,
@@ -156,38 +157,82 @@ class Density(NamedTuple):
 
 
 class Observable(NamedTuple):
-    """Hermitian operator together with its spectral resolution."""
+    """Hermitian operator with its one ``eigh``: ascending ``vals`` and
+    orthonormal ``vecs``.  Nothing is grouped here; :func:`_levels` groups
+    the eigenvalues at the gap each caller judges with."""
 
     mat: np.ndarray
-    resolution: SpectralResolution
+    vals: np.ndarray
+    vecs: np.ndarray
 
     @classmethod
-    def from_matrix(
-        cls, m, cluster_gap: float = CLUSTER_GAP, tol: float = TOL
-    ) -> "Observable":
-        """Raises :class:`NotHermitian` when ``m`` is not Hermitian at ``tol``."""
+    def from_matrix(cls, m, tol: float = TOL) -> "Observable":
+        """Raises :class:`NotHermitian` when ``m`` fails the Hermitian test at
+        ``tol`` or its ``eigh`` fails the orthonormality or reconstruction
+        test at ``tol``."""
         m = as_operator(m)
-        res = opcore.spectral_decompose(m, cluster_gap=cluster_gap, tol=tol)
-        return cls(mat=m, resolution=res)
+        guard = opcore.guard_opnorm
+        defect = guard(m - dag(m), tol)
+        if defect > tol:
+            raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
+        vals, vecs = np.linalg.eigh((m + dag(m)) / 2)
+        # One residual e = opnorm(Z^H Z - I) covers the projector properties of
+        # any grouping: P_i P_j = Z_i (Z_i^H Z_j) Z_j^H with Z_i^H Z_j a block of
+        # Z^H Z - I, so opnorm(P_i P_j) <= e (1 + e) for i != j; and
+        # sum P_i - I = Z Z^H - I, whose norm equals e for square Z.
+        unitarity = guard(dag(vecs) @ vecs - identity(m.shape[0]), tol)
+        if unitarity > tol:
+            raise NotHermitian(f"eigenbasis is not orthonormal (residual {unitarity:.3e})")
+        residual = guard((vecs * vals) @ dag(vecs) - m, tol)
+        if residual > tol:
+            raise NotHermitian(f"spectral reconstruction residual {residual:.3e} exceeds {tol:.3e}")
+        return cls(mat=m, vals=vals, vecs=vecs)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eigenvalues(self) -> tuple[float, ...]:
-        return self.resolution.eigenvalues()
+    def eigenvalues(self, cluster_gap: float = CLUSTER_GAP) -> tuple[float, ...]:
+        """One value per level at ``cluster_gap`` (:func:`_levels`), decreasing."""
+        return tuple(lam for lam, _ in _levels(self, cluster_gap))
+
+
+def _levels(a: Observable, cluster_gap: float) -> list:
+    """The levels of ``a`` at ``cluster_gap``, by decreasing value: each a
+    (value, eigenvector columns) pair.  Eigenvalues whose mutual distance is
+    below ``cluster_gap`` (transitively) form one level, valued at their mean."""
+    # eigh sorts ascending, so each level is a run of consecutive gaps below cluster_gap.
+    ends = [0, *(np.flatnonzero(np.diff(a.vals) >= cluster_gap) + 1).tolist(), len(a.vals)]
+    runs = reversed(list(zip(ends, ends[1:])))
+    return [(float(a.vals[lo:hi].mean()), a.vecs[:, lo:hi]) for lo, hi in runs]
 
 
 def spectral_projector(
     a: Observable, values, cluster_gap: float = CLUSTER_GAP
 ) -> Projector:
-    """Projector onto the eigenspaces of ``a`` for the selected eigenvalues.
+    """Projector onto the eigenspaces of ``a`` for the selected eigenvalues,
+    each level at ``cluster_gap`` counted once however often it is named.
 
     The empty selection gives the zero projector; the full spectrum gives
-    the identity.
+    the identity.  Raises :class:`UnknownEigenvalue` if a value is farther
+    than ``cluster_gap`` from every level.
     """
-    mat = a.resolution.projector_for(values, gap=cluster_gap)
-    return Projector.from_matrix(mat)
+    levels = _levels(a, cluster_gap)
+    chosen = {}  # level index -> None, in the order first named
+    for v in values:
+        dists = [abs(complex(v) - lam) for lam, _ in levels]
+        k = int(np.argmin(dists))
+        if dists[k] > cluster_gap:
+            raise UnknownEigenvalue(
+                f"value {v!r} is not an eigenvalue (closest level "
+                f"{levels[k][0]!r}, distance {dists[k]:.3e})"
+            )
+        chosen.setdefault(k)
+    out = opcore.zero(a.dim)
+    for k in chosen:
+        cols = levels[k][1]
+        out += cols @ dag(cols)
+    return Projector.from_matrix(out)
 
 
 def condition(d: np.ndarray, b: np.ndarray) -> tuple:

@@ -61,18 +61,21 @@ class InfeasibleCertificate(NamedTuple):
 
 
 def solve_equality_feasibility(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a: Sequence[Sequence[int]], b: Sequence[Fraction]
 ) -> FeasibleSolution | InfeasibleCertificate:
     """Find x >= 0 with A x = b, or produce a Farkas certificate.
 
-    ``a`` is row-major, m rows by n columns.  All entries must be Fractions
-    or Python ints (a numpy integer would keep its fixed width inside the
-    Fractions); the result is exact.  :class:`NumericalAmbiguity` is raised
-    when the float tableau proposes no basis or the exact check rejects it.
+    ``a`` is row-major, m rows by n columns of Python ints (a numpy integer
+    would keep its fixed width inside the Fractions), else ``ValueError``;
+    ``b`` holds Fractions or ints.  The result is exact.
+    :class:`NumericalAmbiguity` is raised when the float tableau proposes no
+    basis or the exact check rejects it.
     """
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged constraint matrix")
+    if not all({int}.issuperset(map(type, row)) for row in a):
+        raise ValueError("constraint rows must hold Python ints")
     if len(b) != len(a):
         raise ValueError("rhs length does not match row count")
     flip = [-1 if v < 0 else 1 for v in b]
@@ -137,22 +140,17 @@ def _certify(
     or None when the basis is singular, x_B has a negative entry, or the
     basis is neither feasible nor a phase-1 optimum with a Farkas dual.
 
-    Row i of the flipped system [A~ | I] x = b~ is scaled by the lcm of the
-    denominators in row i of A, so M = diag(scale) B is an integer matrix.
+    B is a column selection of the flipped system [A~ | I], an integer matrix.
     """
-    n = len(a[0]) if a else 0
-    scale = [math.lcm(*(v.denominator for v in row)) for row in a]
-    ints = [[int(v * s) for v in row] for row, s in zip(a, scale)]
-    # Column j of M, for a structural j or the artificial of row j - n.
+    m, n = len(a), len(a[0]) if a else 0
+    # Column j of B, for a structural j or the artificial of row j - n.
     cols = [
-        [f * row[j] for f, row in zip(flip, ints)]
-        if j < n
-        else [s if i == j - n else 0 for i, s in enumerate(scale)]
+        [f * row[j] for f, row in zip(flip, a)] if j < n else [int(i == j - n) for i in range(m)]
         for j in basis
     ]
-    scaled_b = [Fraction(f * s) * v for f, s, v in zip(flip, scale, b)]
-    denom = math.lcm(*(v.denominator for v in scaled_b))
-    x_basic = _solve_integer(list(zip(*cols)), [int(v * denom) for v in scaled_b])
+    flipped_b = [f * v for f, v in zip(flip, b)]
+    denom = math.lcm(*(v.denominator for v in flipped_b))
+    x_basic = _solve_integer(list(zip(*cols)), [int(v * denom) for v in flipped_b])
     if x_basic is None:
         return None
     x_basic = [v / denom for v in x_basic]
@@ -165,19 +163,15 @@ def _certify(
                 x[j] = v
         return FeasibleSolution(x=tuple(x))
 
-    # B^T pi = c_B with c = 1 on artificials: M^T q = c_B and pi = scale * q.
-    q = _solve_integer(cols, [int(j >= n) for j in basis])
-    if q is None:
+    # B^T pi = c_B with c = 1 on artificials.
+    pi = _solve_integer(cols, [int(j >= n) for j in basis])
+    if pi is None:
         return None
-    pi = [s * v for s, v in zip(scale, q)]
     y = tuple(f * v for f, v in zip(flip, pi))
     gap = sum((v * w for v, w in zip(y, b)), Fraction(0))
-    # pi.A~_j = y.A_j = sum_i (y_i / scale_i) ints_ij: one integer product.
-    weights = [f * v for f, v in zip(flip, q)]
-    common = math.lcm(*(v.denominator for v in weights))
-    products = np.array([int(v * common) for v in weights], dtype=object) @ np.array(
-        ints, dtype=object
-    )
+    # pi.A~_j = y.A_j: one integer product over the rows.
+    common = math.lcm(*(v.denominator for v in y))
+    products = np.array([int(v * common) for v in y], dtype=object) @ np.array(a, dtype=object)
     max_ya = Fraction(max(products.tolist(), default=0), common)
     # Phase-1 optimal: no structural (pi.A~_j) or artificial (pi_i - 1)
     # reduced cost is positive.

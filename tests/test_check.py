@@ -17,7 +17,6 @@ def _records() -> list:
     one = (Fraction(1),)
     return [
         Check("x", 0.0, PASS),
-        obs.resolution,
         quantum.Projector.identity(2),
         quantum.Density.maximally_mixed(2),
         obs,

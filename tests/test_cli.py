@@ -256,6 +256,30 @@ class TestCheckModel:
         assert checks["conditional-rule"]["verdict"] == "pass"
         assert checks["marginal-rule"]["verdict"] == "fail"
 
+    @pytest.mark.parametrize("gap, code, marginals", [("1e-6", 0, 3), ("1e-8", 1, 4)])
+    def test_every_rule_groups_the_levels_at_the_cluster_gap(self, tmp_path, gap, code, marginals):
+        """A's eigenvalues 1 and 1 + 1e-7 are one level at --cluster-gap 1e-6,
+        where the model is right, and two at the default 1e-8, where the
+        marginal rule fails."""
+        model = {
+            "kind": "model",
+            "dim": 3,
+            "state": np.diag([0.5, 0.3, 0.2]).tolist(),
+            "observables": {"A": np.diag([1.0, 1.0 + 1e-7, 0.0]).tolist()},
+            "points": ["w0", "w1", "w2"],
+            "weights": [0.5, 0.3, 0.2],
+            "values": {"A": [1.0, 1.0, 0.0]},
+        }
+        path = tmp_path / "near.model"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "r.json"
+        argv = ["check-model", str(path), "--cluster-gap", gap, "--format", "structured"]
+        assert main([*argv, "--out", str(out)]) == code
+        checks = {c["rule"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["marginal-rule"]["name"] == f"marginal-rule over {marginals} instances"
+        assert checks["marginal-rule"]["verdict"] == ("pass" if code == 0 else "fail")
+        assert checks["spectrum-rule"]["verdict"] == "pass"
+
     @pytest.mark.parametrize(
         "text, message",
         [

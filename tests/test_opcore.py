@@ -13,12 +13,11 @@ from nogo_lab.opcore import (
     dag,
     guard_opnorm,
     opnorm,
-    spectral_decompose,
     top_eigenpair,
     top_eigenprojector,
     trace_inner,
 )
-from nogo_lab.quantum import density_defects, require_density
+from nogo_lab.quantum import Observable, density_defects, require_density, spectral_projector
 from nogo_lab.rng import make_generator
 
 from conftest import basis_projector, plus_projector, random_hermitian
@@ -40,25 +39,41 @@ class TestAsOperator:
         assert m.dtype == np.complex128
 
 
+def _level_projectors(obs: Observable, gap: float = 1e-8) -> list:
+    """(value, projector matrix) of each level of ``obs`` at ``gap``."""
+    return [(lam, spectral_projector(obs, [lam], gap).mat) for lam in obs.eigenvalues(gap)]
+
+
+def _reconstruct(obs: Observable, gap: float = 1e-8) -> np.ndarray:
+    return sum(lam * p for lam, p in _level_projectors(obs, gap))
+
+
 class TestSpectralDecompose:
     def test_identity(self):
-        res = spectral_decompose(np.eye(3))
-        assert len(res.terms) == 1
-        lam, p = res.terms[0]
+        levels = _level_projectors(Observable.from_matrix(np.eye(3)))
+        assert len(levels) == 1
+        lam, p = levels[0]
         assert lam == pytest.approx(1.0)
         assert opnorm(p - np.eye(3)) < 1e-12
 
     def test_diagonal_with_degeneracy(self):
-        res = spectral_decompose(np.diag([1.0, 0.0, 0.0]))
-        assert [round(l) for l, _ in res.terms] == [1, 0]
-        assert opnorm(res.terms[0][1] - np.diag([1.0, 0, 0])) < 1e-12
-        assert opnorm(res.terms[1][1] - np.diag([0.0, 1, 1])) < 1e-12
+        levels = _level_projectors(Observable.from_matrix(np.diag([1.0, 0.0, 0.0])))
+        assert [round(l) for l, _ in levels] == [1, 0]
+        assert opnorm(levels[0][1] - np.diag([1.0, 0, 0])) < 1e-12
+        assert opnorm(levels[1][1] - np.diag([0.0, 1, 1])) < 1e-12
 
     def test_clustering_merges_near_degenerate(self):
-        res = spectral_decompose(np.diag([2.0, 2.0, 5.0]))
-        assert len(res.terms) == 2
-        by_value = {round(l): p for l, p in res.terms}
+        levels = _level_projectors(Observable.from_matrix(np.diag([2.0, 2.0, 5.0])))
+        assert len(levels) == 2
+        by_value = {round(l): p for l, p in levels}
         assert round(np.trace(by_value[2]).real) == 2
+
+    def test_the_gap_decides_the_levels(self):
+        obs = Observable.from_matrix(np.diag([1.0, 1.0 + 1e-7, 0.0]))
+        assert len(obs.eigenvalues(1e-8)) == 3
+        assert len(obs.eigenvalues(1e-6)) == 2
+        assert spectral_projector(obs, [1.0], 1e-6).rank == 2
+        assert spectral_projector(obs, [1.0], 1e-8).rank == 1
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=8))
     def test_clustering_matches_transitive_closure(self, steps):
@@ -70,8 +85,8 @@ class TestSpectralDecompose:
             for j in range(len(values)):
                 if abs(values[i] - values[j]) < 1e-8:
                     parent = [parent[i] if p == parent[j] else p for p in parent]
-        res = spectral_decompose(np.diag(values))
-        assert len(res.terms) == len(set(parent))
+        obs = Observable.from_matrix(np.diag(values))
+        assert len(obs.eigenvalues(1e-8)) == len(set(parent))
 
     def test_random_hermitian_reconstruction(self):
         # 1000 matrices across dims 2-8
@@ -79,35 +94,34 @@ class TestSpectralDecompose:
         for dim in range(2, 9):
             for _ in range(143):
                 h = random_hermitian(gen, dim)
-                res = spectral_decompose(h)
-                assert opnorm(res.reconstruct() - h) <= 1e-10
+                assert opnorm(_reconstruct(Observable.from_matrix(h)) - h) <= 1e-10
 
     def test_skew_hermitian_rejected(self):
         # normal but not Hermitian: eigenvalues +-i/2 and 0
         c = np.array([[0, 0.5, 0], [-0.5, 0, 0], [0, 0, 0]], dtype=complex)
         with pytest.raises(NotHermitian):
-            spectral_decompose(c)
+            Observable.from_matrix(c)
 
     def test_rejects_non_normal(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotHermitian):
-            spectral_decompose(m)
+            Observable.from_matrix(m)
 
     def test_eigenvalues_are_real_floats(self):
-        res = spectral_decompose(random_hermitian(make_generator(5), 4))
-        assert all(type(lam) is float for lam in res.eigenvalues())
-        assert list(res.eigenvalues()) == sorted(res.eigenvalues(), reverse=True)
+        obs = Observable.from_matrix(random_hermitian(make_generator(5), 4))
+        assert all(type(lam) is float for lam in obs.eigenvalues())
+        assert list(obs.eigenvalues()) == sorted(obs.eigenvalues(), reverse=True)
 
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_round_trip_property(self, dim, seed):
         h = random_hermitian(make_generator(seed), dim)
-        res = spectral_decompose(h)
-        ps = [p for _, p in res.terms]
+        obs = Observable.from_matrix(h)
+        ps = [p for _, p in _level_projectors(obs)]
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 assert opnorm(ps[i] @ ps[j]) <= 1e-9
         assert opnorm(sum(ps) - np.eye(dim)) <= 1e-9
-        assert opnorm(res.reconstruct() - h) <= 1e-10
+        assert opnorm(_reconstruct(obs) - h) <= 1e-10
 
 
 class TestTraceInner:

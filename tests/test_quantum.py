@@ -89,6 +89,13 @@ class TestSpectralProjector:
         with pytest.raises(UnknownEigenvalue):
             spectral_projector(a, [0.5])
 
+    def test_a_level_named_twice_is_added_once(self):
+        a = Observable.from_matrix(np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(spectral_projector(a, [1.0, 1.0]).mat, spectral_projector(a, [1.0]).mat)
+        # two values within the gap of one level name that level twice
+        p = spectral_projector(a, [1.0, 1.0 + 1e-9, 0.0])
+        assert p.rank == 3 and opnorm(p.mat - np.eye(3)) < 1e-12
+
 
 class TestConditionalProbability:
     def test_conditioning_on_itself(self):

@@ -119,19 +119,19 @@ def check_solution(a, b, sol):
 
 class TestSmallSystems:
     def test_trivially_feasible(self):
-        r = solve_equality_feasibility([[F(1), F(1)]], [F(1)])
+        r = solve_equality_feasibility([[1, 1]], [F(1)])
         assert r.feasible
-        check_solution([[F(1), F(1)]], [F(1)], r)
+        check_solution([[1, 1]], [F(1)], r)
 
     def test_contradictory_rows(self):
-        a = [[F(1), F(1)], [F(1), F(1)]]
+        a = [[1, 1], [1, 1]]
         b = [F(1), F(2)]
         r = solve_equality_feasibility(a, b)
         assert not r.feasible
         check_farkas(a, b, r)
 
     def test_negative_rhs_needs_sign_flip(self):
-        a = [[F(-1), F(0)], [F(0), F(1)]]
+        a = [[-1, 0], [0, 1]]
         b = [F(-3), F(2)]
         r = solve_equality_feasibility(a, b)
         assert r.feasible
@@ -139,14 +139,14 @@ class TestSmallSystems:
 
     def test_nonnegativity_blocks_solution(self):
         # x1 - x2 = 1, x1 + x2 = 0 forces x2 = -1/2 < 0... via equalities
-        a = [[F(1), F(-1)], [F(1), F(1)]]
+        a = [[1, -1], [1, 1]]
         b = [F(1), F(0)]
         r = solve_equality_feasibility(a, b)
         assert not r.feasible
         check_farkas(a, b, r)
 
     def test_redundant_rows_are_fine(self):
-        a = [[F(1), F(2)], [F(2), F(4)]]
+        a = [[1, 2], [2, 4]]
         b = [F(3), F(6)]
         r = solve_equality_feasibility(a, b)
         assert r.feasible
@@ -162,18 +162,27 @@ class TestSmallSystems:
         assert not r.feasible
         check_farkas(a, b, r)
 
-    def test_exact_rationals_survive(self):
-        a = [[Fraction(1, 3), Fraction(1, 7)]]
-        b = [Fraction(22, 21)]
-        r = solve_equality_feasibility(a, b)
-        assert r.feasible
-        check_solution(a, b, r)
-
-    def test_fraction_rows_are_certified_without_the_fallback(self):
+    def test_fraction_rows_are_rejected_and_solved_scaled(self):
         a = [[Fraction(1, 3), Fraction(1, 7)], [Fraction(-1, 2), Fraction(5, 6)]]
-        for b in ([Fraction(22, 21), Fraction(1, 3)], [Fraction(1), Fraction(-4)]):
-            r = solve_equality_feasibility(a, b)
-            (check_solution if r.feasible else check_farkas)(a, b, r)
+        with pytest.raises(ValueError, match="Python ints"):
+            solve_equality_feasibility(a[:1], [Fraction(22, 21)])
+        with pytest.raises(ValueError, match="Python ints"):
+            solve_equality_feasibility([[1, np.int64(1)]], [1])
+        # each row times the lcm of its denominators: x21 and x6
+        scaled = [[7, 3], [-3, 5]]
+        r = solve_equality_feasibility(scaled[:1], [F(22)])
+        assert r.feasible
+        check_solution(scaled[:1], [F(22)], r)
+        check_solution(a[:1], [Fraction(22, 21)], r)
+        for b, feasible in (([Fraction(22, 21), Fraction(1, 3)], True), ([Fraction(1), Fraction(-4)], False)):
+            b_scaled = [21 * b[0], 6 * b[1]]
+            r = solve_equality_feasibility(scaled, b_scaled)
+            assert r.feasible == feasible
+            if feasible:
+                check_solution(scaled, b_scaled, r)
+                check_solution(a, b, r)
+            else:
+                check_farkas(scaled, b_scaled, r)
 
 
 class TestAgainstFloatOracle:
@@ -191,7 +200,7 @@ class TestAgainstFloatOracle:
                 b_num = a_num @ x0
             else:
                 b_num = gen.integers(-6, 7, size=m)
-            a = [[F(int(v)) for v in row] for row in a_num]
+            a = [[int(v) for v in row] for row in a_num]
             b = [F(int(v)) for v in b_num]
             ours = solve_equality_feasibility(a, b)
             ref = linprog(
@@ -212,9 +221,9 @@ class TestAgainstFloatOracle:
     def test_bland_terminates_on_degenerate_instance(self):
         # classic degeneracy: many zero right-hand sides
         a = [
-            [F(1), F(-1), F(0), F(0)],
-            [F(0), F(1), F(-1), F(0)],
-            [F(0), F(0), F(1), F(-1)],
+            [1, -1, 0, 0],
+            [0, 1, -1, 0],
+            [0, 0, 1, -1],
         ]
         b = [F(0), F(0), F(0)]
         r = solve_equality_feasibility(a, b)
@@ -224,7 +233,7 @@ class TestAgainstFloatOracle:
 
 def test_certificate_is_exact_not_rounded():
     # 1/3 + 2/3 style arithmetic must come back exact
-    a = [[F(1), F(1), F(1)], [F(1), F(0), F(0)]]
+    a = [[1, 1, 1], [1, 0, 0]]
     b = [F(1), Fraction(1, 3)]
     r = solve_equality_feasibility(a, b)
     assert r.feasible
