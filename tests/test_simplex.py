@@ -162,18 +162,25 @@ class TestSmallSystems:
         assert not r.feasible
         check_farkas(a, b, r)
 
-    def test_fraction_rows_are_rejected_and_solved_scaled(self):
+    # Rows must hold Python ints; a rational row is solved scaled by the lcm
+    # of its denominators (x21 and x6), and x checked against both systems.
+    def test_exact_rationals_survive(self):
+        a = [[Fraction(1, 3), Fraction(1, 7)]]
+        with pytest.raises(ValueError, match="Python ints"):
+            solve_equality_feasibility(a, [Fraction(22, 21)])
+        scaled = [[7, 3]]
+        r = solve_equality_feasibility(scaled, [F(22)])
+        assert r.feasible
+        check_solution(scaled, [F(22)], r)
+        check_solution(a, [Fraction(22, 21)], r)
+
+    def test_fraction_rows_are_certified_without_the_fallback(self):
         a = [[Fraction(1, 3), Fraction(1, 7)], [Fraction(-1, 2), Fraction(5, 6)]]
         with pytest.raises(ValueError, match="Python ints"):
-            solve_equality_feasibility(a[:1], [Fraction(22, 21)])
+            solve_equality_feasibility(a, [Fraction(22, 21), Fraction(1, 3)])
         with pytest.raises(ValueError, match="Python ints"):
             solve_equality_feasibility([[1, np.int64(1)]], [1])
-        # each row times the lcm of its denominators: x21 and x6
         scaled = [[7, 3], [-3, 5]]
-        r = solve_equality_feasibility(scaled[:1], [F(22)])
-        assert r.feasible
-        check_solution(scaled[:1], [F(22)], r)
-        check_solution(a[:1], [Fraction(22, 21)], r)
         for b, feasible in (([Fraction(22, 21), Fraction(1, 3)], True), ([Fraction(1), Fraction(-4)], False)):
             b_scaled = [21 * b[0], 6 * b[1]]
             r = solve_equality_feasibility(scaled, b_scaled)
