@@ -21,6 +21,11 @@ one check.  ``cluster_gap`` is also the resolution of a set S: the levels of
 an observable, its events and its spectral projectors are all grouped at the
 gap the check is given, never at one fixed when the model was loaded.
 
+The checkers read a model through one private table that computes each fact
+once, on first use: value rows, events, spectral projectors, projector forms
+and commutator norms.  A checker called alone builds its own; ``check_model``
+builds one and hands it to every checker, so no fact is decided twice.
+
 ``build_commuting_model`` constructs the joint-eigenbasis model that any
 pairwise-commuting family admits; it passes every checker by construction
 and is the positive complement to the no-go checks in :mod:`nogo_lab.nogo`.
@@ -137,24 +142,65 @@ def _labels(values, cluster_gap: float) -> list[float]:
     return [round(float(v), decimals) + 0.0 for v in sorted(values)]
 
 
-def _event(m: HVModel, label: str, values, gap: float) -> set[int]:
-    """Indices of the points where ``label`` takes one of ``values``."""
-    row = m.value_row(label)
-    idx = set()
-    for v in values:
-        idx.update(np.flatnonzero(np.abs(row - v) <= gap).tolist())
-    return idx
+class _Table:
+    """One model's facts, each computed on first use.  ``tol`` decides the
+    preconditions: a projector form at ``floored(tol, COARSE_TOL)``, the
+    order of two projectors at ``tol``."""
+
+    def __init__(self, m: HVModel, tol: float):
+        self.m, self.tol, self._known = m, tol, {}
+
+    def _once(self, key: tuple, compute):
+        if key not in self._known:
+            try:
+                self._known[key] = compute()
+            except NotProjector as e:  # a failed projector form is known too
+                self._known[key] = e
+        if isinstance(self._known[key], NotProjector):
+            raise self._known[key]
+        return self._known[key]
+
+    def row(self, label: str) -> np.ndarray:
+        return self._once(("row", label), lambda: self.m.value_row(label))
+
+    def event(self, label: str, values: tuple, gap: float) -> set[int]:
+        """Indices of the points where ``label`` takes one of ``values``."""
+        row = self.row(label)
+        hits = (np.flatnonzero(np.abs(row - v) <= gap).tolist() for v in values)
+        return self._once(("event", label, values, gap), lambda: set().union(*hits))
+
+    def mass(self, idx: set[int]) -> float:
+        return float(sum(self.m.space.weights[i] for i in idx))
+
+    def projector(self, label: str, values: tuple, gap: float) -> Projector:
+        obs, key = self.m.observable(label), ("projector", label, values, gap)
+        return self._once(key, lambda: spectral_projector(obs, values, gap))
+
+    def form(self, label: str) -> Projector:
+        """``label``'s matrix as a projector, or :class:`NotProjector`."""
+        mat, tol = self.m.observable(label).mat, opcore.floored(self.tol, opcore.COARSE_TOL)
+        return self._once(("form", label), lambda: Projector.from_matrix(mat, tol=tol))
+
+    def pair_norm(self, a: str, b: str) -> float:  # in the order asked: reports keep their bits
+        mat_a, mat_b = self.m.observable(a).mat, self.m.observable(b).mat
+        return self._once(("pair", a, b), lambda: commutator_norm(mat_a, mat_b))
+
+    def require_commuting(self, a: str, b: str, tol: float) -> None:
+        if (c := self.pair_norm(a, b)) > tol:
+            raise NotCommuting(f"{a!r} and {b!r} do not commute (norm {c:.3e})")
 
 
-def _mass(m: HVModel, idx: set[int]) -> float:
-    return float(sum(m.space.weights[i] for i in idx))
+def _table(m, tol: float) -> tuple[_Table, HVModel]:
+    """The table :func:`check_model` passes as ``m``, or a new one at ``tol``."""
+    table = m if isinstance(m, _Table) else _Table(m, tol)
+    return table, table.m
 
 
 def preimage(
     m: HVModel, label: str, value: float, cluster_gap: float = CLUSTER_GAP
 ) -> frozenset[str]:
     """Event {point : f(point, label) = value within cluster_gap}."""
-    return frozenset(m.space.points[i] for i in _event(m, label, [value], cluster_gap))
+    return frozenset(m.space.points[i] for i in _Table(m, TOL).event(label, (value,), cluster_gap))
 
 
 def event_weight(m: HVModel, event: frozenset[str]) -> float:
@@ -164,49 +210,34 @@ def event_weight(m: HVModel, event: frozenset[str]) -> float:
 
 def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> Check:
     """Every table value must be within ``cluster_gap`` of a level of its observable."""
+    table, m = _table(m, TOL)
     sites = []
     for label in m.registered:
         eigs = np.array(m.observable(label).eigenvalues(cluster_gap))
-        row = m.value_row(label)
-        for i, v in enumerate(row):
+        for point, v in zip(m.space.points, table.row(label)):
             dist = float(np.abs(eigs - v).min())
-            sites.append(
-                Check.judged(
-                    f"({m.space.points[i]}, {label})",
-                    dist,
-                    cluster_gap,
-                    detail=f"value {v} is {dist:.3e} from the nearest eigenvalue",
-                )
-            )
+            detail = f"value {v} is {dist:.3e} from the nearest eigenvalue"
+            sites.append(Check.judged(f"({point}, {label})", dist, cluster_gap, detail=detail))
     return Check.composite("spectrum-rule", sites, rule="spectrum-rule")
 
 
-def _require_commuting(m: HVModel, a: str, b: str, tol: float) -> None:
-    c = commutator_norm(m.observable(a).mat, m.observable(b).mat)
-    if c > tol:
-        raise NotCommuting(f"{a!r} and {b!r} do not commute (norm {c:.3e})")
-
-
-def _find_registered(m: HVModel, target: np.ndarray, tol: float, what: str) -> list[str]:
-    """All labels whose registered matrix equals ``target``."""
-    found = [
-        label
-        for label, obs in m.registered.items()
-        if obs.dim == target.shape[0] and opnorm(obs.mat - target) <= tol
-    ]
-    if not found:
+def _pointwise_rule(m, a: str, b: str, tol: float, rule: str, what: str, mat_op, value_op) -> Check:
+    """``rule`` for commuting registered A, B: every registered copy of
+    mat_op(A, B), located by matrix equality, must take the values
+    value_op(f(., A), f(., B)), so the value table stays the single source of
+    truth.  The compound observable must itself be registered."""
+    table, m = _table(m, tol)
+    table.require_commuting(a, b, tol)
+    target = mat_op(m.observable(a).mat, m.observable(b).mat)
+    compounds = [label for label, obs in m.registered.items()
+                 if obs.dim == target.shape[0] and opnorm(obs.mat - target) <= tol]
+    if not compounds:
         raise UnregisteredObservable(f"{what} is not registered in the model")
-    return found
-
-
-def _pointwise_rule(
-    m: HVModel, a: str, b: str, compounds: list[str], combine, rule: str, tol: float
-) -> Check:
-    va, vb = m.value_row(a), m.value_row(b)
+    va, vb = table.row(a), table.row(b)
     sites = []
     for compound in compounds:
-        vc = m.value_row(compound)
-        gaps = np.abs(vc - combine(va, vb))
+        vc = table.row(compound)
+        gaps = np.abs(vc - value_op(va, vb))
         sites.extend(
             Check.judged(
                 point,
@@ -220,24 +251,13 @@ def _pointwise_rule(
 
 
 def check_sum_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> Check:
-    """f(., A+B) = f(., A) + f(., B) for commuting registered A, B.
-
-    The sum observable must itself be registered; every registered copy is
-    located by matrix equality and checked, so the value table stays the
-    single source of truth.
-    """
-    _require_commuting(m, a, b, tol)
-    target = m.observable(a).mat + m.observable(b).mat
-    compounds = _find_registered(m, target, tol, f"sum {a}+{b}")
-    return _pointwise_rule(m, a, b, compounds, np.add, "sum-rule", tol)
+    """f(., A+B) = f(., A) + f(., B) at every registered copy of A+B (commuting A, B)."""
+    return _pointwise_rule(m, a, b, tol, "sum-rule", f"sum {a}+{b}", np.add, np.add)
 
 
 def check_product_rule(m: HVModel, a: str, b: str, tol: float = TOL) -> Check:
-    """f(., AB) = f(., A) * f(., B) for commuting registered A, B."""
-    _require_commuting(m, a, b, tol)
-    target = m.observable(a).mat @ m.observable(b).mat
-    compounds = _find_registered(m, target, tol, f"product {a}*{b}")
-    return _pointwise_rule(m, a, b, compounds, np.multiply, "product-rule", tol)
+    """f(., AB) = f(., A) * f(., B) at every registered copy of AB (commuting A, B)."""
+    return _pointwise_rule(m, a, b, tol, "product-rule", f"product {a}*{b}", np.matmul, np.multiply)
 
 
 def check_marginal_rule(
@@ -248,37 +268,29 @@ def check_marginal_rule(
     cluster_gap: float = CLUSTER_GAP,
 ) -> Check:
     """mu{f(., A) in S} must equal tr[D P_A(S)]."""
-    obs = m.observable(label)
-    proj = spectral_projector(obs, values, cluster_gap)
-    quantum_side = trace_inner(m.state.mat, proj.mat).real
-    classical_side = _mass(m, _event(m, label, values, cluster_gap))
+    table, m = _table(m, tol)
+    values = tuple(values)
+    quantum_side = trace_inner(m.state.mat, table.projector(label, values, cluster_gap).mat).real
+    classical_side = table.mass(table.event(label, values, cluster_gap))
     where = f"{label}, S={_labels(values, cluster_gap)}"
     return _compare("marginal-rule", where, classical_side, quantum_side, tol)
 
 
 def check_joint_rule(
-    m: HVModel,
-    a: str,
-    s_values,
-    b: str,
-    t_values,
-    tol: float = TOL,
-    cluster_gap: float = CLUSTER_GAP,
+    m: HVModel, a: str, s_values, b: str, t_values,
+    tol: float = TOL, cluster_gap: float = CLUSTER_GAP,
 ) -> Check:
     """mu{A in S and B in T} must equal tr[D P_A(S) P_B(T)] (commuting A, B)."""
-    _require_commuting(m, a, b, tol)
-    pa = spectral_projector(m.observable(a), s_values, cluster_gap)
-    pb = spectral_projector(m.observable(b), t_values, cluster_gap)
+    table, m = _table(m, tol)
+    table.require_commuting(a, b, tol)
+    s_values, t_values = tuple(s_values), tuple(t_values)
+    pa = table.projector(a, s_values, cluster_gap)
+    pb = table.projector(b, t_values, cluster_gap)
     quantum_side = np.trace(m.state.mat @ pa.mat @ pb.mat).real
-    both = _event(m, a, s_values, cluster_gap) & _event(m, b, t_values, cluster_gap)
+    both = table.event(a, s_values, cluster_gap) & table.event(b, t_values, cluster_gap)
     s_text, t_text = _labels(s_values, cluster_gap), _labels(t_values, cluster_gap)
     where = f"({a} in {s_text}) & ({b} in {t_text})"
-    return _compare("joint-rule", where, _mass(m, both), quantum_side, tol)
-
-
-def _as_projector(m: HVModel, label: str, tol: float) -> Projector:
-    mat = m.observable(label).mat
-    return Projector.from_matrix(mat, tol=opcore.floored(tol, opcore.COARSE_TOL))
+    return _compare("joint-rule", where, table.mass(both), quantum_side, tol)
 
 
 def check_order_rule(
@@ -286,16 +298,14 @@ def check_order_rule(
 ) -> Check:
     """For projectors with A <= B, the value-1 events must nest: a AND b = a.
 
-    Relies on the product rule holding for the pair, which is why the
-    product observable is required to be registered.
+    Each point of a outside b is a failing site, in point order.
     """
-    pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
-    if not leq(pa, pb, tol):
+    table, m = _table(m, tol)
+    if not leq(table.form(a), table.form(b), table.tol):
         raise OrderViolation(f"{a!r} <= {b!r} does not hold as projectors")
-    # a <= b means ab = a; the registered product pins down f(., AB).
-    _find_registered(m, pa.mat @ pb.mat, tol, f"product {a}*{b}")
-    extra = preimage(m, a, 1.0, cluster_gap) - preimage(m, b, 1.0, cluster_gap)
-    sites = [Check.judged(p, 1.0, 0.0, detail=f"f({a})=1 but f({b})!=1") for p in sorted(extra)]
+    extra = table.event(a, (1.0,), cluster_gap) - table.event(b, (1.0,), cluster_gap)
+    detail = f"f({a})=1 but f({b})!=1"
+    sites = [Check.judged(m.space.points[i], 1.0, 0.0, detail=detail) for i in sorted(extra)]
     return Check.composite("order-events-rule", sites, rule="order-events-rule")
 
 
@@ -310,43 +320,36 @@ def check_conditional_rule(
     loose tolerance judges every instance instead of skipping it; the
     quantum side's [0, 1] test is no finer than ``COARSE_TOL``.
     """
-    pa, pb = _as_projector(m, a, tol), _as_projector(m, b, tol)
-    ev_a = _event(m, a, [1.0], cluster_gap)
-    ev_b = _event(m, b, [1.0], cluster_gap)
-    mu_b = _mass(m, ev_b)
+    table, m = _table(m, tol)
+    pa, pb = table.form(a), table.form(b)
+    ev_a, ev_b = table.event(a, (1.0,), cluster_gap), table.event(b, (1.0,), cluster_gap)
+    mu_b = table.mass(ev_b)
     if mu_b <= opcore.NULL_EVENT:
         raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
-    classical = _mass(m, ev_a & ev_b) / mu_b
+    classical = table.mass(ev_a & ev_b) / mu_b
     quantum = conditional_probability(m.state, pa, pb, opcore.floored(tol, opcore.COARSE_TOL))
     sides = ("phase-space", "conditioned trace")
     return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
 
 
-_RULES = (
-    "spectrum-rule",
-    "marginal-rule",
-    "joint-rule",
-    "sum-rule",
-    "product-rule",
-    "order-events-rule",
-    "conditional-rule",
-)
+_RULES = ("spectrum-rule", "marginal-rule", "joint-rule", "sum-rule", "product-rule",
+          "order-events-rule", "conditional-rule")
 
 
-def check_model(
-    m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP
-) -> list[Check]:
+def check_model(m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP) -> list[Check]:
     """Every rule checker over every instance it applies to in ``m``.
 
     Returns one :func:`~nogo_lab.check.fold` per rule with instances, in
     spectrum, marginal, joint, sum, product, order, conditional order.
     Marginals run on each eigenvalue and on the whole spectrum of every
     label; the pairwise rules run on every commuting pair of labels, the
-    order and conditional rules only when both are projectors.  An instance
-    whose precondition fails (an unregistered sum or product, an order that
-    does not hold, conditioning on a null event) is skipped; other errors
-    propagate.
+    order and conditional rules only when both are projectors.  The
+    checkers share one table, which judges projector forms at ``COARSE_TOL``
+    and orders at ``min(tol, COARSE_TOL)``.  An instance whose precondition
+    fails (an unregistered sum or product, an order that does not hold,
+    conditioning on a null event) is skipped; other errors propagate.
     """
+    table = _Table(m, min(tol, opcore.COARSE_TOL))
     found: dict[str, list[Check]] = {rule: [] for rule in _RULES}
 
     def add(check: Check) -> None:
@@ -354,37 +357,33 @@ def check_model(
 
     def add_unless_skipped(checker, *args) -> None:
         try:
-            add(checker(m, *args))
+            add(checker(table, *args))
         except (UnregisteredObservable, OrderViolation, ConditioningOnNull):
             pass
 
-    add(check_spectrum_rule(m, cluster_gap))
+    add(check_spectrum_rule(table, cluster_gap))
     labels = sorted(m.registered)
     spectra = {la: sorted(set(m.registered[la].eigenvalues(cluster_gap))) for la in labels}
     for la in labels:
         for v in spectra[la]:
-            add(check_marginal_rule(m, la, [v], tol, cluster_gap))
-        add(check_marginal_rule(m, la, spectra[la], tol, cluster_gap))
+            add(check_marginal_rule(table, la, [v], tol, cluster_gap))
+        add(check_marginal_rule(table, la, spectra[la], tol, cluster_gap))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
-            mat_a, mat_b = m.registered[la].mat, m.registered[lb].mat
-            if commutator_norm(mat_a, mat_b) > tol:
+            if table.pair_norm(la, lb) > tol:
                 continue
             for x in spectra[la]:
                 for y in spectra[lb]:
-                    add(check_joint_rule(m, la, [x], lb, [y], tol, cluster_gap))
+                    add(check_joint_rule(table, la, [x], lb, [y], tol, cluster_gap))
             add_unless_skipped(check_sum_rule, la, lb, tol)
             add_unless_skipped(check_product_rule, la, lb, tol)
             try:
-                pa = Projector.from_matrix(mat_a, tol=opcore.COARSE_TOL)
-                pb = Projector.from_matrix(mat_b, tol=opcore.COARSE_TOL)
+                table.form(la), table.form(lb)
             except NotProjector:
                 continue
-            for (lo, p_lo), (hi, p_hi) in (((la, pa), (lb, pb)), ((lb, pb), (la, pa))):
-                if leq(p_lo, p_hi, opcore.COARSE_TOL):
-                    add_unless_skipped(check_order_rule, lo, hi, tol, cluster_gap)
-            for lo, hi in ((la, lb), (lb, la)):
-                add_unless_skipped(check_conditional_rule, lo, hi, tol, cluster_gap)
+            for checker in (check_order_rule, check_conditional_rule):
+                for lo, hi in ((la, lb), (lb, la)):
+                    add_unless_skipped(checker, lo, hi, tol, cluster_gap)
     return [fold(rule, checks) for rule, checks in found.items() if checks]
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from nogo_lab import hvmodel
+from nogo_lab.check import fold
 from nogo_lab.errors import (
     ConditioningOnNull,
     NotCommuting,
     NotCommutingFamily,
+    NotProjector,
     OrderViolation,
     UnregisteredObservable,
 )
@@ -25,9 +27,11 @@ from nogo_lab.hvmodel import (
     preimage,
 )
 from nogo_lab.fileio import load_model, resolve_input_path
-from nogo_lab.opcore import COARSE_TOL, TOL, dag, random_density_matrix, random_unitary
-from nogo_lab.quantum import Density, Observable, conditional_probability
-from nogo_lab.rng import make_generator
+from nogo_lab.opcore import (
+    COARSE_TOL, TOL, commutator_norm, dag, random_density_matrix, random_unitary,
+)
+from nogo_lab.quantum import Density, Observable, Projector, conditional_probability, leq
+from nogo_lab.rng import make_generator, trial_generator
 
 from conftest import commuting_projector_pair
 
@@ -350,3 +354,161 @@ def test_checker_soundness_against_single_corruptions(diag_model):
     for idx in range(3):
         bad = with_weight(diag_model, idx, diag_model.space.weights[idx] + 1e-7)
         assert any(not rep.ok for rep in all_rule_checks(bad))
+
+
+def test_order_rule_needs_no_registered_product():
+    # O1 <= O2 makes O1 O2 = O1, so no product observable has to be registered.
+    fam = {k: v for k, v in diagonal_family().items() if k in ("O1", "O2")}
+    m = build_commuting_model(fam, Density.from_matrix(np.diag([0.5, 1 / 3, 1 / 6])))
+    assert check_order_rule(m, "O1", "O2").ok
+
+
+def test_order_sites_are_listed_in_point_order():
+    n = 12
+    row_a = np.zeros(n)
+    row_a[[2, 10]] = 1.0
+    m = HVModel(
+        space=PhaseSpace(points=tuple(f"w{i}" for i in range(n)), weights=np.full(n, 1 / n)),
+        registered={
+            "A": Observable.from_matrix(np.diag([1.0, 0.0, 0.0])),
+            "B": Observable.from_matrix(np.diag([1.0, 1.0, 0.0])),
+        },
+        values={"A": row_a, "B": 1.0 - row_a},
+        state=Density.maximally_mixed(3),
+    )
+    assert [p.name for p in check_order_rule(m, "A", "B").parts] == ["w2", "w10"]
+    (order,) = [c for c in check_model(m) if c.rule == "order-events-rule"]
+    assert order.as_dict()["firstViolation"] == "w2: f(A)=1 but f(B)!=1"
+
+
+def _checkers_one_at_a_time(m: HVModel, tol: float, gap: float) -> list:
+    """The folds of ``check_model`` as its docstring states them, each
+    instance from a public checker called alone on the model."""
+    found = {}
+
+    def add(check):
+        found.setdefault(check.rule, []).append(check)
+
+    def add_unless_skipped(checker, *args):
+        try:
+            add(checker(m, *args))
+        except (UnregisteredObservable, OrderViolation, ConditioningOnNull):
+            pass
+
+    add(check_spectrum_rule(m, gap))
+    labels = sorted(m.registered)
+    spectra = {la: sorted(set(m.registered[la].eigenvalues(gap))) for la in labels}
+    for la in labels:
+        for v in spectra[la]:
+            add(check_marginal_rule(m, la, [v], tol, gap))
+        add(check_marginal_rule(m, la, spectra[la], tol, gap))
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1 :]:
+            mat_a, mat_b = m.registered[la].mat, m.registered[lb].mat
+            if commutator_norm(mat_a, mat_b) > tol:
+                continue
+            for x in spectra[la]:
+                for y in spectra[lb]:
+                    add(check_joint_rule(m, la, [x], lb, [y], tol, gap))
+            add_unless_skipped(check_sum_rule, la, lb, tol)
+            add_unless_skipped(check_product_rule, la, lb, tol)
+            try:
+                pa, pb = (Projector.from_matrix(x, tol=COARSE_TOL) for x in (mat_a, mat_b))
+            except NotProjector:
+                continue
+            for lo, p_lo, hi, p_hi in ((la, pa, lb, pb), (lb, pb, la, pa)):
+                if leq(p_lo, p_hi, COARSE_TOL):
+                    add_unless_skipped(check_order_rule, lo, hi, tol, gap)
+            for lo, hi in ((la, lb), (lb, la)):
+                add_unless_skipped(check_conditional_rule, lo, hi, tol, gap)
+    return [fold(rule, found[rule]) for rule in hvmodel._RULES if rule in found]
+
+
+def _bits(c) -> list:
+    """Every field a report shows, residuals as exact hex, part by part."""
+    own = (c.name, c.rule, float(c.residual).hex(), c.bound, c.verdict, c.detail)
+    return [own, *(x for p in c.parts for x in _bits(p))]
+
+
+def _agreement_models():
+    base = load_model(resolve_input_path("commuting.model"))
+    yield "commuting.model", base
+    yield "weight", with_weight(base, 0, base.space.weights[0] + 0.05)
+    yield "SUM", with_table_entry(base, "SUM", 1, base.value_row("SUM")[1] + 0.5)
+    yield "PROD", with_table_entry(base, "PROD", 0, 0.0)
+    for t in range(0, 200, 20):  # the families of acceptance criterion 4
+        gen = trial_generator(4, t)
+        dim = 3 + (t % 4)
+        u = random_unitary(gen, dim)
+        a, b = (u @ np.diag(gen.integers(0, 2, size=dim).astype(complex)) @ dag(u) for _ in "ab")
+        fam = {
+            "A": Observable.from_matrix(a, tol=1e-8),
+            "B": Observable.from_matrix(b, tol=1e-8),
+            "S": Observable.from_matrix(a + b, tol=1e-8),
+            "P": Observable.from_matrix(a @ b, tol=1e-8),
+        }
+        state = Density.from_matrix(random_density_matrix(gen, dim))
+        yield f"family-{t}", build_commuting_model(fam, state, tol=1e-8)
+
+
+@pytest.mark.parametrize("tol, gap", [(TOL, 1e-8), (1e-6, 1e-4), (0.5, 1e-8)])
+def test_check_model_folds_the_checkers_called_alone(tol, gap):
+    for name, m in _agreement_models():
+        want = _checkers_one_at_a_time(m, tol, gap)
+        got = check_model(m, tol, gap)
+        assert [_bits(c) for c in got] == [_bits(c) for c in want], name
+
+
+def test_check_model_decides_each_fact_once(monkeypatch):
+    m = load_model(resolve_input_path("commuting.model"))
+    pairs, selections = [], []
+    norm, projector = hvmodel.commutator_norm, hvmodel.spectral_projector
+
+    def counted_norm(a, b):
+        pairs.append((a, b))
+        return norm(a, b)
+
+    def counted_projector(obs, values, gap):
+        selections.append((id(obs), tuple(values)))
+        return projector(obs, values, gap)
+
+    monkeypatch.setattr(hvmodel, "commutator_norm", counted_norm)
+    monkeypatch.setattr(hvmodel, "spectral_projector", counted_projector)
+    check_model(m)
+    n = len(m.registered)
+    assert len(pairs) == n * (n - 1) // 2 == 6
+    levels = sum(len(obs.eigenvalues()) + 1 for obs in m.registered.values())
+    assert len(selections) == len(set(selections)) == levels == 13
+
+
+def _diagonal_pair_model(b_top: float, b_row) -> HVModel:
+    d = [0.5, 0.3, 0.2]
+    return HVModel(
+        space=PhaseSpace(points=("w0", "w1", "w2"), weights=np.array(d)),
+        registered={
+            "A": Observable.from_matrix(np.diag([1.0, 0.0, 0.0])),
+            "B": Observable.from_matrix(np.diag([b_top, 1.0, 0.0])),
+        },
+        values={"A": np.array([1.0, 0.0, 0.0]), "B": np.array(b_row)},
+        state=Density.from_matrix(np.diag(d)),
+    )
+
+
+def test_preconditions_keep_their_tolerances():
+    def rules(m, tol):
+        return {c.rule: c.name for c in check_model(m, tol)}
+
+    # A <= B within 5e-8: an order that --tol 1e-9 skips and 1e-7 judges.
+    m = _diagonal_pair_model(1 - 5e-8, [1 - 5e-8, 1.0, 0.0])
+    assert "order-events-rule" not in rules(m, 1e-9)
+    assert rules(m, 1e-9)["conditional-rule"] == "conditional-rule over 2 instances"
+    assert rules(m, 1e-7)["order-events-rule"] == "order-events-rule over 1 instances"
+    with pytest.raises(OrderViolation):
+        check_order_rule(m, "A", "B", tol=1e-9)
+    # B is a projector at 1e-6 but not at COARSE_TOL: check_model runs no
+    # order or conditional instance, the checkers called alone pass.
+    m = _diagonal_pair_model(1 - 5e-7, [1.0, 1.0, 0.0])
+    assert {"order-events-rule", "conditional-rule"}.isdisjoint(rules(m, 1e-6))
+    assert check_order_rule(m, "A", "B", tol=1e-6).ok
+    assert check_conditional_rule(m, "A", "B", tol=1e-6).ok
+    assert check_conditional_rule(m, "B", "A", tol=1e-6).ok
