@@ -158,18 +158,15 @@ def _named_state(name: str, dim: int) -> Density:
 
 
 def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
-    from .feasibility import chsh_scenario, chsh_shape, make_scenario
+    """``--angles`` builds new settings; ``--state`` swaps the state only."""
+    from .feasibility import chsh_scenario, chsh_shape
 
     if args.angles is not None:
         if chsh_shape(scenario) is None:
             raise ConfigError("--angles only applies to 2x2 dichotomic scenarios")
-        state = scenario.state
-        scenario = chsh_scenario(state=state, angles=args.angles, name=scenario.name)
+        scenario = chsh_scenario(state=scenario.state, angles=args.angles, name=scenario.name)
     if args.state is not None:
-        state = _named_state(args.state, scenario.dim)
-        scenario = make_scenario(
-            scenario.dim, scenario.items, list(scenario.contexts), state=state, name=scenario.name
-        )
+        scenario = scenario.with_state(_named_state(args.state, scenario.dim))
     return scenario
 
 
@@ -177,18 +174,15 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     """Classical-model existence for a scenario; exit 0 feasible, 1 not."""
     scenario = _apply_overrides(args, fileio.load_scenario(fileio.resolve_input_path(args.path)))
     from .feasibility import (
-        RATIONALIZATION_BOUND, chsh_shape, chsh_value, classical_chsh_bound, hv_feasibility
+        RATIONALIZATION_BOUND, chsh_shape, chsh_sums, classical_chsh_bound, hv_feasibility
     )
 
     if scenario.state is None:
         raise ConfigError("scenario has no state; provide one with --state")
 
     extra: dict = {"scenario": scenario.name}
-    shape = chsh_shape(scenario)
-    if shape is not None:
-        (a1, a2), (b1, b2) = shape
-        settings = (scenario.items[label].mat for label in (a1, a2, b1, b2))
-        extra["chshValue"] = chsh_value(scenario.state, *settings)
+    if chsh_shape(scenario) is not None:
+        extra["chshValue"] = float(chsh_sums(scenario)[3])
         extra["classicalBound"] = str(classical_chsh_bound(scenario))
 
     result = hv_feasibility(scenario)
@@ -278,9 +272,12 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ConfigError("--angles expects four comma-separated degrees: a,a',b,b'")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        angles = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--angles: {exc}") from exc
+    if not all(map(math.isfinite, angles)):
+        raise ConfigError(f"--angles must be finite degrees, got {text}")
+    return angles  # type: ignore[return-value]
 
 
 def _resolve_seed(value: Optional[int]) -> int:

@@ -44,9 +44,9 @@ from .opcore import (
     COARSE_TOL,
     TOL,
     as_operator,
-    commutator_norm,
+    guard_opnorm,
     identity,
-    opnorm,
+    opnorm_exceeds,
     require_same_dim,
     trace_inner,
 )
@@ -60,6 +60,7 @@ __all__ = [
     "enumerate_assignments",
     "hv_feasibility",
     "chsh_value",
+    "chsh_sums",
     "classical_chsh_bound",
     "chsh_shape",
     "singlet_state",
@@ -122,6 +123,12 @@ class Scenario(NamedTuple):
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.items))
 
+    def with_state(self, state: Optional[Density]) -> Scenario:
+        """This scenario under ``state``: its contexts, validated without it, stand."""
+        if state is not None and state.dim != self.dim:
+            raise ScenarioError("state dimension does not match scenario")
+        return self._replace(state=state)
+
 
 def make_item(
     label: str, kind: str, mat, cluster_gap: float = CLUSTER_GAP, tol: float = TOL
@@ -153,17 +160,17 @@ def make_scenario(
     state: Optional[Density] = None,
     name: str = "scenario",
 ) -> Scenario:
-    """Assemble and validate a scenario.
+    """Assemble and validate a scenario, the one place that does.
 
     Checks every context is pairwise commuting, verifies declared product
     constraints against the matrices, and tags projector contexts that
-    resolve the identity.
+    resolve the identity; each test is a guard test, with no SVD where the
+    Frobenius bound decides it, and a failing one prints its exact norm.
     """
     for item in items.values():
         if item.mat.shape[0] != dim:
             raise ScenarioError(f"item {item.label!r} is not {dim}-dimensional")
-    if state is not None and state.dim != dim:
-        raise ScenarioError("state dimension does not match scenario")
+    scenario = Scenario(dim=dim, items=dict(items), contexts=(), name=name).with_state(state)
 
     checked = []
     for ctx in contexts:
@@ -171,18 +178,16 @@ def make_scenario(
         if missing:
             raise ScenarioError(f"context references unknown labels {missing}")
         for x, y in itertools.combinations(ctx.labels, 2):
-            c = commutator_norm(items[x].mat, items[y].mat)
-            if c > BUILT_TOL:
-                raise ScenarioError(
-                    f"context {ctx.labels} not commuting: [{x},{y}] norm {c:.3e}"
-                )
+            a, b = items[x].mat, items[y].mat
+            if (c := guard_opnorm(a @ b - b @ a, BUILT_TOL)) > BUILT_TOL:
+                raise ScenarioError(f"context {ctx.labels} not commuting: [{x},{y}] norm {c:.3e}")
         if ctx.product_sign is not None:
             if ctx.product_sign not in (-1, 1):
                 raise ScenarioError(f"product sign must be +-1, got {ctx.product_sign}")
             prod = identity(dim)
             for l in ctx.labels:
                 prod = prod @ items[l].mat
-            r = opnorm(prod - ctx.product_sign * identity(dim))
+            r = guard_opnorm(prod - ctx.product_sign * identity(dim), BUILT_TOL)
             if r > BUILT_TOL:
                 raise ScenarioError(
                     f"declared product of {ctx.labels} != {ctx.product_sign:+d}I "
@@ -191,15 +196,9 @@ def make_scenario(
         resolves = False
         if all(items[l].kind == PROJECTOR for l in ctx.labels) and ctx.labels:
             total = np.sum([items[l].mat for l in ctx.labels], axis=0)
-            resolves = opnorm(total - identity(dim)) <= BUILT_TOL
-        checked.append(
-            Context(
-                labels=tuple(ctx.labels),
-                product_sign=ctx.product_sign,
-                resolves_identity=resolves,
-            )
-        )
-    return Scenario(dim=dim, items=dict(items), contexts=tuple(checked), state=state, name=name)
+            resolves = not opnorm_exceeds(total - identity(dim), BUILT_TOL)
+        checked.append(ctx._replace(labels=tuple(ctx.labels), resolves_identity=resolves))
+    return scenario._replace(contexts=tuple(checked))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +426,7 @@ def chsh_value(state: Density, a1, a2, b1, b2) -> float:
         make_item(label, DICHOTOMIC, m, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
     for la, x in (("A", a1), ("A'", a2)):
         for lb, y in (("B", b1), ("B'", b2)):
-            c = commutator_norm(x, y)
-            if c > BUILT_TOL:
+            if (c := guard_opnorm(x @ y - y @ x, BUILT_TOL)) > BUILT_TOL:
                 raise CrossTalk(f"[{la}, {lb}] norm {c:.3e}; sides are not local")
     return float(_chsh_combinations(_correlations(state.mat, (a1, a2), (b1, b2)))[3])
 
@@ -481,13 +479,20 @@ def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]
     return None
 
 
-def bch_inequalities_hold(s: Scenario) -> bool:
-    """True iff all eight |+-E+-E+-E+-E| <= 2 constraints hold."""
+def chsh_sums(s: Scenario) -> list[float]:
+    """The four :func:`_chsh_combinations` of a 2x2 dichotomic scenario's
+    correlation table, read off its own validated items and its state; the
+    fourth is S, as :func:`chsh_value` computes it."""
     shape = chsh_shape(s)
     if shape is None:
         raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    e = _correlations(s.state.mat, *([s.items[l].mat for l in side] for side in shape))
-    return all(abs(v) <= 2.0 for v in _chsh_combinations(e))
+    sides = ([s.items[l].mat for l in side] for side in shape)
+    return _chsh_combinations(_correlations(s.state.mat, *sides))
+
+
+def bch_inequalities_hold(s: Scenario) -> bool:
+    """True iff all eight |+-E+-E+-E+-E| <= 2 constraints hold."""
+    return all(abs(v) <= 2.0 for v in chsh_sums(s))
 
 
 def classical_chsh_bound(s: Scenario) -> Fraction:

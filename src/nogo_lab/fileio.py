@@ -12,10 +12,11 @@ One JSON family serves all artifacts, discriminated by ``kind``:
 
 A loader checks the whole file's structure in pure Python first (types,
 finiteness, shapes, every matrix's size against ``dim``, label sets, a
-context's labels against the items, duplicate points, ``productSign``), and
-only then loads numpy and its layer to build the operators and run their
-numeric tests.  So malformed input is rejected without numpy, and a
-structural fault anywhere in a file is reported before a numeric one.
+context's labels against the items, duplicate points, ``productSign``, a
+scenario's ``name``), and only then loads numpy and its layer to build the
+operators and run their numeric tests.  So malformed input is rejected
+without numpy, and a structural fault anywhere in a file is reported before
+a numeric one.
 
 Complex numbers are two-element ``[re, im]`` arrays (plain reals accepted on
 input); matrices are row-major nested arrays.  Parse failures raise
@@ -183,6 +184,9 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
         contexts.append((tuple(labels), sign))
     state = data.get("state")
     state = None if state is None else _rows_from_json(state, f"{where}.state", dim)
+    name = data.get("name", os.path.splitext(os.path.basename(where))[0])
+    if not isinstance(name, str):
+        raise FormatError(f"{where}.name: expected a string")
 
     import numpy as np
 
@@ -200,7 +204,6 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
         items[label] = make_item(label, kind, mat, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
     if state is not None:
         state = Density.from_matrix(_array(state), tol=COARSE_TOL)
-    name = data.get("name", os.path.splitext(os.path.basename(where))[0])
     contexts = [Context(labels=labels, product_sign=sign) for labels, sign in contexts]
     return make_scenario(dim, items, contexts, state=state, name=name)
 

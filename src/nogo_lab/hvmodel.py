@@ -229,8 +229,8 @@ def _pointwise_rule(m, a: str, b: str, tol: float, rule: str, what: str, mat_op,
     table, m = _table(m, tol)
     table.require_commuting(a, b, tol)
     target = mat_op(m.observable(a).mat, m.observable(b).mat)
-    compounds = [label for label, obs in m.registered.items()
-                 if obs.dim == target.shape[0] and opnorm(obs.mat - target) <= tol]
+    compounds = [label for label, obs in m.registered.items() if obs.dim == target.shape[0]
+                 and not opcore.opnorm_exceeds(obs.mat - target, tol)]
     if not compounds:
         raise UnregisteredObservable(f"{what} is not registered in the model")
     va, vb = table.row(a), table.row(b)

@@ -91,15 +91,13 @@ def random_noncommuting_pair(
     gen: np.random.Generator, dim: int, min_comm: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random projector matrices with commutator norm above ``min_comm``, by
-    rejection; each draw takes both ranks, then both projectors.  The test
-    runs an SVD only when ||C||_F/sqrt(dim) <= opnorm(C) <= ||C||_F leaves it
-    open: a bound past ``min_comm`` by a factor 2 decides it."""
+    rejection; each draw takes both ranks, then both projectors, and
+    :func:`~nogo_lab.opcore.opnorm_exceeds` tests it (an SVD only where the
+    Frobenius bounds leave it open)."""
     for _ in range(1000):
         ranks = [int(gen.integers(1, dim)) for _ in range(2)]
         a, b = (opcore.random_projector_matrix(gen, dim, r) for r in ranks)
-        c = a @ b - b @ a
-        if (np.linalg.norm(c) / math.sqrt(dim) > 2 * min_comm
-                or opcore.guard_opnorm(c, min_comm) > min_comm):
+        if opcore.opnorm_exceeds(a @ b - b @ a, min_comm):
             return a, b
     raise RuntimeError("rejection sampling failed to find a noncommuting pair")
 

@@ -51,6 +51,7 @@ __all__ = [
     "dag",
     "opnorm",
     "guard_opnorm",
+    "opnorm_exceeds",
     "trace",
     "identity",
     "zero",
@@ -90,9 +91,18 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def opnorm(m: np.ndarray):
-    """Operator 2-norm (largest singular value; 0 when empty): a float for a
-    matrix, an array for a stack ``(..., r, c)``."""
-    norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    """Operator 2-norm (largest singular value; 0 when empty; ``inf``, with
+    no SVD, for a matrix with a non-finite entry): a float for a matrix, an
+    array for a stack ``(..., r, c)``."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not m.size:
+        norms = np.zeros(m.shape[:-2])
+    elif finite.all():
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    else:
+        norms = np.full(m.shape[:-2], np.inf)
+        if finite.any():
+            norms[finite] = np.linalg.svd(m[finite], compute_uv=False)[..., 0]
     return float(norms) if m.ndim == 2 else norms
 
 
@@ -107,12 +117,21 @@ def guard_opnorm(m: np.ndarray, tol: float):
     # Squares below the least normal double drop out of the sum, which loses
     # at most this much of the norm.
     lost = math.sqrt(2 * m.shape[-2] * m.shape[-1] * np.finfo(np.float64).tiny)
-    exact = ~(fro + lost <= tol / 2)  # NaN takes the exact path
+    exact = ~(fro + lost <= tol / 2)  # NaN or inf takes the exact path (inf for a non-finite entry)
     if m.ndim == 2:
         return opnorm(m) if exact else float(fro)
     if exact.any():
         fro[exact] = opnorm(m[exact])
     return fro
+
+
+def opnorm_exceeds(m: np.ndarray, bound: float) -> bool:
+    """The test opnorm(X) > ``bound`` on a square matrix X, with an SVD only
+    where no Frobenius bound decides it: opnorm(X) >= ||X||_F/sqrt(d), so
+    that lower bound past ``bound`` by a factor 2 (for rounding) says yes;
+    otherwise :func:`guard_opnorm` decides."""
+    return bool(np.linalg.norm(m) / math.sqrt(m.shape[-1]) > 2 * bound
+                or guard_opnorm(m, bound) > bound)
 
 
 def trace(m: np.ndarray):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nogo_lab import cli, fileio, hvmodel, nogo, simplex
+from nogo_lab import cli, feasibility, fileio, hvmodel, nogo, simplex
 from nogo_lab.check import Check
 from nogo_lab.cli import main
 from nogo_lab.errors import NotHermitian
@@ -281,35 +281,52 @@ class TestCheckModel:
         assert checks["spectrum-rule"]["verdict"] == "pass"
 
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, message",
         [
-            pytest.param("{nope", "line 1", id="invalid-json"),
+            pytest.param("check-model", "{nope", "line 1", id="invalid-json"),
             pytest.param(
+                "check-model",
                 fixture_with("commuting.model", ("weights", 0), '"a"'),
                 "weights: expected 3 finite numbers",
                 id="weights-string",
             ),
             pytest.param(
+                "check-model",
                 fixture_with("commuting.model", ("values", "O1", 2), "null"),
                 "values[O1]: expected 3 finite numbers",
                 id="value-row-null",
             ),
             pytest.param(
+                "check-model",
                 fixture_with("commuting.model", ("state", 0, 0), "[1e999, 0.0]"),
                 "state: matrix entry must be a finite number",
                 id="state-non-finite",
             ),
             pytest.param(
+                "check-model",
                 fixture_with("commuting.model", ("points", 1), '"w0"'),
                 "points: duplicate point labels ['w0']",
                 id="duplicate-points",
             ),
+            # Finite entries whose spectral test overflows: its residual reads inf.
+            pytest.param(
+                "check-model",
+                fixture_with("commuting.model", ("observables", "O1", 0, 0), "[1e308, 0]"),
+                "spectral reconstruction residual inf exceeds 1.000e-07",
+                id="observable-entry-1e308",
+            ),
+            pytest.param(
+                "feasibility",
+                fixture_with("chsh.scenario", ("items", "A1", "matrix", 0, 0), "[1e308, 0]"),
+                "spectral reconstruction residual inf exceeds 1.000e-07",
+                id="scenario-entry-1e308",
+            ),
         ],
     )
-    def test_malformed_file_is_config_error(self, tmp_path, text, message):
-        bad = tmp_path / "broken.model"
+    def test_malformed_file_is_config_error(self, tmp_path, command, text, message):
+        bad = tmp_path / "broken.json"
         bad.write_text(text)
-        r = run_cli("check-model", str(bad))
+        r = run_cli(command, str(bad))
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
         assert message in r.stderr
@@ -376,8 +393,41 @@ class TestFeasibilityCommand:
     def test_angles_on_non_chsh_scenario_rejected(self):
         assert main(["feasibility", "triad-dim3.scenario", "--angles", "0,90,45,135"]) == 2
 
-    def test_bad_angles_string(self):
-        assert main(["feasibility", "chsh.scenario", "--angles", "1,2"]) == 2
+    def test_feasibility_validates_each_scenario_once(self, tmp_path, monkeypatch, capsys):
+        """make_scenario is the one validation of a scenario: ``--state``
+        swaps the state of the loaded one, the CHSH extras read its
+        validated settings, and a valid context costs no SVD."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import inputs
+
+        scaling = inputs.scaling_scenario(str(tmp_path / "s.scenario"), 3, 4, np.random.default_rng(3))
+        calls = {}
+        for owner, name in ((np.linalg, "svd"), (feasibility, "make_scenario"),
+                            (feasibility, "make_item")):
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        # argv -> (make_scenario calls, make_item calls)
+        cases = {
+            (name, *state): (1, items)
+            for name, items in (("chsh", 4), ("ghz", 10), ("magic-square", 9), ("triad-dim3", 3))
+            for state in ((), ("--state", "maximally-mixed"))
+        }
+        cases[("chsh", "--angles", "10,100,50,140")] = (2, 8)
+        cases[("chsh", "--state", "maximally-mixed", "--angles", "0,90,45,135")] = (2, 8)
+        cases[(scaling, "--state", "singlet")] = (1, 7)
+        for argv, (scenarios, items) in cases.items():
+            calls.update(svd=0, make_scenario=0, make_item=0)
+            main(["feasibility", *argv])
+            assert "Traceback" not in capsys.readouterr().err
+            assert calls == {"svd": 0, "make_scenario": scenarios, "make_item": items}, argv
+
+    def test_bad_angles_string(self, capsys):
+        for angles in ("1,2", "nan,0,0,0", "0,90,inf,135", "0,-inf,45,135"):
+            assert main(["feasibility", "chsh.scenario", "--angles", angles]) == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_items_read_from_files_get_the_file_tolerance(self, tmp_path):
         # Entries rounded to 7 decimals put the settings' eigenvalues
@@ -432,6 +482,14 @@ class TestStateOverrides:
         )
         code = main(["feasibility", "chsh.scenario", "--state", str(state_path)])
         assert code == 0  # maximally mixed is classical for any settings
+
+    def test_state_file_of_the_wrong_dimension(self, tmp_path, capsys):
+        state_path = tmp_path / "qubit.json"
+        state_path.write_text(json.dumps({"matrix": [[0.5, 0], [0, 0.5]]}))
+        assert main(["feasibility", "chsh.scenario", "--state", str(state_path)]) == 2
+        assert capsys.readouterr().err == (
+            "nogo-lab: error: state dimension does not match scenario\n"
+        )
 
     def test_unknown_state_name(self):
         assert main(["feasibility", "chsh.scenario", "--state", "wat"]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from nogo_lab.feasibility import (
     singlet_state,
 )
 from nogo_lab.fileio import load_scenario, resolve_input_path
-from nogo_lab.opcore import dag, random_density_matrix, random_unitary
+from nogo_lab.opcore import commutator_norm, dag, opnorm, random_density_matrix, random_unitary
 from nogo_lab.quantum import Density
 from nogo_lab.rng import make_generator
 
@@ -113,7 +114,9 @@ class TestScenarioValidation:
                 "B", PROJECTOR, np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
             ),
         }
-        with pytest.raises(ScenarioError):
+        # The failing guard test prints the exact norm, not its Frobenius bound.
+        norm = commutator_norm(items["A"].mat, items["B"].mat)
+        with pytest.raises(ScenarioError, match=re.escape(f"[A,B] norm {norm:.3e}") + "$"):
             make_scenario(3, items, [Context(labels=("A", "B"))])
 
     def test_wrong_product_sign_rejected(self):
@@ -121,7 +124,8 @@ class TestScenarioValidation:
             "X": make_item("X", DICHOTOMIC, kron(SX, I2)),
             "XX": make_item("XX", DICHOTOMIC, kron(SX, I2)),
         }
-        with pytest.raises(ScenarioError):
+        residual = opnorm(items["X"].mat @ items["XX"].mat + np.eye(4))
+        with pytest.raises(ScenarioError, match=re.escape(f"(residual {residual:.3e})") + "$"):
             make_scenario(
                 4, items, [Context(labels=("X", "XX"), product_sign=-1)]
             )

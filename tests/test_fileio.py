@@ -178,7 +178,11 @@ class TestScenarioFiles:
         (("items", "A1", "matrix"), [[1, 0], [0, -1]], r"c\.scenario\.items\[A1\]\.matrix: wrong dimension$"),
         (("state",), [[0.5, 0.0], [0.0, 0.5]], r"c\.scenario\.state: wrong dimension$"),
         (("contexts", 0, "labels"), ["A1", "Z9"], r"c\.scenario\.contexts\[0\]\.labels: unknown label 'Z9'$"),
-    ], ids=["item-smaller-than-dim", "state-smaller-than-dim", "unknown-context-label"])
+        (("name",), 5, r"c\.scenario\.name: expected a string$"),
+        (("name",), None, r"c\.scenario\.name: expected a string$"),
+        (("name",), ["x"], r"c\.scenario\.name: expected a string$"),
+    ], ids=["item-smaller-than-dim", "state-smaller-than-dim", "unknown-context-label",
+            "name-number", "name-null", "name-array"])
     def test_sizes_and_context_labels_are_structure(self, tmp_path, monkeypatch, field, value, message):
         """Checked in the pure-Python pass, with the fault located in the
         file, before any operator is built."""

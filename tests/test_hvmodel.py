@@ -481,6 +481,22 @@ def test_check_model_decides_each_fact_once(monkeypatch):
     assert len(selections) == len(set(selections)) == levels == 13
 
 
+def test_registered_copies_are_located_without_an_svd(monkeypatch):
+    """Of the SVDs one check_model of commuting.model takes, 6 are its pair
+    norms, 2 its order tests and 1 its failing projector form; locating the
+    registered copies of each sum and product takes none."""
+    m = load_model(resolve_input_path("commuting.model"))
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    check_model(m)
+    assert len(calls) == 9
+
+
 def _diagonal_pair_model(b_top: float, b_row) -> HVModel:
     d = [0.5, 0.3, 0.2]
     return HVModel(

@@ -40,6 +40,7 @@ BAD_SCENARIOS = {
     "item-2x2": (("items", "A1", "matrix"), "[[1, 0], [0, -1]]"),
     "scenario-state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
     "unknown-label": (("contexts", 0, "labels"), '["A1", "Z9"]'),
+    "name-number": (("name",), "5"),
 }
 # Malformed input -> the whole of its stderr ({} is the input's path).
 MALFORMED = {
@@ -49,6 +50,8 @@ MALFORMED = {
     "use singlet, maximally-mixed, ghz, or a file path",
     ("feasibility", "chsh", "--angles", "0,90,45"): "--angles expects four "
     "comma-separated degrees: a,a',b,b'",
+    ("feasibility", "chsh", "--angles", "nan,0,0,0"): "--angles must be finite degrees, "
+    "got nan,0,0,0",
     ("verify-conditioning", "--dim", "2"): "conditioning uniqueness is only meaningful "
     "for dimension >= 3 (lattice measures are trace functionals there); got dimension 2",
     ("check-model", "{weights-string}"): "{}.weights: expected 3 finite numbers",
@@ -61,6 +64,7 @@ MALFORMED = {
     ("feasibility", "{item-2x2}"): "{}.items[A1].matrix: wrong dimension",
     ("feasibility", "{scenario-state-2x2}"): "{}.state: wrong dimension",
     ("feasibility", "{unknown-label}"): "{}.contexts[0].labels: unknown label 'Z9'",
+    ("feasibility", "{name-number}"): "{}.name: expected a string",
 }
 # Modules that only an internal error (traceback), a bundled name
 # (importlib.resources) or generated record code (dataclasses, inspect) need:

@@ -278,3 +278,38 @@ def test_guard_opnorm_does_not_trust_an_underflowed_frobenius_norm():
     x = np.full((4, 4), 1e-170, dtype=complex)
     assert np.linalg.norm(x) == 0.0
     assert guard_opnorm(x, 1e-300) == opnorm(x) > 1e-300
+
+
+def test_opnorm_of_a_non_finite_matrix_is_inf_without_an_svd(monkeypatch):
+    gen = make_generator(37)
+    stack = opcore.complex_gaussian(gen, 12, 3).reshape(3, 2, 2, 3)[..., :2]
+    stack = np.ascontiguousarray(stack)
+    want = opnorm(stack)
+    stack[0, 1, 0, 0] = np.nan
+    stack[2, 0, 1, 1] = complex(0, np.inf)
+    want[0, 1] = want[2, 0] = np.inf
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert np.array_equal(opnorm(stack), want)  # the finite members keep their bits
+    assert shapes == [(4, 2, 2)]  # one SVD, of the finite members only
+    assert opnorm(stack[0, 1]) == np.inf and len(shapes) == 1
+    with np.errstate(invalid="ignore"):  # the Frobenius norm of inf*1j
+        assert guard_opnorm(stack[2, 0], 1e-9) == np.inf
+
+
+@pytest.mark.parametrize("bound", [1e-9, 0.05, 0.5])
+def test_opnorm_exceeds_is_the_exact_test(bound):
+    gen = make_generator(41)
+    for f in (1e-3, 0.4, 0.9, 1 - 1e-9, 1 + 1e-9, 1.1, 2.5, 10.0):
+        for dim in (1, 3, 8):
+            g = opcore.complex_gaussian(gen, dim, dim)
+            x = g * (f * bound / opnorm(g))
+            assert opcore.opnorm_exceeds(x, bound) == (opnorm(x) > bound)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    assert opcore.opnorm_exceeds(nan, bound)
