@@ -158,13 +158,13 @@ def _named_state(name: str, dim: int) -> Density:
 
 
 def _apply_overrides(args: argparse.Namespace, scenario: Scenario) -> Scenario:
-    """``--angles`` builds new settings; ``--state`` swaps the state only."""
+    """``--angles`` builds new settings under the same state, or none; ``--state`` swaps it."""
     from .feasibility import chsh_scenario, chsh_shape
 
     if args.angles is not None:
         if chsh_shape(scenario) is None:
             raise ConfigError("--angles only applies to 2x2 dichotomic scenarios")
-        scenario = chsh_scenario(state=scenario.state, angles=args.angles, name=scenario.name)
+        scenario = chsh_scenario(angles=args.angles, name=scenario.name).with_state(scenario.state)
     if args.state is not None:
         scenario = scenario.with_state(_named_state(args.state, scenario.dim))
     return scenario

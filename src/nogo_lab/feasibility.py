@@ -13,7 +13,7 @@ then splits into two exact steps:
    every in-context pairwise joint.
 
 Dichotomic observables ride the same constraint pipeline as projectors via
-their +1 spectral projector (X = P+ - P-), which is what lets one solver
+their value-1 event, the projector (I + X)/2, which is what lets one solver
 serve CHSH, coloring scenarios, parity squares, and state-forced parity
 games alike, with one boundary rule for every verdict: the Farkas margin
 against ``RATIONALIZATION_BOUND`` (:func:`hv_feasibility`).  The CHSH
@@ -31,26 +31,14 @@ import numpy as np
 
 from . import simplex
 from .errors import (
-    CrossTalk,
-    NotDichotomic,
-    NumericalAmbiguity,
-    ScenarioError,
-    SearchSpaceTooLarge,
+    CrossTalk, NotDichotomic, NotProjector, NumericalAmbiguity, ScenarioError, SearchSpaceTooLarge,
     WrongScenarioShape,
 )
 from .opcore import (
-    BUILT_TOL,
-    CLUSTER_GAP,
-    COARSE_TOL,
-    TOL,
-    as_operator,
-    guard_opnorm,
-    identity,
-    opnorm_exceeds,
-    require_same_dim,
-    trace_inner,
+    BUILT_TOL, COARSE_TOL, TOL, as_operator, guard_opnorm, identity, opnorm_exceeds,
+    require_same_dim, trace_inner,
 )
-from .quantum import Density, Observable, Projector, spectral_projector
+from .quantum import Density, projector_defects, projector_rank
 
 __all__ = [
     "ScenarioItem",
@@ -85,8 +73,9 @@ MAX_ASSIGNMENT_SPACE = 2**24
 class ScenarioItem(NamedTuple):
     """One labeled measurement: a projector or a +-1-valued observable.
 
-    ``plus`` is the projector whose indicator an assignment value tracks:
-    the projector itself, or the +1 eigenprojector of a dichotomic item.
+    ``plus`` is the projector whose indicator an assignment value tracks,
+    the item's value-1 event: the projector itself, or (I + X)/2 for a
+    dichotomic item X.
     """
 
     label: str
@@ -130,27 +119,25 @@ class Scenario(NamedTuple):
         return self._replace(state=state)
 
 
-def make_item(
-    label: str, kind: str, mat, cluster_gap: float = CLUSTER_GAP, tol: float = TOL
-) -> ScenarioItem:
-    """Validate one scenario operator and precompute its +1 projector."""
+def make_item(label: str, kind: str, mat, tol: float = TOL) -> ScenarioItem:
+    """Validate one scenario operator by one projector test, of its value-1 event:
+    a projector itself at ``tol``, a dichotomic X as P = (I + X)/2 at tol/2.
+    P - P† is (X - X†)/2 and P² - P is (X² - I)/4, so X's Hermitian defect is
+    at most ``tol`` and each eigenvalue within about ``tol`` of +-1; ``plus``
+    is P, exact wherever X is."""
     mat = as_operator(mat)
     if kind == PROJECTOR:
-        p = Projector.from_matrix(mat, tol=tol)
-        return ScenarioItem(label=label, kind=kind, mat=p.mat, plus=p.mat)
-    if kind == DICHOTOMIC:
-        obs = Observable.from_matrix(mat, tol=tol)
-        eigs = obs.eigenvalues(cluster_gap)
-        if any(min(abs(e - 1.0), abs(e + 1.0)) > cluster_gap for e in eigs):
-            raise NotDichotomic(
-                f"item {label!r} has eigenvalues {eigs}, expected a subset of -1, +1"
-            )
-        if any(abs(e - 1.0) <= cluster_gap for e in eigs):
-            plus = spectral_projector(obs, [1.0], cluster_gap).mat
-        else:
-            plus = np.zeros_like(mat)
-        return ScenarioItem(label=label, kind=kind, mat=mat, plus=plus)
-    raise ScenarioError(f"unknown item kind {kind!r} for {label!r}")
+        plus, at, error = mat, tol, NotProjector
+    elif kind == DICHOTOMIC:
+        plus, at, error = (identity(len(mat)) + mat) / 2, tol / 2, NotDichotomic
+    else:
+        raise ScenarioError(f"unknown item kind {kind!r} for {label!r}")
+    try:
+        projector_rank(len(mat), *projector_defects(plus, at), at)
+    except NotProjector as exc:
+        test = "" if kind == PROJECTOR else "(I + X)/2 "
+        raise error(f"{kind} item {label!r}: {test}{exc}") from None
+    return ScenarioItem(label=label, kind=kind, mat=mat, plus=plus)
 
 
 def make_scenario(
@@ -423,7 +410,7 @@ def chsh_value(state: Density, a1, a2, b1, b2) -> float:
     a1, a2, b1, b2 = map(as_operator, (a1, a2, b1, b2))
     require_same_dim(state.mat, a1, a2, b1, b2)
     for label, m in (("A", a1), ("A'", a2), ("B", b1), ("B'", b2)):
-        make_item(label, DICHOTOMIC, m, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
+        make_item(label, DICHOTOMIC, m, tol=COARSE_TOL)
     for la, x in (("A", a1), ("A'", a2)):
         for lb, y in (("B", b1), ("B'", b2)):
             if (c := guard_opnorm(x @ y - y @ x, BUILT_TOL)) > BUILT_TOL:

@@ -32,7 +32,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .check import COARSE_TOL, ROUNDING
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NotProjector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,6 +106,13 @@ def _array(entries, dtype=complex) -> np.ndarray:
 
 def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
     return _array(_rows_from_json(data, where))
+
+
+def _numeric_phase():
+    """No numpy overflow warnings: each numeric test of a loader fails an inf or NaN."""
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _require(obj: dict, key: str, where: str):
@@ -188,24 +195,23 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
     if not isinstance(name, str):
         raise FormatError(f"{where}.name: expected a string")
 
-    import numpy as np
-
     from .feasibility import Context, make_item, make_scenario
-    from .quantum import Density
+    from .quantum import Density, Projector
 
-    items = {}
-    for label, (kind, is_ray, entries) in specs.items():
-        mat = _array(entries)
-        if is_ray:
-            norm = np.linalg.norm(mat)
-            if norm < ROUNDING:
-                raise FormatError(f"{where}.items[{label}].ray: zero vector")
-            mat = np.outer(mat / norm, (mat / norm).conj())
-        items[label] = make_item(label, kind, mat, cluster_gap=COARSE_TOL, tol=COARSE_TOL)
-    if state is not None:
-        state = Density.from_matrix(_array(state), tol=COARSE_TOL)
-    contexts = [Context(labels=labels, product_sign=sign) for labels, sign in contexts]
-    return make_scenario(dim, items, contexts, state=state, name=name)
+    with _numeric_phase():
+        items = {}
+        for label, (kind, is_ray, entries) in specs.items():
+            mat = _array(entries)
+            if is_ray:
+                try:
+                    mat = Projector.from_ray(mat, tol=ROUNDING).mat
+                except NotProjector:
+                    raise FormatError(f"{where}.items[{label}].ray: zero vector") from None
+            items[label] = make_item(label, kind, mat, tol=COARSE_TOL)
+        if state is not None:
+            state = Density.from_matrix(_array(state), tol=COARSE_TOL)
+        contexts = [Context(labels=labels, product_sign=sign) for labels, sign in contexts]
+        return make_scenario(dim, items, contexts, state=state, name=name)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -254,9 +260,12 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     from .hvmodel import HVModel, PhaseSpace
     from .quantum import Density, Observable
 
-    state = Density.from_matrix(_array(state), tol=COARSE_TOL)
-    for label, rows in observables.items():
-        observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
+    with _numeric_phase():
+        state = Density.from_matrix(_array(state), tol=COARSE_TOL)
+        for label, rows in observables.items():
+            obs = observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
+            if not obs.vals @ obs.vals <= _MAX:  # the rules multiply observables
+                raise FormatError(f"{where}.observables[{label}]: eigenvalues too large to square")
     space = PhaseSpace(points=tuple(points), weights=_array(weights, float))
     table = {label: _array(row, float) for label, row in table.items()}
     return HVModel(space=space, registered=observables, values=table, state=state)
@@ -279,7 +288,8 @@ def load_state(path: str) -> Density:
     mat = matrix_from_json(mat, path)
     from .quantum import Density
 
-    return Density.from_matrix(mat, tol=COARSE_TOL)
+    with _numeric_phase():
+        return Density.from_matrix(mat, tol=COARSE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ names once.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -71,11 +72,11 @@ def density_defects(m: np.ndarray, tol: float = TOL) -> tuple:
     """Hermitian defect, least eigenvalue and real trace of a matrix, or of
     each matrix of a stack: the numbers :meth:`Density.from_matrix` judges
     at ``tol``, the defect a guard value as in :func:`projector_defects`.
-    The least eigenvalue of H = (m + m†)/2 is a guard value too: ``eigvalsh``'s
+    The least eigenvalue of H = m/2 + m†/2 is a guard value too: ``eigvalsh``'s
     unless every H + (tol/2)I has a Cholesky factor R and lost = (d+1)²·eps·‖R‖_F²,
     covering R's rounding (Higham, *Accuracy and Stability*, Thm 10.3) and
     eigvalsh's, is at most tol/4; then it is the lower bound -tol/2 - lost."""
-    h, d = (m + dag(m)) / 2, m.shape[-1]
+    h, d = m / 2 + dag(m) / 2, m.shape[-1]  # finite for every finite m
     try:
         r = np.linalg.cholesky(h + tol / 2 * identity(d))
         lost = (d + 1) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(r, axis=(-2, -1)) ** 2
@@ -109,12 +110,13 @@ class Projector(NamedTuple):
 
     @classmethod
     def from_ray(cls, vec, tol: float = TOL) -> "Projector":
-        """Rank-one projector onto the span of ``vec`` (normalized here)."""
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        n = np.linalg.norm(v)
-        if n <= tol:
+        """Rank-one projector onto the span of ``vec``, normalized after an
+        exact power-of-two scale, so v/|v| is finite and keeps its bits."""
+        parts = np.ascontiguousarray(vec, dtype=np.complex128).reshape(-1).view(np.float64)
+        if math.hypot(*parts) <= tol:
             raise NotProjector("ray vector is numerically zero")
-        v = v / n
+        v = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+        v = v / np.linalg.norm(v)
         return cls(mat=np.outer(v, v.conj()), rank=1)
 
     @classmethod
@@ -175,7 +177,7 @@ class Observable(NamedTuple):
         defect = guard(m - dag(m), tol)
         if defect > tol:
             raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e} > tol {tol:.1e})")
-        vals, vecs = np.linalg.eigh((m + dag(m)) / 2)
+        vals, vecs = np.linalg.eigh(m / 2 + dag(m) / 2)  # finite for every finite m
         # One residual e = opnorm(Z^H Z - I) covers the projector properties of
         # any grouping: P_i P_j = Z_i (Z_i^H Z_j) Z_j^H with Z_i^H Z_j a block of
         # Z^H Z - I, so opnorm(P_i P_j) <= e (1 + e) for i != j; and

@@ -30,16 +30,22 @@ def run_cli(*args):
     )
 
 
-def fixture_with(fixture: str, path: tuple, raw: str) -> str:
-    """A bundled fixture as JSON text, with the entry at ``path`` replaced by
-    the raw JSON ``raw``."""
+def fixture_with(fixture: str, path: tuple, raw: str, *also: tuple) -> str:
+    """A bundled fixture as JSON text, with the entry at ``path``, and at each
+    path in ``also``, replaced by the raw JSON ``raw``."""
     data = json.loads(Path(fileio.resolve_input_path(fixture)).read_text())
-    *outer, last = path
-    target = data
-    for key in outer:
-        target = target[key]
-    target[last] = "<raw>"
+    for *outer, last in (path, *also):
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = "<raw>"
     return json.dumps(data).replace('"<raw>"', raw)
+
+
+def pair_with(fixture: str, matrix: tuple, raw: str) -> str:
+    """A bundled fixture whose matrix at ``matrix`` has the Hermitian
+    off-diagonal pair (0, 1), (1, 0) set to the real ``raw``."""
+    return fixture_with(fixture, (*matrix, 0, 1), raw, (*matrix, 1, 0))
 
 
 class TestVerifyCommutation:
@@ -308,18 +314,49 @@ class TestCheckModel:
                 "points: duplicate point labels ['w0']",
                 id="duplicate-points",
             ),
-            # Finite entries whose spectral test overflows: its residual reads inf.
+            # Finite entries too large for the numeric tests: each fails its
+            # own test with a message, and no numpy warning is printed.
             pytest.param(
                 "check-model",
                 fixture_with("commuting.model", ("observables", "O1", 0, 0), "[1e308, 0]"),
-                "spectral reconstruction residual inf exceeds 1.000e-07",
+                ".observables[O1]: eigenvalues too large to square",
                 id="observable-entry-1e308",
+            ),
+            pytest.param(
+                "check-model",
+                pair_with("commuting.model", ("observables", "O1"), "1e308"),
+                "spectral reconstruction residual",
+                id="observable-pair-1e308",
+            ),
+            pytest.param(
+                "check-model",
+                pair_with("commuting.model", ("state",), "1e308"),
+                "negative eigenvalue -1.000e+308",
+                id="model-state-pair-1e308",
             ),
             pytest.param(
                 "feasibility",
                 fixture_with("chsh.scenario", ("items", "A1", "matrix", 0, 0), "[1e308, 0]"),
-                "spectral reconstruction residual inf exceeds 1.000e-07",
+                "dichotomic item 'A1': (I + X)/2 not idempotent (defect inf)",
                 id="scenario-entry-1e308",
+            ),
+            pytest.param(
+                "feasibility",
+                pair_with("chsh.scenario", ("items", "A1", "matrix"), "1e308"),
+                "dichotomic item 'A1': (I + X)/2 not idempotent (defect inf)",
+                id="scenario-item-pair-1e308",
+            ),
+            pytest.param(
+                "feasibility",
+                pair_with("chsh.scenario", ("items", "A1", "matrix"), "1e100"),
+                "dichotomic item 'A1': (I + X)/2 not idempotent (defect 2.",
+                id="scenario-item-pair-1e100",
+            ),
+            pytest.param(
+                "feasibility",
+                pair_with("chsh.scenario", ("state",), "1e308"),
+                "negative eigenvalue -1.000e+308",
+                id="scenario-state-pair-1e308",
             ),
         ],
     )
@@ -329,6 +366,7 @@ class TestCheckModel:
         r = run_cli(command, str(bad))
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
+        assert "RuntimeWarning" not in r.stderr
         assert message in r.stderr
 
 
@@ -396,14 +434,17 @@ class TestFeasibilityCommand:
     def test_feasibility_validates_each_scenario_once(self, tmp_path, monkeypatch, capsys):
         """make_scenario is the one validation of a scenario: ``--state``
         swaps the state of the loaded one, the CHSH extras read its
-        validated settings, and a valid context costs no SVD."""
+        validated settings, a valid context costs no SVD, and an item no
+        spectral decomposition at all."""
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         import inputs
 
         scaling = inputs.scaling_scenario(str(tmp_path / "s.scenario"), 3, 4, np.random.default_rng(3))
+        decompositions = ("svd", "eigh", "eigvalsh")
+        counted_fns = [(np.linalg, name) for name in decompositions]
+        counted_fns += [(feasibility, "make_scenario"), (feasibility, "make_item")]
         calls = {}
-        for owner, name in ((np.linalg, "svd"), (feasibility, "make_scenario"),
-                            (feasibility, "make_item")):
+        for owner, name in counted_fns:
             def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -419,10 +460,11 @@ class TestFeasibilityCommand:
         cases[("chsh", "--state", "maximally-mixed", "--angles", "0,90,45,135")] = (2, 8)
         cases[(scaling, "--state", "singlet")] = (1, 7)
         for argv, (scenarios, items) in cases.items():
-            calls.update(svd=0, make_scenario=0, make_item=0)
+            calls.update({name: 0 for _, name in counted_fns})
             main(["feasibility", *argv])
             assert "Traceback" not in capsys.readouterr().err
-            assert calls == {"svd": 0, "make_scenario": scenarios, "make_item": items}, argv
+            expected = dict.fromkeys(decompositions, 0)
+            assert calls == {**expected, "make_scenario": scenarios, "make_item": items}, argv
 
     def test_bad_angles_string(self, capsys):
         for angles in ("1,2", "nan,0,0,0", "0,90,inf,135", "0,-inf,45,135"):
@@ -500,6 +542,32 @@ class TestStateOverrides:
     def test_maximally_mixed_by_name(self):
         # dim-4 mixed state: marginals 1/2 and joints 1/4 rationalize exactly
         assert main(["feasibility", "chsh.scenario", "--state", "maximally-mixed"]) == 0
+
+    def test_state_file_with_a_huge_pair_exits_2_with_a_message(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"matrix": json.loads(
+            pair_with("chsh.scenario", ("state",), "1e308"))["state"]}))
+        r = run_cli("feasibility", "chsh", "--state", str(path))
+        assert r.returncode == 2
+        assert r.stderr == "nogo-lab: error: negative eigenvalue -1.000e+308\n"  # no warning
+
+    @pytest.mark.parametrize("extra, code", [
+        ((), 2),
+        (("--angles", "0,90,45,135"), 2),
+        (("--state", "singlet", "--angles", "0,90,45,135"), 1),
+    ])
+    def test_angles_keep_the_file_state_even_when_it_has_none(
+        self, tmp_path, capsys, extra, code
+    ):
+        data = json.loads(Path(fileio.resolve_input_path("chsh")).read_text())
+        del data["state"]
+        path = tmp_path / "stateless.scenario"
+        path.write_text(json.dumps(data))
+        assert main(["feasibility", str(path), *extra]) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "nogo-lab: error: scenario has no state; provide one with --state\n"
+            )
 
     def test_inconsistent_rounding_is_undecidable_not_infeasible(self):
         # all-1/3 marginals cannot be rounded to a consistent rational set at

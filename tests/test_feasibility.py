@@ -9,6 +9,7 @@ from nogo_lab import simplex
 from nogo_lab.errors import (
     CrossTalk,
     NotDichotomic,
+    NotProjector,
     NumericalAmbiguity,
     ScenarioError,
     SearchSpaceTooLarge,
@@ -32,7 +33,9 @@ from nogo_lab.feasibility import (
     singlet_state,
 )
 from nogo_lab.fileio import load_scenario, resolve_input_path
-from nogo_lab.opcore import commutator_norm, dag, opnorm, random_density_matrix, random_unitary
+from nogo_lab.opcore import (
+    COARSE_TOL, commutator_norm, dag, opnorm, random_density_matrix, random_unitary
+)
 from nogo_lab.quantum import Density
 from nogo_lab.rng import make_generator
 
@@ -137,6 +140,35 @@ class TestScenarioValidation:
     def test_non_dichotomic_rejected(self):
         with pytest.raises(NotDichotomic):
             make_item("A", DICHOTOMIC, np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_plus_is_the_eigh_built_plus_one_projector(self, dim):
+        gen = make_generator(dim)
+        for _ in range(5):
+            u = random_unitary(gen, dim)
+            signs = gen.choice([-1.0, 1.0], size=dim)
+            x = (u * signs) @ dag(u)
+            vals, vecs = np.linalg.eigh(x)
+            top = vecs[:, vals > 0]
+            assert opnorm(make_item("X", DICHOTOMIC, x).plus - top @ dag(top)) <= 1e-12
+
+    def test_plus_is_exact_for_plus_and_minus_identity(self):
+        eye = np.eye(3, dtype=complex)
+        assert np.array_equal(make_item("X", DICHOTOMIC, -eye).plus, np.zeros((3, 3)))
+        assert np.array_equal(make_item("X", DICHOTOMIC, eye).plus, eye)
+
+    def test_file_items_keep_eigenvalues_within_about_coarse_tol_of_one(self):
+        make_item("A", DICHOTOMIC, np.diag([1.0 + 5e-8, -1.0]), tol=COARSE_TOL)
+        with pytest.raises(NotDichotomic, match="dichotomic item 'A': "):
+            make_item("A", DICHOTOMIC, np.diag([1.0 + 5e-7, -1.0]), tol=COARSE_TOL)
+
+    def test_non_hermitian_dichotomic_item_names_the_item(self):
+        with pytest.raises(NotDichotomic, match=r"dichotomic item 'A': \(I \+ X\)/2 not Hermitian"):
+            make_item("A", DICHOTOMIC, np.array([[0.0, 1.0], [1.0 + 1e-3, 0.0]]))
+
+    def test_failing_projector_item_names_the_item(self):
+        with pytest.raises(NotProjector, match="projector item 'P': not idempotent"):
+            make_item("P", PROJECTOR, np.diag([0.5, 0.0]))
 
 
 class TestEnumerateAssignments:

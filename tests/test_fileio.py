@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,35 @@ class TestScenarioFiles:
         s = load_scenario(str(path))
         assert opnorm(s.items["P0"].mat - np.diag([1.0, 0, 0])) < 1e-12
         assert s.items["P1"].mat[1, 1] == pytest.approx(1.0)
+
+    def test_a_huge_ray_is_the_projector_of_its_direction(self, tmp_path):
+        """[1e308, 1e308, 0] is the ray of [1, 1, 0]: its norm overflows
+        unscaled, which once made it the zero matrix, and so a feasible
+        certificate with the item's marginal 0 under a state giving it 1/2."""
+        reports = []
+        for ray in ([1e308, 1e308, 0], [1, 1, 0]):
+            data = {
+                "kind": "scenario",
+                "dim": 3,
+                "items": {"P": {"ray": ray}, "Q": {"ray": [0, 0, 1]}},
+                "contexts": [{"labels": ["P", "Q"]}],
+                "state": np.diag([0.5, 0.5, 0.0]).tolist(),
+            }
+            path = tmp_path / "ray.scenario"
+            path.write_text(json.dumps(data))
+            s = load_scenario(str(path))
+            reports.append((s.items["P"].mat, feasibility.hv_feasibility(s).certificate))
+        (huge, huge_cert), (unit, unit_cert) = reports
+        assert np.array_equal(huge, unit)
+        assert huge_cert == unit_cert
+        assert dict(unit_cert)[(1, 0)] == Fraction(1, 2)
+
+    def test_a_zero_ray_names_its_field(self, tmp_path):
+        data = {"kind": "scenario", "dim": 2, "items": {"P": {"ray": [1e-13, 0]}}}
+        path = tmp_path / "zero.scenario"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=r"\.items\[P\]\.ray: zero vector$"):
+            load_scenario(str(path))
 
     def test_missing_field_names_the_field(self, tmp_path):
         path = tmp_path / "bad.scenario"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from nogo_lab.errors import (
     ConditioningOnNull,
     NotDensity,
+    NotHermitian,
     NotProjector,
     UnknownEigenvalue,
 )
@@ -57,6 +58,30 @@ class TestRoleValidation:
     def test_density_rejects_unnormalized(self):
         with pytest.raises(NotDensity):
             Density.from_matrix(np.diag([0.7, 0.7]))
+
+    def test_a_ray_normalizes_with_the_bits_of_the_unscaled_division(self):
+        gen = make_generator(5)
+        for scale in (1e-3, 1.0, 7.0, 1e150):
+            v = scale * (gen.standard_normal(4) + 1j * gen.standard_normal(4))
+            u = v / np.linalg.norm(v)
+            assert np.array_equal(Projector.from_ray(v).mat, np.outer(u, u.conj()))
+
+    def test_a_huge_ray_is_not_the_zero_projector(self):
+        huge = Projector.from_ray([1e308, 1e308, 0])
+        assert np.array_equal(huge.mat, Projector.from_ray([1, 1, 0]).mat)
+        assert huge.mat[0, 0] == pytest.approx(0.5)
+        with pytest.raises(NotProjector, match="numerically zero"):
+            Projector.from_ray([1e-320, 0])
+
+    def test_huge_hermitian_pairs_fail_their_tests_without_linalg_errors(self):
+        """Their Hermitian part m/2 + m†/2 is finite, where (m + m†)/2
+        overflows; the tests run as the file loaders run them."""
+        pair = np.array([[0.0, 1e308], [1e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotDensity, match="negative eigenvalue -1.000e[+]308"):
+                Density.from_matrix(pair)
+            with pytest.raises(NotHermitian, match="spectral reconstruction residual"):
+                Observable.from_matrix(pair)
 
     def test_observable_has_real_spectrum(self):
         obs = Observable.from_matrix(np.diag([2.0, 2.0, 5.0]))
