@@ -134,9 +134,16 @@ def cmd_verify_conditioning(args: argparse.Namespace) -> int:
 def cmd_check_model(args: argparse.Namespace) -> int:
     """Every axiom checker on a model file; exit 1 on any flagged rule."""
     model = fileio.load_model(fileio.resolve_input_path(args.path))
+    import numpy as np
+
     from . import hvmodel
 
-    return _emit(args, hvmodel.check_model(model, args.tol, args.cluster_gap))
+    try:  # the rules multiply observables, which a file may make overflow
+        with np.errstate(over="raise"):
+            checks = hvmodel.check_model(model, args.tol, args.cluster_gap)
+    except FloatingPointError as exc:
+        raise ConfigError(f"{args.path}: too large to check: {exc}") from None
+    return _emit(args, checks)
 
 
 def _named_state(name: str, dim: int) -> Density:

@@ -31,12 +31,25 @@ import numpy as np
 
 from . import simplex
 from .errors import (
-    CrossTalk, NotDichotomic, NotProjector, NumericalAmbiguity, ScenarioError, SearchSpaceTooLarge,
+    CrossTalk,
+    NotDichotomic,
+    NotProjector,
+    NumericalAmbiguity,
+    ScenarioError,
+    SearchSpaceTooLarge,
     WrongScenarioShape,
 )
 from .opcore import (
-    BUILT_TOL, COARSE_TOL, TOL, as_operator, guard_opnorm, identity, opnorm_exceeds,
-    require_same_dim, trace_inner,
+    BUILT_TOL,
+    COARSE_TOL,
+    TOL,
+    as_operator,
+    dag,
+    guard_opnorm,
+    identity,
+    opnorm_exceeds,
+    require_same_dim,
+    trace_inner,
 )
 from .quantum import Density, projector_defects, projector_rank
 
@@ -75,7 +88,7 @@ class ScenarioItem(NamedTuple):
 
     ``plus`` is the projector whose indicator an assignment value tracks,
     the item's value-1 event: the projector itself, or (I + X)/2 for a
-    dichotomic item X.
+    dichotomic item X, each rounded onto a projector (:func:`make_item`).
     """
 
     label: str
@@ -120,24 +133,26 @@ class Scenario(NamedTuple):
 
 
 def make_item(label: str, kind: str, mat, tol: float = TOL) -> ScenarioItem:
-    """Validate one scenario operator by one projector test, of its value-1 event:
-    a projector itself at ``tol``, a dichotomic X as P = (I + X)/2 at tol/2.
-    P - P† is (X - X†)/2 and P² - P is (X² - I)/4, so X's Hermitian defect is
-    at most ``tol`` and each eigenvalue within about ``tol`` of +-1; ``plus``
-    is P, exact wherever X is."""
+    """Validate one scenario operator by one projector test, of its value-1
+    event E: a projector itself at ``tol``, a dichotomic X as E = (I + X)/2
+    at tol/2, as E - E† = (X - X†)/2 and E² - E = (X² - I)/4.  ``plus`` is
+    3H² - 2H³ for E's Hermitian part H, taking H's eigenvalues 1 + e and e to
+    within 3e² of 1 and 0: a file's E, up to ``COARSE_TOL`` off, moves no
+    statistic past the trace error in ``RATIONALIZATION_BOUND``; E² = E keeps E."""
     mat = as_operator(mat)
+    eye = identity(len(mat))
     if kind == PROJECTOR:
-        plus, at, error = mat, tol, NotProjector
+        event, at, error, test = mat, tol, NotProjector, ""
     elif kind == DICHOTOMIC:
-        plus, at, error = (identity(len(mat)) + mat) / 2, tol / 2, NotDichotomic
+        event, at, error, test = (eye + mat) / 2, tol / 2, NotDichotomic, "(I + X)/2 "
     else:
         raise ScenarioError(f"unknown item kind {kind!r} for {label!r}")
     try:
-        projector_rank(len(mat), *projector_defects(plus, at), at)
+        projector_rank(len(mat), *projector_defects(event, at), at)
     except NotProjector as exc:
-        test = "" if kind == PROJECTOR else "(I + X)/2 "
         raise error(f"{kind} item {label!r}: {test}{exc}") from None
-    return ScenarioItem(label=label, kind=kind, mat=mat, plus=plus)
+    h = event / 2 + dag(event) / 2
+    return ScenarioItem(label=label, kind=kind, mat=mat, plus=h @ h @ (3 * eye - 2 * h))
 
 
 def make_scenario(

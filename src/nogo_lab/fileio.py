@@ -263,9 +263,7 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     with _numeric_phase():
         state = Density.from_matrix(_array(state), tol=COARSE_TOL)
         for label, rows in observables.items():
-            obs = observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
-            if not obs.vals @ obs.vals <= _MAX:  # the rules multiply observables
-                raise FormatError(f"{where}.observables[{label}]: eigenvalues too large to square")
+            observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
     space = PhaseSpace(points=tuple(points), weights=_array(weights, float))
     table = {label: _array(row, float) for label, row in table.items()}
     return HVModel(space=space, registered=observables, values=table, state=state)

@@ -149,9 +149,7 @@ class Density(NamedTuple):
 
     @classmethod
     def pure(cls, vec) -> "Density":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(mat=np.outer(v, v.conj()))
+        return cls(mat=Projector.from_ray(vec, tol=0.0).mat)  # any nonzero vec
 
     @property
     def dim(self) -> int:

@@ -319,8 +319,14 @@ class TestCheckModel:
             pytest.param(
                 "check-model",
                 fixture_with("commuting.model", ("observables", "O1", 0, 0), "[1e308, 0]"),
-                ".observables[O1]: eigenvalues too large to square",
+                "too large to check: overflow encountered in",
                 id="observable-entry-1e308",
+            ),
+            pytest.param(
+                "check-model",
+                fixture_with("commuting.model", ("observables", "O1", 0, 0), "[1e100, 0]"),
+                "too large to check: overflow encountered in",
+                id="observable-entry-1e100",
             ),
             pytest.param(
                 "check-model",

@@ -170,6 +170,30 @@ class TestScenarioValidation:
         with pytest.raises(NotProjector, match="projector item 'P': not idempotent"):
             make_item("P", PROJECTOR, np.diag([0.5, 0.0]))
 
+    @pytest.mark.parametrize("kind, a, b", [
+        (DICHOTOMIC, np.diag([1.0 + 9e-8, -1.0]), np.diag([-1.0, 1.0])),
+        (PROJECTOR, np.diag([1.0 + 9e-8, 0.0]), np.diag([0.0, 1.0])),
+    ])
+    def test_an_item_at_file_tolerance_keeps_a_commuting_context_feasible(self, kind, a, b):
+        """A's value-1 event is 4.5e-8 (9e-8) off a projector; carried into
+        the marginals as it is, that gives x(-1, -1) < 0 and a Farkas margin
+        past RATIONALIZATION_BOUND, a false 'infeasible' for diagonal items."""
+        items = {l: make_item(l, kind, m, tol=COARSE_TOL) for l, m in (("A", a), ("B", b))}
+        state = Density.from_matrix(np.diag([0.9, 0.1]))
+        res = hv_feasibility(make_scenario(2, items, [Context(labels=("A", "B"))], state=state))
+        assert res.feasible
+        assert sorted(w for _, w in res.certificate) == [Fraction(1, 10), Fraction(9, 10)]
+
+    def test_a_non_hermitian_item_at_file_tolerance_has_real_marginals(self):
+        """X = [[1, 9e-8], [0, -1]] has X² = I exactly and Hermitian defect
+        9e-8: under |+i>, tr[D (I + X)/2] has imaginary part 2.25e-8, past
+        the 'is not real' test, and the Hermitian part's has none."""
+        items = {"A": make_item("A", DICHOTOMIC, np.array([[1.0, 9e-8], [0.0, -1.0]]), tol=COARSE_TOL)}
+        s = make_scenario(2, items, [Context(labels=("A",))], state=Density.pure([1, 1j]))
+        res = hv_feasibility(s)
+        assert res.feasible
+        assert dict(res.certificate) == {(-1,): Fraction(1, 2), (1,): Fraction(1, 2)}
+
 
 class TestEnumerateAssignments:
     def test_triad_has_three_colorings(self):
