@@ -151,14 +151,10 @@ def _named_state(name: str, dim: int) -> Density:
     from .quantum import Density
 
     if name == "singlet":
-        if dim != 4:
-            raise ConfigError(f"state 'singlet' needs a 4-dimensional scenario, got {dim}")
         return singlet_state()
     if name == "maximally-mixed":
         return Density.maximally_mixed(dim)
     if name == "ghz":
-        if dim != 8:
-            raise ConfigError(f"state 'ghz' needs an 8-dimensional scenario, got {dim}")
         amplitude = 1 / math.sqrt(2)
         return Density.pure([amplitude, 0, 0, 0, 0, 0, 0, amplitude])
     return fileio.load_state(name)  # _settle found the file

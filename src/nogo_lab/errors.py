@@ -67,10 +67,6 @@ class NotDichotomic(NogoLabError):
     """An observable required to have spectrum in {-1, +1} does not."""
 
 
-class CrossTalk(NogoLabError):
-    """Settings declared local to different sides fail to commute."""
-
-
 class ScenarioError(NogoLabError):
     """A scenario violates its structural invariants."""
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import simplex
 from .errors import (
-    CrossTalk,
     NotDichotomic,
     NotProjector,
     NumericalAmbiguity,
@@ -48,7 +47,6 @@ from .opcore import (
     guard_opnorm,
     identity,
     opnorm_exceeds,
-    require_same_dim,
     trace_inner,
 )
 from .quantum import Density, projector_defects, projector_rank
@@ -126,10 +124,15 @@ class Scenario(NamedTuple):
         return tuple(sorted(self.items))
 
     def with_state(self, state: Optional[Density]) -> Scenario:
-        """This scenario under ``state``: its contexts, validated without it, stand."""
-        if state is not None and state.dim != self.dim:
+        """This scenario under ``state``, stored as the state its statistics
+        assume: its Hermitian part over its real trace, as a file's state is up
+        to ``COARSE_TOL`` off.  Its contexts, validated without it, stand."""
+        if state is None:
+            return self._replace(state=None)
+        if state.dim != self.dim:
             raise ScenarioError("state dimension does not match scenario")
-        return self._replace(state=state)
+        h = state.mat / 2 + dag(state.mat) / 2
+        return self._replace(state=Density(h / np.trace(h).real))
 
 
 def make_item(label: str, kind: str, mat, tol: float = TOL) -> ScenarioItem:
@@ -416,21 +419,10 @@ def setting_side2(theta_deg: float) -> np.ndarray:
 
 def chsh_value(state: Density, a1, a2, b1, b2) -> float:
     """Correlation combination S = E(A,B) + E(A,B') + E(A',B) - E(A',B')
-    with E(X, Y) = tr[D XY].
-
-    The side-1 settings must commute with the side-2 settings (locality as
-    expressed inside the algebra); each setting must have spectrum in
-    {-1, +1}, at the tolerance of matrices read from files.
-    """
-    a1, a2, b1, b2 = map(as_operator, (a1, a2, b1, b2))
-    require_same_dim(state.mat, a1, a2, b1, b2)
-    for label, m in (("A", a1), ("A'", a2), ("B", b1), ("B'", b2)):
-        make_item(label, DICHOTOMIC, m, tol=COARSE_TOL)
-    for la, x in (("A", a1), ("A'", a2)):
-        for lb, y in (("B", b1), ("B'", b2)):
-            if (c := guard_opnorm(x @ y - y @ x, BUILT_TOL)) > BUILT_TOL:
-                raise CrossTalk(f"[{la}, {lb}] norm {c:.3e}; sides are not local")
-    return float(_chsh_combinations(_correlations(state.mat, (a1, a2), (b1, b2)))[3])
+    with E(X, Y) = tr[D XY], read off the 2x2 scenario (:func:`_two_by_two`)
+    of these settings as +-1 items at the file tolerance, each cross pair a
+    commuting context: locality as expressed inside the algebra."""
+    return float(chsh_sums(_two_by_two(state, (a1, a2, b1, b2), COARSE_TOL))[3])
 
 
 def _correlations(d: np.ndarray, side1, side2) -> list[list[float]]:
@@ -481,14 +473,18 @@ def chsh_shape(s: Scenario) -> Optional[tuple[tuple[str, str], tuple[str, str]]]
     return None
 
 
+def _sides(s: Scenario) -> tuple[tuple[str, str], tuple[str, str]]:
+    """:func:`chsh_shape`, or :class:`WrongScenarioShape`."""
+    if (shape := chsh_shape(s)) is None:
+        raise WrongScenarioShape("not a 2x2 dichotomic scenario")
+    return shape
+
+
 def chsh_sums(s: Scenario) -> list[float]:
     """The four :func:`_chsh_combinations` of a 2x2 dichotomic scenario's
     correlation table, read off its own validated items and its state; the
     fourth is S, as :func:`chsh_value` computes it."""
-    shape = chsh_shape(s)
-    if shape is None:
-        raise WrongScenarioShape("not a 2x2 dichotomic scenario")
-    sides = ([s.items[l].mat for l in side] for side in shape)
+    sides = ([s.items[l].mat for l in side] for side in _sides(s))
     return _chsh_combinations(_correlations(s.state.mat, *sides))
 
 
@@ -504,8 +500,7 @@ def classical_chsh_bound(s: Scenario) -> Fraction:
     E(X, Y) = v(X) v(Y) of each +-1 value assignment v.  The answer for any
     genuine 2x2 dichotomic scenario is exactly 2.
     """
-    if chsh_shape(s) is None:
-        raise WrongScenarioShape("not a 2x2 dichotomic scenario")
+    _sides(s)
     return Fraction(max(
         abs(_chsh_combinations([[a * b for b in side2] for a in side1])[3])
         for side1 in itertools.product((-1, 1), repeat=2)
@@ -521,9 +516,14 @@ def chsh_scenario(
     """Standard 2x2 scenario: settings A1, A2 on side 1 and B1, B2 on side 2
     built from the angle quadruple (a, a', b, b'), singlet state by default.
     """
-    state = state if state is not None else singlet_state()
     a, a2, b, b2 = angles
     mats = (setting_side1(a), setting_side1(a2), setting_side2(b), setting_side2(b2))
-    items = {l: make_item(l, DICHOTOMIC, m) for l, m in zip(("A1", "A2", "B1", "B2"), mats)}
+    return _two_by_two(singlet_state() if state is None else state, mats, TOL, name)
+
+
+def _two_by_two(state: Density, mats, tol: float, name: str = "chsh") -> Scenario:
+    """The 2x2 scenario of settings (A1, A2; B1, B2): each a +-1 item at
+    ``tol`` (:func:`make_item`), each cross pair a context (:func:`make_scenario`)."""
+    items = {l: make_item(l, DICHOTOMIC, m, tol) for l, m in zip(("A1", "A2", "B1", "B2"), mats)}
     contexts = [Context(labels=(x, y)) for x in ("A1", "A2") for y in ("B1", "B2")]
-    return make_scenario(4, items, contexts, state=state, name=name)
+    return make_scenario(len(items["A1"].mat), items, contexts, state=state, name=name)

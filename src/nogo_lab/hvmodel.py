@@ -5,6 +5,7 @@ each registered observable a definite value at each point, and a quantum
 state to compare against.  The checkers verify, rule by rule, whether the
 model reproduces quantum statistics:
 
+* measure rule     - every point's weight is nonnegative
 * spectrum rule    - every assigned value is an eigenvalue of its observable
 * sum rule         - values of a registered sum A+B add pointwise (commuting A, B)
 * product rule     - values of a registered product AB multiply pointwise
@@ -56,6 +57,7 @@ __all__ = [
     "HVModel",
     "preimage",
     "event_weight",
+    "check_measure_rule",
     "check_spectrum_rule",
     "check_sum_rule",
     "check_product_rule",
@@ -76,17 +78,6 @@ class PhaseSpace(NamedTuple):
     points: tuple[str, ...]
     weights: np.ndarray
 
-    def validate(self, tol: float = TOL) -> None:
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("point labels must be unique")
-        if self.weights.min(initial=0.0) < -tol:
-            raise ValueError(f"negative weight {self.weights.min():.3e}")
-        total = float(self.weights.sum())
-        if abs(total - 1.0) > tol * len(self.weights):
-            raise ValueError(f"weights sum to {total}, not 1")
-
 
 class HVModel(NamedTuple):
     """Phase space + per-point observable values + the quantum state.
@@ -99,15 +90,6 @@ class HVModel(NamedTuple):
     registered: Mapping[str, Observable]
     values: Mapping[str, np.ndarray]
     state: Density
-
-    def validate(self, tol: float = TOL) -> None:
-        self.space.validate(tol)
-        n = len(self.space.points)
-        for label, obs in self.registered.items():
-            if obs.dim != self.state.dim:
-                raise ValueError(f"observable {label!r} dimension != state dimension")
-            if label not in self.values or len(self.values[label]) != n:
-                raise ValueError(f"value table missing or ragged for {label!r}")
 
     def observable(self, label: str) -> Observable:
         try:
@@ -206,6 +188,14 @@ def preimage(
 def event_weight(m: HVModel, event: frozenset[str]) -> float:
     index = {p: i for i, p in enumerate(m.space.points)}
     return float(sum(m.space.weights[index[p]] for p in event))
+
+
+def check_measure_rule(m: HVModel, tol: float = TOL) -> Check:
+    """Every point's weight must be nonnegative: its residual is max(0, -w).
+    The total mass is judged by the whole-spectrum marginals."""
+    sites = [Check.judged(point, max(0.0, -float(w)), tol, detail=f"weight {w}")
+             for point, w in zip(m.space.points, m.space.weights)]
+    return Check.composite("measure-rule", sites, rule="measure-rule")
 
 
 def check_spectrum_rule(m: HVModel, cluster_gap: float = CLUSTER_GAP) -> Check:
@@ -332,15 +322,15 @@ def check_conditional_rule(
     return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
 
 
-_RULES = ("spectrum-rule", "marginal-rule", "joint-rule", "sum-rule", "product-rule",
-          "order-events-rule", "conditional-rule")
+_RULES = ("measure-rule", "spectrum-rule", "marginal-rule", "joint-rule", "sum-rule",
+          "product-rule", "order-events-rule", "conditional-rule")
 
 
 def check_model(m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP) -> list[Check]:
     """Every rule checker over every instance it applies to in ``m``.
 
     Returns one :func:`~nogo_lab.check.fold` per rule with instances, in
-    spectrum, marginal, joint, sum, product, order, conditional order.
+    measure, spectrum, marginal, joint, sum, product, order, conditional order.
     Marginals run on each eigenvalue and on the whole spectrum of every
     label; the pairwise rules run on every commuting pair of labels, the
     order and conditional rules only when both are projectors.  The
@@ -361,6 +351,7 @@ def check_model(m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP) 
         except (UnregisteredObservable, OrderViolation, ConditioningOnNull):
             pass
 
+    add(check_measure_rule(m, tol))
     add(check_spectrum_rule(table, cluster_gap))
     labels = sorted(m.registered)
     spectra = {la: sorted(set(m.registered[la].eigenvalues(cluster_gap))) for la in labels}
@@ -440,11 +431,9 @@ def build_commuting_model(
         k: np.real(np.einsum("ij,jk,ki->i", dag(basis), observables[k].mat, basis))
         for k in labels
     }
-    model = HVModel(
+    return HVModel(
         space=PhaseSpace(points=points, weights=weights),
         registered=dict(observables),
         values=values,
         state=state,
     )
-    model.validate(opcore.floored(tol, opcore.COARSE_TOL))
-    return model

@@ -214,8 +214,9 @@ def spectral_projector(
     each level at ``cluster_gap`` counted once however often it is named.
 
     The empty selection gives the zero projector; the full spectrum gives
-    the identity.  Raises :class:`UnknownEigenvalue` if a value is farther
-    than ``cluster_gap`` from every level.
+    the identity; no projector test is rerun, as :meth:`Observable.from_matrix`
+    bounds every grouping.  Raises :class:`UnknownEigenvalue` if a value is
+    farther than ``cluster_gap`` from every level.
     """
     levels = _levels(a, cluster_gap)
     chosen = {}  # level index -> None, in the order first named
@@ -232,7 +233,7 @@ def spectral_projector(
     for k in chosen:
         cols = levels[k][1]
         out += cols @ dag(cols)
-    return Projector.from_matrix(out)
+    return Projector(out, sum(levels[k][1].shape[1] for k in chosen))
 
 
 def condition(d: np.ndarray, b: np.ndarray) -> tuple:

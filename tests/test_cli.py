@@ -183,6 +183,27 @@ class TestCheckModel:
     def test_bundled_fixture_passes(self):
         assert main(["check-model", "commuting.model"]) == 0
 
+    def test_bundled_fixture_reports_the_measure_rule_first(self, capsys):
+        assert main(["check-model", "commuting.model"]) == 0
+        first = capsys.readouterr().out.splitlines()[1]
+        assert first.startswith("  [     pass] measure-rule over 1 instances  residual=0.000e+00")
+
+    def test_a_signed_weight_fails_the_measure_rule(self, tmp_path):
+        # Every marginal of A = diag(1, 0) under I/2 matches, so only the
+        # measure rule sees the weight -0.25.
+        path = tmp_path / "signed.model"
+        path.write_text(json.dumps({
+            "kind": "model", "dim": 2, "state": [[0.5, 0], [0, 0.5]],
+            "observables": {"A": [[1, 0], [0, 0]]}, "points": ["w0", "w1", "w2"],
+            "weights": [0.5, 0.75, -0.25], "values": {"A": [1, 0, 0]},
+        }))
+        out = tmp_path / "r.json"
+        assert main(["check-model", str(path), "--format", "structured", "--out", str(out)]) == 1
+        failed = [c for c in json.loads(out.read_text())["checks"] if c["verdict"] != "pass"]
+        assert [(c["rule"], c["residual"], c["firstViolation"]) for c in failed] == [
+            ("measure-rule", 0.25, "w2: weight -0.25")
+        ]
+
     def test_only_a_failed_precondition_skips_an_instance(self, monkeypatch, capsys):
         # Any other library error inside a rule checker is an error (exit 2),
         # not a silently dropped rule.
@@ -542,8 +563,40 @@ class TestStateOverrides:
     def test_unknown_state_name(self):
         assert main(["feasibility", "chsh.scenario", "--state", "wat"]) == 2
 
-    def test_singlet_needs_dim_four(self):
+    def test_singlet_needs_dim_four(self, capsys):
         assert main(["feasibility", "triad-dim3.scenario", "--state", "singlet"]) == 2
+        assert capsys.readouterr().err == (
+            "nogo-lab: error: state dimension does not match scenario\n"
+        )
+
+    def test_ghz_needs_dim_eight(self, capsys):
+        assert main(["feasibility", "chsh.scenario", "--state", "ghz"]) == 2
+        assert capsys.readouterr().err == (
+            "nogo-lab: error: state dimension does not match scenario\n"
+        )
+
+    def test_a_state_off_unit_trace_is_normalized_before_the_statistics(self, tmp_path):
+        # The triad's own state times 1 + 2.5e-7 passes the file test; its
+        # marginals taken unnormalized put the commuting triad past the
+        # rounding bound, infeasible.
+        data = json.loads(Path(fileio.resolve_input_path("triad-dim3")).read_text())
+        heavy = np.array([[complex(*z) for z in row] for row in data["state"]]) * (1 + 2.5e-7)
+        path = tmp_path / "heavy.state"
+        path.write_text(json.dumps({"matrix": matrix_to_json(heavy)}))
+        assert main(["feasibility", "triad-dim3", "--state", str(path)]) == 0
+
+    def test_a_state_off_hermitian_is_read_by_its_hermitian_part(self, tmp_path, capsys):
+        # Defect 9e-8 passes the file test; the state taken as it is gives
+        # marginal[A] an imaginary part of 4.5e-8.
+        path = tmp_path / "tilted.scenario"
+        path.write_text(json.dumps({
+            "kind": "scenario", "dim": 2,
+            "items": {"A": {"kind": "dichotomic", "matrix": [[0, 1], [1, 0]]}},
+            "contexts": [{"labels": ["A"]}],
+            "state": [[0.5, [0, 9e-8]], [0, 0.5]],
+        }))
+        assert main(["feasibility", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_maximally_mixed_by_name(self):
         # dim-4 mixed state: marginals 1/2 and joints 1/4 rationalize exactly

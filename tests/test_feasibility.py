@@ -7,7 +7,6 @@ import pytest
 
 from nogo_lab import simplex
 from nogo_lab.errors import (
-    CrossTalk,
     NotDichotomic,
     NotProjector,
     NumericalAmbiguity,
@@ -409,8 +408,9 @@ class TestChshValue:
             )
 
     def test_rejects_cross_talk(self):
-        # a "side 2" operator acting on qubit 1 fails locality
-        with pytest.raises(CrossTalk):
+        # a "side 2" operator acting on qubit 1 fails locality: its context
+        # with a side-1 setting is not commuting
+        with pytest.raises(ScenarioError, match=r"context \('A1', 'B1'\) not commuting"):
             chsh_value(
                 singlet_state(),
                 setting_side1(0.0),
@@ -418,6 +418,13 @@ class TestChshValue:
                 setting_side1(45.0),
                 setting_side2(135.0),
             )
+
+    def test_rejects_wrong_dimension(self):
+        settings = [setting_side1(0.0), setting_side1(90.0), setting_side2(45.0), setting_side2(135.0)]
+        with pytest.raises(ScenarioError, match="item 'B2' is not 4-dimensional"):
+            chsh_value(singlet_state(), *settings[:3], SZ)
+        with pytest.raises(ScenarioError, match="state dimension does not match scenario"):
+            chsh_value(Density.maximally_mixed(2), *settings)
 
     def test_grid_search_oracle_attains_tsirelson(self):
         # independent oracle: coarse 3-degree grid with side-1 angle fixed at

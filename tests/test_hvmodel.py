@@ -18,6 +18,7 @@ from nogo_lab.hvmodel import (
     check_conditional_rule,
     check_joint_rule,
     check_marginal_rule,
+    check_measure_rule,
     check_model,
     check_order_rule,
     check_product_rule,
@@ -146,6 +147,17 @@ class TestPreimage:
         events = [preimage(diag_model, "O2", v) for v in (0.0, 1.0)]
         assert frozenset().union(*events) == frozenset(diag_model.space.points)
         assert events[0] & events[1] == frozenset()
+
+
+class TestMeasureRule:
+    def test_built_model_passes(self, diag_model):
+        assert check_measure_rule(diag_model).ok
+
+    def test_negative_weight_flagged_by_its_size(self, diag_model):
+        rep = check_measure_rule(with_weight(diag_model, 1, -2e-9))
+        assert not rep.ok
+        assert [p.residual for p in rep.parts] == [0.0, 2e-9, 0.0]
+        assert check_measure_rule(with_weight(diag_model, 1, -2e-9), tol=1e-8).ok
 
 
 class TestSpectrumRule:
@@ -395,6 +407,7 @@ def _checkers_one_at_a_time(m: HVModel, tol: float, gap: float) -> list:
         except (UnregisteredObservable, OrderViolation, ConditioningOnNull):
             pass
 
+    add(check_measure_rule(m, tol))
     add(check_spectrum_rule(m, gap))
     labels = sorted(m.registered)
     spectra = {la: sorted(set(m.registered[la].eigenvalues(gap))) for la in labels}
