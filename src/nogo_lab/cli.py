@@ -63,15 +63,16 @@ NAMED_STATES = ("singlet", "maximally-mixed", "ghz")
 
 def _config_echo(args: argparse.Namespace) -> dict:
     """The flags the command read, camelCased.  ``--out`` and unset optional
-    flags are left out, and ``path`` is echoed by its base name, so the
-    bytes do not depend on where the input is read or the report written."""
+    flags are left out, and ``path`` and ``state`` are echoed by their base
+    names (a named state's is its name), so the bytes do not depend on where
+    the inputs are read or the report written."""
     echo = {}
     for key, value in vars(args).items():
         if key == "out" or value is None:
             continue
         head, *rest = key.split("_")
         echo[head + "".join(w.title() for w in rest)] = (
-            os.path.basename(value) if key == "path" else value
+            os.path.basename(value) if key in ("path", "state") else value
         )
     return echo
 

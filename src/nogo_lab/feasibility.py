@@ -7,7 +7,9 @@ state.  Deciding whether a classical model reproduces the quantum statistics
 then splits into two exact steps:
 
 1. enumerate the value assignments that respect the spectrum and the
-   functional rules inside every context (a coloring search);
+   functional rules inside every context (a coloring search: one
+   breadth-first table of admissible prefixes, filtered by each context once
+   its last label is set);
 2. decide by exact rational linear programming whether some probability
    distribution over those assignments matches every quantum marginal and
    every in-context pairwise joint.
@@ -23,7 +25,6 @@ quantity and its exact classical bound live here too.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -214,49 +215,31 @@ def enumerate_assignments(s: Scenario) -> list[tuple[int, ...]]:
     """All value assignments satisfying the context rules, in lexicographic
     order over the sorted labels (value order: 0 before 1, -1 before +1).
 
-    Each assignment respects the spectrum of every item by construction;
-    identity-resolving contexts get exactly one member assigned 1 and
-    declared product constraints hold on the assigned values.
+    One breadth-first table of admissible prefixes: each label repeats every
+    row once for each of its two values, so each assignment respects the
+    spectrum of every item, and each context filters the table once its last
+    label is set: exactly one member assigned 1 for identity-resolving
+    contexts, the declared product for product-constrained ones.
     """
     labels = s.labels
     if 2 ** len(labels) > MAX_ASSIGNMENT_SPACE:
         raise SearchSpaceTooLarge(
             f"2^{len(labels)} assignments exceed the {MAX_ASSIGNMENT_SPACE} guard"
         )
-    domains = [s.items[l].values() for l in labels]
     position = {l: i for i, l in enumerate(labels)}
-    # Contexts become checkable once their last (sorted-order) label is set.
-    ready_at: dict[int, list[Context]] = {}
-    for ctx in s.contexts:
-        if not ctx.labels:
-            continue
-        last = max(position[l] for l in ctx.labels)
-        ready_at.setdefault(last, []).append(ctx)
-
-    out: list[tuple[int, ...]] = []
-    values: list[int] = []
-
-    def ok_so_far(depth: int) -> bool:
-        for ctx in ready_at.get(depth, []):
-            vals = [values[position[l]] for l in ctx.labels]
-            if ctx.resolves_identity and sum(vals) != 1:
-                return False
-            if ctx.product_sign is not None and math.prod(vals) != ctx.product_sign:
-                return False
-        return True
-
-    def recurse(depth: int) -> None:
-        if depth == len(labels):
-            out.append(tuple(values))
-            return
-        for v in domains[depth]:
-            values.append(v)
-            if ok_so_far(depth):
-                recurse(depth + 1)
-            values.pop()
-
-    recurse(0)
-    return out
+    table = np.zeros((1, len(labels)), dtype=np.int8)
+    for depth, label in enumerate(labels):
+        table = np.repeat(table, 2, axis=0)
+        table[:, depth] = np.tile(s.items[label].values(), len(table) // 2)
+        for ctx in s.contexts:
+            cols = [position[l] for l in ctx.labels]
+            if not cols or max(cols) != depth:
+                continue
+            if ctx.resolves_identity:
+                table = table[table[:, cols].sum(axis=1) == 1]
+            if ctx.product_sign is not None:
+                table = table[table[:, cols].prod(axis=1) == ctx.product_sign]
+    return list(zip(*table.T.tolist())) if labels else [()]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ it, :class:`~nogo_lab.errors.NumericalAmbiguity` is raised instead of a
 verdict.
 
 Tableaus are dense: tens of rows, one column per admissible assignment (4,096
-at 6x6, 65,536 at 8x8, up to the 2^24 that ``MAX_ASSIGNMENT_SPACE`` admits).
+at 6x6, 65,536 at 8x8).  The 8x8 singlet, the largest measured, took 11.0-11.6
+s and 168 MiB peak RSS through the CLI on a 2-vCPU host.
 """
 
 from __future__ import annotations

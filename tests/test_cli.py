@@ -552,6 +552,18 @@ class TestStateOverrides:
         code = main(["feasibility", "chsh.scenario", "--state", str(state_path)])
         assert code == 0  # maximally mixed is classical for any settings
 
+    def test_a_state_file_is_echoed_by_its_base_name(self, tmp_path):
+        reports = []
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            state, out = tmp_path / where / "mm.state", tmp_path / where / "r.json"
+            state.write_text(json.dumps({"matrix": (np.eye(4) / 4).tolist()}))
+            argv = ["feasibility", "chsh", "--state", str(state), "--format", "structured"]
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["state"] == "mm.state"
+
     def test_state_file_of_the_wrong_dimension(self, tmp_path, capsys):
         state_path = tmp_path / "qubit.json"
         state_path.write_text(json.dumps({"matrix": [[0.5, 0], [0, 0.5]]}))

@@ -1,9 +1,11 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nogo_lab import simplex
 from nogo_lab.errors import (
@@ -106,6 +108,68 @@ def brute_force_assignments(s):
         if ok:
             out.append(values)
     return out
+
+
+@st.composite
+def diagonal_scenarios(draw):
+    """A random diagonal scenario with every rule kind: projector partitions
+    of the identity (resolving contexts, one may reuse an earlier projector),
+    +-1 items under a consistent declared product sign (which may reuse
+    earlier +-1 items), and loose items of both kinds.  Labels are drawn
+    names, so contexts close at random depths of the sorted order."""
+    dim = draw(st.integers(2, 4))
+    bits = st.lists(st.integers(0, 1), min_size=dim, max_size=dim).map(np.array)
+    ops, contexts = [], []  # ops: (kind, diagonal); contexts: (members, sign)
+
+    def add(kind, diagonal):
+        ops.append((kind, np.asarray(diagonal, dtype=float)))
+        return len(ops) - 1
+
+    def of_kind(kind):
+        return [i for i, (k, _) in enumerate(ops) if k == kind]
+
+    for _ in range(draw(st.integers(0, 2))):
+        pool = of_kind(PROJECTOR)
+        members = draw(st.lists(st.sampled_from(pool), max_size=1)) if pool else []
+        rest = np.ones(dim) - sum((ops[i][1] for i in members), np.zeros(dim))
+        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim)))
+        members += [add(PROJECTOR, rest * (groups == g)) for g in sorted(set(groups))]
+        contexts.append((members, None))
+    for _ in range(draw(st.integers(0, 2))):
+        pool = of_kind(DICHOTOMIC)
+        members = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)) if pool else []
+        members += [add(DICHOTOMIC, 1 - 2 * draw(bits)) for _ in range(draw(st.integers(0, 1)))]
+        sign = draw(st.sampled_from((-1, 1)))
+        closing = sign * np.prod([np.ones(dim)] + [ops[i][1] for i in members], axis=0)
+        members.append(add(DICHOTOMIC, closing))
+        contexts.append((members, sign))
+    for _ in range(draw(st.integers(0 if ops else 1, 2))):
+        kind = draw(st.sampled_from((PROJECTOR, DICHOTOMIC)))
+        add(kind, draw(bits) if kind == PROJECTOR else 1 - 2 * draw(bits))
+
+    names = [f"x{k:02d}" for k in draw(st.permutations(range(len(ops))))]
+    items = {names[i]: make_item(names[i], kind, np.diag(d)) for i, (kind, d) in enumerate(ops)}
+    return make_scenario(dim, items, [
+        Context(labels=tuple(names[i] for i in draw(st.permutations(members))), product_sign=sign)
+        for members, sign in contexts
+    ])
+
+
+@st.composite
+def signed_magic_square_lines(draw):
+    """Some lines of the magic square with each item X replaced by +-X and
+    each line's sign adjusted to match: every proper subset of the six lines
+    has admissible assignments, all six have none, whatever the signs."""
+    flips = draw(st.lists(st.sampled_from((-1, 1)), min_size=9, max_size=9))
+    full = magic_square_scenario()
+    flip = dict(zip(full.labels, flips))
+    lines = draw(st.lists(st.sampled_from(full.contexts), min_size=1, unique=True))
+    labels = sorted({l for ctx in lines for l in ctx.labels})
+    items = {l: make_item(l, DICHOTOMIC, flip[l] * full.items[l].mat) for l in labels}
+    return make_scenario(4, items, [
+        ctx._replace(product_sign=ctx.product_sign * math.prod(flip[l] for l in ctx.labels))
+        for ctx in lines
+    ])
 
 
 class TestScenarioValidation:
@@ -225,6 +289,19 @@ class TestEnumerateAssignments:
                 contexts.append(Context(labels=tuple(labels[:2])))
             s = make_scenario(dim, items, contexts)
             assert enumerate_assignments(s) == sorted(brute_force_assignments(s))
+
+    @settings(max_examples=200)
+    @given(diagonal_scenarios())
+    def test_matches_brute_force_on_every_rule_kind(self, s):
+        assert all(ctx.resolves_identity for ctx in s.contexts if ctx.product_sign is None)
+        assert enumerate_assignments(s) == sorted(brute_force_assignments(s))
+
+    @settings(max_examples=100)
+    @given(signed_magic_square_lines())
+    def test_matches_brute_force_with_and_without_colorings(self, s):
+        asg = enumerate_assignments(s)
+        assert asg == sorted(brute_force_assignments(s))
+        assert (asg == []) == (len(s.contexts) == 6)
 
     def test_search_space_guard(self):
         items = {
