@@ -3,16 +3,17 @@
 Each check ends the same way: a residual compared against a bound, then a
 verdict.  :meth:`Check.judged` is the one place where a number becomes a
 verdict (``residual <= bound`` passes, so a NaN residual fails); the bound
-is ``tol``, ``cluster_gap`` or derived from the tolerance table below, which
-:mod:`nogo_lab.opcore` re-exports.  A composite (:meth:`Check.composite`:
-the steps of a chain, the trials of a batch; :func:`fold`: a rule's
-instances) passes iff every part passes and carries the residual and bound
-of its worst part, so no check shows ``residual <= bound`` with a failing
-verdict.  The same record serves chains and batches (:mod:`nogo_lab.nogo`),
-phase-space rules (:mod:`nogo_lab.hvmodel`) and the feasibility verdict;
-:meth:`Check.as_dict` is the entry format of the structured report.  It and
-the other layers' records are ``typing.NamedTuple`` classes: immutable,
-copied with ``._replace``, and defined without dataclass-generated methods.
+is ``tol``, ``cluster_gap`` or derived from the tolerance table below, the
+one home of every entry and of :func:`floored`.  A composite
+(:meth:`Check.composite`: the steps of a chain, the trials of a batch;
+:func:`fold`: a rule's instances) passes iff every part passes and carries
+the residual and bound of its worst part, so no check shows
+``residual <= bound`` with a failing verdict.  The same record serves
+chains and batches (:mod:`nogo_lab.nogo`), phase-space rules
+(:mod:`nogo_lab.hvmodel`) and the feasibility verdict; :meth:`Check.as_dict`
+is the entry format of the structured report.  It and the other layers'
+records are ``typing.NamedTuple`` classes: immutable, copied with
+``._replace``, and defined without dataclass-generated methods.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ COARSE_TOL = 1e-7  # matrices read from files, and states conditioned by dividin
 SEPARATION_TOL = 1e-6  # shortfall allowed when a separating projector must realize a full norm
 NULL_EVENT = 1e-9  # tr[DB] or mu(b) at or below this: a null event, and conditioning is refused
 PIVOT_TOL = 1e-9  # float simplex proposal: entries and reduced costs at or below this are 0
+
+
+def floored(tol: float, floor: float) -> float:
+    """``tol``, but never finer than ``floor``: the bound for a check whose
+    data are only known to ``floor``, however small ``--tol`` is set."""
+    return max(tol, floor)
+
 
 PASS = "pass"
 FAIL = "fail"

@@ -38,12 +38,8 @@ class UnregisteredObservable(NogoLabError):
 
 
 class NotCommuting(NogoLabError):
-    """A rule that only applies to commuting operators was asked about a
-    noncommuting pair."""
-
-
-class NotCommutingFamily(NogoLabError):
-    """A family required to be pairwise commuting is not."""
+    """Operators required to commute do not: a pair a rule only applies to
+    when it commutes, or a family with no shared eigenbasis."""
 
 
 class OrderViolation(NogoLabError):

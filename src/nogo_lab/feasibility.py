@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import simplex
+from .check import BUILT_TOL, COARSE_TOL, TOL
 from .errors import (
     NotDichotomic,
     NotProjector,
@@ -39,18 +40,8 @@ from .errors import (
     SearchSpaceTooLarge,
     WrongScenarioShape,
 )
-from .opcore import (
-    BUILT_TOL,
-    COARSE_TOL,
-    TOL,
-    as_operator,
-    dag,
-    guard_opnorm,
-    identity,
-    opnorm_exceeds,
-    trace_inner,
-)
-from .quantum import Density, projector_defects, projector_rank
+from .opcore import as_operator, dag, guard_opnorm, identity, opnorm_exceeds, trace_inner
+from .quantum import Density, normalize_state, projector_defects, projector_rank
 
 __all__ = [
     "ScenarioItem",
@@ -126,14 +117,13 @@ class Scenario(NamedTuple):
 
     def with_state(self, state: Optional[Density]) -> Scenario:
         """This scenario under ``state``, stored as the state its statistics
-        assume: its Hermitian part over its real trace, as a file's state is up
-        to ``COARSE_TOL`` off.  Its contexts, validated without it, stand."""
+        assume (:func:`~nogo_lab.quantum.normalize_state`).  Its contexts,
+        validated without it, stand."""
         if state is None:
             return self._replace(state=None)
         if state.dim != self.dim:
             raise ScenarioError("state dimension does not match scenario")
-        h = state.mat / 2 + dag(state.mat) / 2
-        return self._replace(state=Density(h / np.trace(h).real))
+        return self._replace(state=normalize_state(state))
 
 
 def make_item(label: str, kind: str, mat, tol: float = TOL) -> ScenarioItem:

@@ -10,13 +10,13 @@ One JSON family serves all artifacts, discriminated by ``kind``:
 * reports      - produced by the CLI; canonical bytes via :func:`report_bytes`
   so identical configurations yield identical files.
 
-A loader checks the whole file's structure in pure Python first (types,
-finiteness, shapes, every matrix's size against ``dim``, label sets, a
-context's labels against the items, duplicate points, ``productSign``, a
-scenario's ``name``), and only then loads numpy and its layer to build the
-operators and run their numeric tests.  So malformed input is rejected
-without numpy, and a structural fault anywhere in a file is reported before
-a numeric one.
+A loader checks the whole file's structure in pure Python first (a present
+``schemaVersion`` is 1; types, finiteness, shapes, every matrix's size
+against ``dim``, label sets, a context's labels against the items, duplicate
+points, ``productSign``, a scenario's ``name``), and only then loads numpy
+and its layer to build the operators and run their numeric tests.  So
+malformed input is rejected without numpy, and a structural fault anywhere
+in a file is reported before a numeric one.
 
 Complex numbers are two-element ``[re, im]`` arrays (plain reals accepted on
 input); matrices are row-major nested arrays.  Parse failures raise
@@ -128,6 +128,15 @@ def _dim_from_json(data: dict, where: str) -> int:
     return dim
 
 
+def _require_schema(data: dict, where: str) -> None:
+    """A file's ``schemaVersion`` is optional, but when present it must be the
+    integer :data:`FILE_SCHEMA_VERSION`: a file of another schema is not read
+    as this one."""
+    version = data.get("schemaVersion", FILE_SCHEMA_VERSION)
+    if version.__class__ is not int or version != FILE_SCHEMA_VERSION:
+        raise FormatError(f"{where}.schemaVersion: must be {FILE_SCHEMA_VERSION}, got {version!r}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,6 +157,7 @@ def _load_json(path: str) -> dict:
 
 
 def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
+    _require_schema(data, where)
     dim = _dim_from_json(data, where)
     raw_items = _require(data, "items", where)
     if not isinstance(raw_items, dict) or not raw_items:
@@ -230,7 +240,9 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
 
     Structural validation only: weights that fail the measure axioms or
     table values off the spectrum load fine and are the checkers' business.
+    The state is stored as a scenario's is (:func:`~nogo_lab.quantum.normalize_state`).
     """
+    _require_schema(data, where)
     dim = _dim_from_json(data, where)
     state = _rows_from_json(_require(data, "state", where), f"{where}.state", dim)
     raw_obs = _require(data, "observables", where)
@@ -258,10 +270,10 @@ def model_from_json(data: dict, where: str = "model") -> HVModel:
     }
 
     from .hvmodel import HVModel, PhaseSpace
-    from .quantum import Density, Observable
+    from .quantum import Density, Observable, normalize_state
 
     with _numeric_phase():
-        state = Density.from_matrix(_array(state), tol=COARSE_TOL)
+        state = normalize_state(Density.from_matrix(_array(state), tol=COARSE_TOL))
         for label, rows in observables.items():
             observables[label] = Observable.from_matrix(_array(rows), tol=COARSE_TOL)
     space = PhaseSpace(points=tuple(points), weights=_array(weights, float))

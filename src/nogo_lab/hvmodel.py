@@ -40,16 +40,15 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import opcore, rng as rng_mod
-from .check import Check, fold
+from .check import BASIS_TOL, CLUSTER_GAP, COARSE_TOL, NULL_EVENT, TOL, Check, floored, fold
 from .errors import (
     ConditioningOnNull,
     NotCommuting,
-    NotCommutingFamily,
     NotProjector,
     OrderViolation,
     UnregisteredObservable,
 )
-from .opcore import CLUSTER_GAP, TOL, commutator_norm, dag, opnorm, trace_inner
+from .opcore import commutator_norm, dag, opnorm, trace_inner
 from .quantum import Density, Observable, Projector, conditional_probability, leq, spectral_projector
 
 __all__ = [
@@ -138,8 +137,8 @@ class _Table:
                 self._known[key] = compute()
             except NotProjector as e:  # a failed projector form is known too
                 self._known[key] = e
-        if isinstance(self._known[key], NotProjector):
-            raise self._known[key]
+        if isinstance(self._known[key], NotProjector):  # raised afresh, so no frames pile up
+            raise self._known[key].with_traceback(None)
         return self._known[key]
 
     def row(self, label: str) -> np.ndarray:
@@ -160,7 +159,7 @@ class _Table:
 
     def form(self, label: str) -> Projector:
         """``label``'s matrix as a projector, or :class:`NotProjector`."""
-        mat, tol = self.m.observable(label).mat, opcore.floored(self.tol, opcore.COARSE_TOL)
+        mat, tol = self.m.observable(label).mat, floored(self.tol, COARSE_TOL)
         return self._once(("form", label), lambda: Projector.from_matrix(mat, tol=tol))
 
     def pair_norm(self, a: str, b: str) -> float:  # in the order asked: reports keep their bits
@@ -314,10 +313,10 @@ def check_conditional_rule(
     pa, pb = table.form(a), table.form(b)
     ev_a, ev_b = table.event(a, (1.0,), cluster_gap), table.event(b, (1.0,), cluster_gap)
     mu_b = table.mass(ev_b)
-    if mu_b <= opcore.NULL_EVENT:
-        raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= {opcore.NULL_EVENT:.0e} for {b!r}")
+    if mu_b <= NULL_EVENT:
+        raise ConditioningOnNull(f"mu(b) = {mu_b:.3e} <= {NULL_EVENT:.0e} for {b!r}")
     classical = table.mass(ev_a & ev_b) / mu_b
-    quantum = conditional_probability(m.state, pa, pb, opcore.floored(tol, opcore.COARSE_TOL))
+    quantum = conditional_probability(m.state, pa, pb, floored(tol, COARSE_TOL))
     sides = ("phase-space", "conditioned trace")
     return _compare("conditional-rule", f"Pr[{a}|{b}]", classical, quantum, tol, sides)
 
@@ -339,7 +338,7 @@ def check_model(m: HVModel, tol: float = TOL, cluster_gap: float = CLUSTER_GAP) 
     fails (an unregistered sum or product, an order that does not hold,
     conditioning on a null event) is skipped; other errors propagate.
     """
-    table = _Table(m, min(tol, opcore.COARSE_TOL))
+    table = _Table(m, min(tol, COARSE_TOL))
     found: dict[str, list[Check]] = {rule: [] for rule in _RULES}
 
     def add(check: Check) -> None:
@@ -399,7 +398,7 @@ def build_commuting_model(
         for j in range(i + 1, len(mats)):
             c = commutator_norm(mats[i], mats[j])
             if c > tol:
-                raise NotCommutingFamily(
+                raise NotCommuting(
                     f"{labels[i]!r} and {labels[j]!r} do not commute (norm {c:.3e})"
                 )
 
@@ -415,12 +414,12 @@ def build_commuting_model(
         _, vecs = np.linalg.eigh((combo + dag(combo)) / 2)
         if all(
             opnorm(np.triu(dag(vecs) @ m @ vecs, 1))
-            <= opcore.floored(tol, opcore.BASIS_TOL) * max(1.0, opnorm(m))
+            <= floored(tol, BASIS_TOL) * max(1.0, opnorm(m))
             for m in mats
         ):
             basis = vecs
     if basis is None:
-        raise NotCommutingFamily(
+        raise NotCommuting(
             "no shared eigenbasis found; family is not simultaneously diagonalizable"
         )
 

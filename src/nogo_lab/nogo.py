@@ -28,9 +28,12 @@ import math
 import numpy as np
 
 from . import opcore
-from .check import EXPECTED, FAIL, HYPOTHESIS_VIOLATED, PASS, Check
+from .check import (
+    BASIS_TOL, BUILT_TOL, COARSE_TOL, EXPECTED, FAIL, HYPOTHESIS_VIOLATED, PASS, ROUNDING,
+    SEPARATION_TOL, TOL, Check, floored,
+)
 from .errors import DimensionTooSmall
-from .opcore import TOL, dag, opnorm, trace
+from .opcore import dag, opnorm, trace
 from .quantum import (
     Density,
     Projector,
@@ -165,7 +168,7 @@ def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
     """:func:`check_forced_commutation` on each pair of the stack, yielded
     in order; a pair is judged as a projector pair at ``tol`` first."""
     name = "forced-commutation"
-    rounding = opcore.floored(tol, opcore.ROUNDING)
+    rounding = floored(tol, ROUNDING)
     held = np.flatnonzero(pairs.gap <= tol)  # only these pairs reach the chain's steps
     a, b, aba, bab = pairs.a[held], pairs.b[held], pairs.aba[held], pairs.bab[held]
     c = pairs.ab[held] - pairs.ba[held]
@@ -216,7 +219,7 @@ def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
     yielded in order; a pair is judged as a projector pair at ``tol``
     first."""
     name = "forced-commutation-alt"
-    rounding = opcore.floored(tol, opcore.ROUNDING)
+    rounding = floored(tol, ROUNDING)
     a, bab, eye = pairs.a, pairs.bab, opcore.identity(pairs.a.shape[-1])
     family = {"A": a, "B": pairs.b, "I-A": eye - a, "I-B": eye - pairs.b}
     duos = [(x, y) for k, x in enumerate(family) for y in list(family)[k + 1:]]
@@ -349,8 +352,8 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
         kernel[idx] = opnorm(d_b[idx] @ np.array([complements[i] for i in idx]))
     gap, sep, below_defect = _separation(rho, d_b, b)
 
-    basis_tol = opcore.floored(tol, opcore.BASIS_TOL)
-    luders, rho_defects = density_defects(d_b, tol), density_defects(rho, opcore.BUILT_TOL)
+    basis_tol = floored(tol, BASIS_TOL)
+    luders, rho_defects = density_defects(d_b, tol), density_defects(rho, BUILT_TOL)
     c_defects = projector_defects(c, basis_tol)
     k = c.shape[1]
     for i in range(n):
@@ -369,14 +372,14 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
             existence_step,
             _step("support: tr[D_B B] = 1", float(on_b[i]), support),
             _step("support: tr[D_B (I-B)] = 0", float(off_b[i]), support),
-            _step("support: D_B annihilates range(I-B)", float(kernel[i]), opcore.COARSE_TOL),
+            _step("support: D_B annihilates range(I-B)", float(kernel[i]), COARSE_TOL),
         ]
         worst_sep = np.inf
         for j in range(k):
-            require_density(dim, *(x[i, j] for x in rho_defects), opcore.BUILT_TOL)
+            require_density(dim, *(x[i, j] for x in rho_defects), BUILT_TOL)
             if gap[i, j] <= support:
                 continue
-            if not below_defect[i, j] <= opcore.COARSE_TOL:  # the separator is not below B
+            if not below_defect[i, j] <= COARSE_TOL:  # the separator is not below B
                 worst_sep = 0.0
                 break
             # The separator must realize the full operator-norm distance.
@@ -384,7 +387,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
         steps.append(_step(
             f"uniqueness: rank-one separator below B on {k} random D' != D_B",
             1.0 - worst_sep if worst_sep < np.inf else 0.0,
-            opcore.SEPARATION_TOL,
+            SEPARATION_TOL,
         ))
         yield _theorem("conditional-uniqueness", steps)
 
@@ -442,11 +445,11 @@ def commutation_batch(
         samplers = (random_commuting_pair, random_noncommuting_pair)
         drawn = (f(gen, dim) for gen in gens for f in samplers)  # both from one generator
         # The routes test the pairs at tol, the sampler's test at BUILT_TOL.
-        pairs = PairStack(*(np.array(side) for side in zip(*drawn)), min(tol, opcore.BUILT_TOL))
+        pairs = PairStack(*(np.array(side) for side in zip(*drawn)), min(tol, BUILT_TOL))
         first = iter(forced_commutation_stack(pairs, tol))
         second = iter(forced_commutation_alt_stack(pairs, tol))
         for i in range(len(pairs.a)):
-            pairs.require_projectors(i, opcore.BUILT_TOL)  # the sampler's test
+            pairs.require_projectors(i, BUILT_TOL)  # the sampler's test
             routes = (next(first), next(second))
             disagreements += routes[0].verdict != routes[1].verdict
             for rep in routes:
@@ -465,7 +468,7 @@ def commutation_batch(
         Check.composite(
             f"commuting pairs end with AB = BA (dim {dim})",
             (
-                _step("AB = BA on every commuting pair", worst_final, opcore.BUILT_TOL),
+                _step("AB = BA on every commuting pair", worst_final, BUILT_TOL),
                 _step("commuting pairs not passed by both routes", float(unproven), 0.0),
             ),
             rule="forced-commutation",
@@ -504,11 +507,11 @@ def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Ch
             b.append(opcore.random_projector_matrix(gen, dim, rank))
             samples.append(_draw_samples(gen, rank, SAMPLES))
         d, b = np.array(d), np.array(b)
-        states, projectors = density_defects(d, TOL), projector_defects(b, opcore.BUILT_TOL)
+        states, projectors = density_defects(d, TOL), projector_defects(b, BUILT_TOL)
         checks = iter(conditional_uniqueness_stack(d, b, samples, tol))
         for i in range(len(block)):
             require_density(dim, *(x[i] for x in states), TOL)  # the sampler's tests
-            projector_rank(dim, *(x[i] for x in projectors), opcore.BUILT_TOL)
+            projector_rank(dim, *(x[i] for x in projectors), BUILT_TOL)
             chains.append(next(checks))
     return Check.composite(
         f"conditioned-state uniqueness on {trials} random pairs (dim {dim})",

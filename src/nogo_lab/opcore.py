@@ -11,8 +11,8 @@ levels at a cluster gap, live in :mod:`nogo_lab.quantum`.
 Norms are operator 2-norms (largest singular value; max |eigenvalue| for
 Hermitian matrices), written ``opnorm`` throughout.  Every residual in the
 library is judged against ``tol`` (``--tol``), ``cluster_gap``
-(``--cluster-gap``), an entry of the tolerance table (defined in
-:mod:`nogo_lab.check`, re-exported here), or ``floored(tol, entry)``; a
+(``--cluster-gap``), an entry of the tolerance table in
+:mod:`nogo_lab.check`, or ``floored(tol, entry)`` from there; a
 chain step derives its bound from the bounds of the steps it follows
 (:mod:`nogo_lab.nogo`).  A guard test, one that only
 passes or raises (a projector, state or Hermitian test), reads its norm
@@ -30,23 +30,9 @@ import math
 
 import numpy as np
 
-from .check import (  # noqa: F401
-    BASIS_TOL, BUILT_TOL, CLUSTER_GAP, COARSE_TOL, NULL_EVENT, PIVOT_TOL, ROUNDING, SEPARATION_TOL,
-    TOL,
-)
 from .errors import DimensionMismatch
 
 __all__ = [
-    "TOL",
-    "CLUSTER_GAP",
-    "ROUNDING",
-    "BASIS_TOL",
-    "BUILT_TOL",
-    "COARSE_TOL",
-    "SEPARATION_TOL",
-    "NULL_EVENT",
-    "PIVOT_TOL",
-    "floored",
     "as_operator",
     "dag",
     "opnorm",
@@ -65,12 +51,6 @@ __all__ = [
     "random_projector_matrix",
     "random_unitary",
 ]
-
-
-def floored(tol: float, floor: float) -> float:
-    """``tol``, but never finer than ``floor``: the bound for a check whose
-    data are only known to ``floor``, however small ``--tol`` is set."""
-    return max(tol, floor)
 
 
 def as_operator(m) -> np.ndarray:

@@ -20,15 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opcore
+from .check import CLUSTER_GAP, NULL_EVENT, TOL
 from .errors import ConditioningOnNull, NotDensity, NotHermitian, NotProjector, UnknownEigenvalue
-from .opcore import (
-    CLUSTER_GAP,
-    TOL,
-    as_operator,
-    dag,
-    identity,
-    require_same_dim,
-)
+from .opcore import as_operator, dag, identity, require_same_dim
 
 __all__ = [
     "projector_defects",
@@ -37,6 +31,7 @@ __all__ = [
     "require_density",
     "Projector",
     "Density",
+    "normalize_state",
     "Observable",
     "spectral_projector",
     "condition",
@@ -119,14 +114,6 @@ class Projector(NamedTuple):
         v = v / np.linalg.norm(v)
         return cls(mat=np.outer(v, v.conj()), rank=1)
 
-    @classmethod
-    def zero(cls, dim: int) -> "Projector":
-        return cls(mat=opcore.zero(dim), rank=0)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls(mat=identity(dim), rank=dim)
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -154,6 +141,14 @@ class Density(NamedTuple):
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def normalize_state(d: Density) -> Density:
+    """The state whose statistics a scenario or model assumes: the Hermitian
+    part of ``d`` over its real trace, as a file's state is up to
+    ``COARSE_TOL`` off."""
+    h = d.mat / 2 + dag(d.mat) / 2
+    return Density(h / np.trace(h).real)
 
 
 class Observable(NamedTuple):
@@ -241,9 +236,9 @@ def condition(d: np.ndarray, b: np.ndarray) -> tuple:
     pair of two ``(n, dim, dim)`` stacks with the bits of a loop over them;
     :class:`ConditioningOnNull` for the first tr[DB] <= ``NULL_EVENT``."""
     pb = opcore.trace(d @ b).real
-    null = pb[pb <= opcore.NULL_EVENT]
+    null = pb[pb <= NULL_EVENT]
     if null.size:
-        raise ConditioningOnNull(f"tr[DB] = {null[0]:.3e} <= {opcore.NULL_EVENT:.0e}")
+        raise ConditioningOnNull(f"tr[DB] = {null[0]:.3e} <= {NULL_EVENT:.0e}")
     return pb, b @ d @ b / pb[..., None, None]
 
 

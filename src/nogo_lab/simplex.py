@@ -35,8 +35,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .check import PIVOT_TOL
 from .errors import NumericalAmbiguity
-from .opcore import PIVOT_TOL
 
 __all__ = ["FeasibleSolution", "InfeasibleCertificate", "solve_equality_feasibility"]
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from nogo_lab import opcore
+from nogo_lab.check import BASIS_TOL, BUILT_TOL
 from nogo_lab.nogo import random_commuting_pair, random_noncommuting_pair
 from nogo_lab.quantum import Projector
 from nogo_lab.rng import make_generator
@@ -19,12 +20,12 @@ def gen():
 # The pair samplers the test modules import from here are the library's own,
 # with their matrices judged as projectors at BUILT_TOL.
 def commuting_projector_pair(gen, dim):
-    return tuple(Projector.from_matrix(m, opcore.BUILT_TOL) for m in random_commuting_pair(gen, dim))
+    return tuple(Projector.from_matrix(m, BUILT_TOL) for m in random_commuting_pair(gen, dim))
 
 
 def noncommuting_projector_pair(gen, dim, min_comm=0.05):
     pair = random_noncommuting_pair(gen, dim, min_comm)
-    return tuple(Projector.from_matrix(m, opcore.BUILT_TOL) for m in pair)
+    return tuple(Projector.from_matrix(m, BUILT_TOL) for m in pair)
 
 
 # Test-only builders: no command writes a matrix or draws a plain Hermitian.
@@ -49,7 +50,7 @@ def projector_below(b: Projector, gen) -> Projector:
     built as the conditioning batch does: r, a rank(B) x r Gaussian, QR."""
     vals, vecs = np.linalg.eigh(b.mat)
     g = opcore.complex_gaussian(gen, b.rank, int(gen.integers(1, b.rank + 1)))
-    return Projector.from_matrix(qr_projector(vecs[:, vals > 0.5], g), tol=opcore.BASIS_TOL)
+    return Projector.from_matrix(qr_projector(vecs[:, vals > 0.5], g), tol=BASIS_TOL)
 
 
 def basis_projector(dim: int, index: int) -> Projector:

@@ -17,7 +17,7 @@ def _records() -> list:
     one = (Fraction(1),)
     return [
         Check("x", 0.0, PASS),
-        quantum.Projector.identity(2),
+        quantum.Projector(opcore.identity(2), 2),
         quantum.Density.maximally_mixed(2),
         obs,
         next(iter(scenario.items.values())),

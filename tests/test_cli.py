@@ -228,8 +228,19 @@ class TestCheckModel:
         assert "marginal-rule" in flagged
         marginal = flagged["marginal-rule"]
         assert marginal["violations"] == 8
-        assert marginal["firstViolation"] == "O1, S=[1.0]: phase-space mass 0.55 vs trace 0.5"
+        # The file's state sums to 1 - 2^-53; stored over its trace, 0.5 reads 0.5000000000000001.
+        assert marginal["firstViolation"] == "O1, S=[1.0]: phase-space mass 0.55 vs trace 0.5000000000000001"
         assert all("violations" not in c for c in report["checks"] if c["verdict"] == "pass")
+
+    def test_a_state_scaled_within_the_file_tolerance_passes(self, tmp_path):
+        # Scaled by 1 + 2e-8 the state still loads (|tr - 1| <= COARSE_TOL).  The
+        # model stores it over its trace, as a scenario does, so no marginal
+        # or joint sees the 2e-8.
+        data = json.loads(Path(fileio.resolve_input_path("commuting.model")).read_text())
+        data["state"] = [[[x * (1 + 2e-8) for x in z] for z in row] for row in data["state"]]
+        path = tmp_path / "scaled.model"
+        path.write_text(json.dumps(data))
+        assert main(["check-model", str(path)]) == 0
 
     def test_eigenvalue_labels_are_rounded(self, tmp_path):
         # Conjugated by this unitary, O1's zero level comes out of eigh as

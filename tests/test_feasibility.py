@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nogo_lab import simplex
+from nogo_lab.check import COARSE_TOL
 from nogo_lab.errors import (
     NotDichotomic,
     NotProjector,
@@ -34,9 +35,7 @@ from nogo_lab.feasibility import (
     singlet_state,
 )
 from nogo_lab.fileio import load_scenario, resolve_input_path
-from nogo_lab.opcore import (
-    COARSE_TOL, commutator_norm, dag, opnorm, random_density_matrix, random_unitary
-)
+from nogo_lab.opcore import commutator_norm, dag, opnorm, random_density_matrix, random_unitary
 from nogo_lab.quantum import Density
 from nogo_lab.rng import make_generator
 

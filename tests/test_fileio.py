@@ -298,6 +298,18 @@ class TestModelFiles:
         with pytest.raises(FormatError, match=message):
             load_model(str(path))
 
+    def test_the_state_is_stored_as_a_scenario_stores_it(self, tmp_path):
+        """Its Hermitian part over its real trace, bit for bit as
+        ``Scenario.with_state`` stores it."""
+        data = json.loads(open(resolve_input_path("commuting.model")).read())
+        data["state"][0][1] = [0.0, 4e-8]  # a Hermitian defect within COARSE_TOL
+        path = tmp_path / "m.model"
+        path.write_text(json.dumps(data))
+        stored = load_model(str(path)).state.mat
+        as_scenario = feasibility.Scenario(3, {}, ()).with_state(Density(matrix_from_json(data["state"])))
+        assert np.array_equal(stored, as_scenario.state.mat)
+        assert np.array_equal(stored, stored.conj().T) and abs(np.trace(stored) - 1) < 1e-15
+
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text(json.dumps({"kind": "scenario", "dim": 2, "items": {}}))
@@ -351,6 +363,23 @@ class TestBundled:
         with open(path, encoding="utf-8") as fh:
             declared = json.load(fh)["schemaVersion"]
         assert dump(load(path))["schemaVersion"] == declared == fileio.FILE_SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("fixture, load", [("chsh.scenario", load_scenario),
+                                           ("commuting.model", load_model)])
+def test_schema_version_is_1_when_present(tmp_path, fixture, load):
+    """Another version, or one that is no integer, is a FormatError naming
+    the field; a file without the field loads as schema 1."""
+    data = json.loads(open(resolve_input_path(fixture)).read())
+    path = tmp_path / fixture
+    for version in (99, "banana", 2, 1.0, True, None):
+        data["schemaVersion"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError, match=rf"{fixture}\.schemaVersion: must be 1, got {version!r}$"):
+            load(str(path))
+    del data["schemaVersion"]
+    path.write_text(json.dumps(data))
+    load(str(path))
 
 
 def test_report_bytes_are_canonical():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from nogo_lab import hvmodel
-from nogo_lab.check import fold
+from nogo_lab.check import COARSE_TOL, TOL, fold
 from nogo_lab.errors import (
     ConditioningOnNull,
     NotCommuting,
-    NotCommutingFamily,
     NotProjector,
     OrderViolation,
     UnregisteredObservable,
@@ -28,9 +27,7 @@ from nogo_lab.hvmodel import (
     preimage,
 )
 from nogo_lab.fileio import load_model, resolve_input_path
-from nogo_lab.opcore import (
-    COARSE_TOL, TOL, commutator_norm, dag, random_density_matrix, random_unitary,
-)
+from nogo_lab.opcore import commutator_norm, dag, random_density_matrix, random_unitary
 from nogo_lab.quantum import Density, Observable, Projector, conditional_probability, leq
 from nogo_lab.rng import make_generator, trial_generator
 
@@ -91,7 +88,7 @@ class TestBuildCommutingModel:
                 np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
             ),
         }
-        with pytest.raises(NotCommutingFamily):
+        with pytest.raises(NotCommuting):
             build_commuting_model(fam, Density.maximally_mixed(3))
 
     def test_random_shared_basis_family_passes_all_checkers(self):
@@ -541,3 +538,18 @@ def test_preconditions_keep_their_tolerances():
     assert check_order_rule(m, "A", "B", tol=1e-6).ok
     assert check_conditional_rule(m, "A", "B", tol=1e-6).ok
     assert check_conditional_rule(m, "B", "A", tol=1e-6).ok
+
+
+def test_a_cached_failed_form_is_raised_with_a_fresh_traceback():
+    # SUM is no projector.  Each raise of the one cached exception object must
+    # start a fresh traceback, or the frames of every raise stay alive on it.
+    table = hvmodel._Table(load_model(resolve_input_path("commuting.model")), TOL)
+    depths = []
+    for _ in range(5):
+        with pytest.raises(NotProjector) as err:
+            table.form("SUM")
+        tb, depth = err.value.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        depths.append(depth)
+    assert depths == depths[:1] * 5

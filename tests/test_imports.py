@@ -34,6 +34,7 @@ BAD_MODELS = {
     "dim-float": (("dim",), "3.0"),
     "dim-string": (("dim",), '"3"'),
     "state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
+    "model-schema-banana": (("schemaVersion",), '"banana"'),
 }
 # One field of chsh.scenario broken, as above.
 BAD_SCENARIOS = {
@@ -41,6 +42,8 @@ BAD_SCENARIOS = {
     "scenario-state-2x2": (("state",), "[[0.5, 0.0], [0.0, 0.5]]"),
     "unknown-label": (("contexts", 0, "labels"), '["A1", "Z9"]'),
     "name-number": (("name",), "5"),
+    "schema-99": (("schemaVersion",), "99"),
+    "schema-banana": (("schemaVersion",), '"banana"'),
 }
 # Malformed input -> the whole of its stderr ({} is the input's path).
 MALFORMED = {
@@ -65,6 +68,9 @@ MALFORMED = {
     ("feasibility", "{scenario-state-2x2}"): "{}.state: wrong dimension",
     ("feasibility", "{unknown-label}"): "{}.contexts[0].labels: unknown label 'Z9'",
     ("feasibility", "{name-number}"): "{}.name: expected a string",
+    ("feasibility", "{schema-99}"): "{}.schemaVersion: must be 1, got 99",
+    ("feasibility", "{schema-banana}"): "{}.schemaVersion: must be 1, got 'banana'",
+    ("check-model", "{model-schema-banana}"): "{}.schemaVersion: must be 1, got 'banana'",
 }
 # Modules that only an internal error (traceback), a bundled name
 # (importlib.resources) or generated record code (dataclasses, inspect) need:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nogo_lab import nogo, opcore
+from nogo_lab import nogo
+from nogo_lab.check import BUILT_TOL, TOL
 from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall, NogoLabError
 from nogo_lab.nogo import (
     FAIL,
@@ -20,12 +21,14 @@ from nogo_lab.opcore import (
     commutator_norm,
     complex_gaussian,
     dag,
+    identity,
     opnorm,
     random_density_matrix,
     random_projector_matrix,
     top_eigenprojector,
     trace,
     trace_inner,
+    zero,
 )
 from nogo_lab.quantum import Density, Projector, luders_density
 from nogo_lab.rng import make_generator, trial_generator
@@ -71,7 +74,7 @@ class TestTraceSymmetryGap:
         assert realized == pytest.approx(gap, abs=1e-9)
 
     def test_zero_projector(self):
-        gap, _ = trace_symmetry_gap(Projector.zero(3), plus_projector(3, 0, 1))
+        gap, _ = trace_symmetry_gap(Projector(zero(3), 0), plus_projector(3, 0, 1))
         assert gap == 0.0
 
 
@@ -124,7 +127,7 @@ class TestForcedCommutationAlt:
 
     def test_identity_member_trivializes(self):
         b = plus_projector(4, 1, 2)
-        rep = check_forced_commutation_alt(Projector.identity(4), b)
+        rep = check_forced_commutation_alt(Projector(identity(4), 4), b)
         assert rep.verdict == PASS
 
     def test_routes_agree_on_verdicts(self):
@@ -185,9 +188,9 @@ class TestConditionalUniqueness:
     def test_identity_conditioning(self):
         gen = make_generator(3)
         d = Density.from_matrix(random_density_matrix(gen, 4))
-        rep = check_conditional_uniqueness(d, Projector.identity(4), trials=20, gen=gen)
+        rep = check_conditional_uniqueness(d, Projector(identity(4), 4), trials=20, gen=gen)
         assert rep.verdict == PASS
-        assert opnorm(luders_density(d, Projector.identity(4)).mat - d.mat) < 1e-12
+        assert opnorm(luders_density(d, Projector(identity(4), 4)).mat - d.mat) < 1e-12
 
     def test_small_perturbation_is_separated(self):
         # traceless Hermitian perturbation inside range(B), eps = 1e-3
@@ -209,7 +212,7 @@ class TestConditionalUniqueness:
     def test_rejects_dim_two(self):
         with pytest.raises(DimensionTooSmall):
             check_conditional_uniqueness(
-                Density.maximally_mixed(2), Projector.identity(2), trials=5
+                Density.maximally_mixed(2), Projector(identity(2), 2), trials=5
             )
 
     def test_rejects_null_conditioning(self):
@@ -301,7 +304,7 @@ def _looped_conditioning(seed, dim, trials, tol):
         gen = trial_generator(seed, t)
         d = Density.from_matrix(random_density_matrix(gen, dim))
         rank = int(gen.integers(1, dim))
-        b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=opcore.BUILT_TOL)
+        b = Projector.from_matrix(random_projector_matrix(gen, dim, rank), tol=BUILT_TOL)
         chains.append(check_conditional_uniqueness(d, b, nogo.SAMPLES, gen, tol))
     return chains
 
@@ -310,9 +313,9 @@ def _looped_conditioning(seed, dim, trials, tol):
     seed=st.integers(0, 2**32),
     dim=st.integers(3, 16),
     trials=st.integers(1, 12),
-    tol=st.sampled_from([opcore.TOL, 0.5, 1e-15, 1e-16]),
+    tol=st.sampled_from([TOL, 0.5, 1e-15, 1e-16]),
 )
-@example(seed=1, dim=32, trials=5, tol=opcore.TOL)
+@example(seed=1, dim=32, trials=5, tol=TOL)
 def test_blocked_batches_equal_the_single_pair_verifiers(seed, dim, trials, tol):
     """Blocks change no verdict, tally, residual, witness or error: every
     route record of a batch equals the single-pair verifier's on the same

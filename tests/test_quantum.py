@@ -11,11 +11,10 @@ from nogo_lab.errors import (
     NotProjector,
     UnknownEigenvalue,
 )
+from nogo_lab.check import BUILT_TOL, COARSE_TOL, TOL
 from nogo_lab.opcore import (
-    BUILT_TOL,
-    COARSE_TOL,
-    TOL,
     dag,
+    identity,
     opnorm,
     random_density_matrix,
     random_projector_matrix,
@@ -185,7 +184,7 @@ class TestLudersDensity:
     def test_identity_conditioning_is_noop(self):
         gen = make_generator(5)
         d = Density.from_matrix(random_density_matrix(gen, 4))
-        out = luders_density(d, Projector.identity(4))
+        out = luders_density(d, Projector(identity(4), 4))
         assert opnorm(out.mat - d.mat) < 1e-12
 
     def test_pure_state_fixed_point(self):
