@@ -10,16 +10,16 @@ then splits into two exact steps:
    functional rules inside every context (a coloring search: one
    breadth-first table of admissible prefixes, filtered by each context once
    its last label is set);
-2. decide by exact rational linear programming whether some probability
-   distribution over those assignments matches every quantum marginal and
-   every in-context pairwise joint.
+2. build one exact LP over those assignments (:func:`feasibility_lp`) and
+   decide by exact rational linear programming whether some probability
+   distribution over them matches every quantum marginal and in-context joint.
 
 Dichotomic observables ride the same constraint pipeline as projectors via
 their value-1 event, the projector (I + X)/2, which is what lets one solver
 serve CHSH, coloring scenarios, parity squares, and state-forced parity
 games alike, with one boundary rule for every verdict: the Farkas margin
 against ``RATIONALIZATION_BOUND`` (:func:`hv_feasibility`).  The CHSH
-quantity and its exact classical bound live here too.
+quantity and its exact classical bound, over the same assignments, live here.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ __all__ = [
     "ScenarioItem",
     "Context",
     "Scenario",
+    "FeasibilityLP",
     "FeasibilityResult",
     "enumerate_assignments",
+    "feasibility_lp",
     "hv_feasibility",
     "chsh_value",
     "chsh_sums",
@@ -263,20 +265,35 @@ class FeasibilityResult(NamedTuple):
         return self.status == "feasible"
 
 
-def _rationalize(p: float) -> Fraction:
-    p = min(1.0, max(0.0, p))
-    return Fraction(round(p * DEFAULT_DENOMINATOR), DEFAULT_DENOMINATOR)
+class FeasibilityLP(NamedTuple):
+    """The exact LP of :func:`hv_feasibility`: x >= 0 over the admissible
+    ``assignments`` (its columns) with rows . x = b.  Row i, in Python ints
+    (the only entries the simplex takes), indicates the event ``names[i]``
+    that every involved item takes the value 1: none (``normalization``), a
+    label (``marginal[x]``) or an in-context pair (``joint[x,y]``).  b[i] is
+    its probability, clipped to [0, 1], to the nearest 1/``DEFAULT_DENOMINATOR``."""
+
+    labels: tuple[str, ...]
+    assignments: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    b: tuple[Fraction, ...]
 
 
-def _quantum_constraints(s: Scenario) -> list[tuple[str, tuple[str, ...], float]]:
-    """(name, involved labels, probability) for marginals and in-context
-    joints: the probability tr[D P_x (P_y)] that every involved item takes
-    the value 1."""
-    events = {(l,): f"marginal[{l}]" for l in s.labels}
+def feasibility_lp(s: Scenario) -> FeasibilityLP:
+    """The :class:`FeasibilityLP` of a scenario with a state, from one pass over
+    its events: the normalization, each marginal, each in-context pair once."""
+    if s.state is None:
+        raise ScenarioError("feasibility needs a scenario state")
+    labels = s.labels
+    assignments = tuple(enumerate_assignments(s))
+    # [assignment, label]: 1 where the item takes the value 1
+    ones = (np.array(assignments).reshape(len(assignments), len(labels)) == 1).astype(int)
+    events = {(): "normalization"} | {(l,): f"marginal[{l}]" for l in labels}
     for ctx in s.contexts:
         for pair in itertools.combinations(sorted(ctx.labels), 2):
             events.setdefault(pair, "joint[{},{}]".format(*pair))
-    out = []
+    rows, b = [], []
     for involved, name in events.items():
         prod = s.state.mat
         for l in involved:
@@ -284,13 +301,15 @@ def _quantum_constraints(s: Scenario) -> list[tuple[str, tuple[str, ...], float]
         p = complex(np.trace(prod))
         if abs(p.imag) > BUILT_TOL:
             raise ScenarioError(f"{name} is not real: {p}")
-        out.append((name, involved, p.real))
-    return out
+        rows.append(tuple(ones[:, [labels.index(l) for l in involved]].prod(axis=1).tolist()))
+        p = min(1.0, max(0.0, p.real))
+        b.append(Fraction(round(p * DEFAULT_DENOMINATOR), DEFAULT_DENOMINATOR))
+    return FeasibilityLP(labels, assignments, tuple(events.values()), tuple(rows), tuple(b))
 
 
 def hv_feasibility(s: Scenario) -> FeasibilityResult:
     """Decide existence of a distribution over admissible assignments that
-    reproduces the state's marginals and in-context joints.
+    reproduces the state's marginals and in-context joints (:func:`feasibility_lp`).
 
     Quantum probabilities are rounded to rationals with denominator
     ``DEFAULT_DENOMINATOR``, within ``RATIONALIZATION_BOUND`` of the quantum
@@ -301,31 +320,14 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     is raised.  The simplex raises it too, when no float basis passes its
     exact check.
     """
-    if s.state is None:
-        raise ScenarioError("feasibility needs a scenario state")
-    labels = s.labels
-    assignments = enumerate_assignments(s)
-    if not assignments:
-        return FeasibilityResult(status="no-admissible-assignments", labels=labels)
+    lp = feasibility_lp(s)
+    if not lp.assignments:
+        return FeasibilityResult(status="no-admissible-assignments", labels=lp.labels)
 
-    constraints = _quantum_constraints(s)
-    position = {l: i for i, l in enumerate(labels)}
-    plus = np.array(assignments) == 1  # [assignment, label]: the item's +1 event
-
-    names = ["normalization"] + [name for name, _, _ in constraints]
-    rhs = [Fraction(1)] + [_rationalize(p) for _, _, p in constraints]
-    # Python ints, the only row entries the simplex takes.
-    rows = [[1] * len(assignments)] + [
-        plus[:, [position[l] for l in involved]].all(axis=1).astype(int).tolist()
-        for _, involved, _ in constraints
-    ]
-
-    result = simplex.solve_equality_feasibility(rows, rhs)
+    result = simplex.solve_equality_feasibility(lp.rows, lp.b)
     if result.feasible:
-        cert = tuple(
-            (assignments[j], w) for j, w in enumerate(result.x) if w != 0
-        )
-        return FeasibilityResult(status="feasible", labels=labels, certificate=cert)
+        cert = tuple((lp.assignments[j], w) for j, w in enumerate(result.x) if w != 0)
+        return FeasibilityResult(status="feasible", labels=lp.labels, certificate=cert)
 
     # A classical statistic vector c = A x, x >= 0, has y.c <= 0 < y.b and
     # the exact normalization c[0] = b[0], so y[1:].(b - c)[1:] >= y.b: it
@@ -341,11 +343,11 @@ def hv_feasibility(s: Scenario) -> FeasibilityResult:
     # that every assignment distribution keeps <= max_attainable = max_j y.A_j,
     # yet the quantum values require y.b, the phase-1 optimum, which is > 0.
     described = " + ".join(
-        f"({coeff})*{name}" for name, coeff in zip(names, result.y) if coeff != 0
+        f"({coeff})*{name}" for name, coeff in zip(lp.names, result.y) if coeff != 0
     )
     return FeasibilityResult(
         status="infeasible",
-        labels=labels,
+        labels=lp.labels,
         violated_constraint=described,
         required=result.infeasibility_gap,
         max_attainable=result.max_ya,
@@ -467,17 +469,15 @@ def bch_inequalities_hold(s: Scenario) -> bool:
 
 
 def classical_chsh_bound(s: Scenario) -> Fraction:
-    """max |S| over the 16 deterministic strategies, in exact arithmetic.
-
-    S = E(A,B) + E(A,B') + E(A',B) - E(A',B') on the correlation table
-    E(X, Y) = v(X) v(Y) of each +-1 value assignment v.  The answer for any
-    genuine 2x2 dichotomic scenario is exactly 2.
-    """
-    _sides(s)
+    """max |S| over the admissible assignments (:func:`enumerate_assignments`)
+    in exact arithmetic, S = E(A,B) + E(A,B') + E(A',B) - E(A',B') on the
+    table E(X, Y) = v(X) v(Y) of each +-1 assignment v.  At 2x2 these are the
+    16 deterministic strategies unless a context declares a product, and
+    each has |S| = 2, so the answer is exactly 2."""
+    side1, side2 = _sides(s)
+    values = (dict(zip(s.labels, v)) for v in enumerate_assignments(s))
     return Fraction(max(
-        abs(_chsh_combinations([[a * b for b in side2] for a in side1])[3])
-        for side1 in itertools.product((-1, 1), repeat=2)
-        for side2 in itertools.product((-1, 1), repeat=2)
+        abs(_chsh_combinations([[v[x] * v[y] for y in side2] for x in side1])[3]) for v in values
     ))
 
 

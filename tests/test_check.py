@@ -23,6 +23,7 @@ def _records() -> list:
         next(iter(scenario.items.values())),
         scenario.contexts[0],
         scenario,
+        feasibility.FeasibilityLP(("A",), ((1,),), ("normalization",), ((1,),), one),
         feasibility.FeasibilityResult("feasible", ("A",)),
         simplex.FeasibleSolution(one),
         simplex.InfeasibleCertificate(one, one[0], Fraction(0)),

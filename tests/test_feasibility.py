@@ -27,6 +27,7 @@ from nogo_lab.feasibility import (
     chsh_value,
     classical_chsh_bound,
     enumerate_assignments,
+    feasibility_lp,
     hv_feasibility,
     make_item,
     make_scenario,
@@ -107,6 +108,15 @@ def brute_force_assignments(s):
         if ok:
             out.append(values)
     return out
+
+
+def wide_scenario():
+    """25 loose projector labels and no state: 2^25 assignments, past the guard."""
+    items = {
+        f"R{i:02d}": make_item(f"R{i:02d}", PROJECTOR, np.diag([1.0, 0.0]))
+        for i in range(25)
+    }
+    return make_scenario(2, items, [])
 
 
 @st.composite
@@ -303,16 +313,17 @@ class TestEnumerateAssignments:
         assert (asg == []) == (len(s.contexts) == 6)
 
     def test_search_space_guard(self):
-        items = {
-            f"R{i:02d}": make_item(f"R{i:02d}", PROJECTOR, np.diag([1.0, 0.0]))
-            for i in range(25)
-        }
-        s = make_scenario(2, items, [])
         with pytest.raises(SearchSpaceTooLarge):
-            enumerate_assignments(s)
+            enumerate_assignments(wide_scenario())
 
 
 class TestHvFeasibility:
+    def test_a_missing_state_is_reported_before_the_search_space(self):
+        with pytest.raises(ScenarioError) as exc:
+            hv_feasibility(wide_scenario())
+        assert type(exc.value) is ScenarioError
+        assert str(exc.value) == "feasibility needs a scenario state"
+
     def test_commuting_scenario_feasible_with_exact_certificate(self):
         s = triad_scenario()
         res = hv_feasibility(s)
@@ -823,18 +834,51 @@ def test_the_margin_is_a_certified_distance(name):
     y0 = y.pop("normalization", 0)
     rows = _lp_rows(s)
     b = {row: _required(s, involved) for row, involved in rows.items()}
+    a = feasibility_lp(s).rows
     yb = y0 * b["normalization"] + sum(c * b[row] for row, c in y.items())
     assert res.margin == yb / sum(abs(c) for c in y.values())
     assert res.margin > RATIONALIZATION_BOUND
 
     t = res.margin * (1 - Fraction(1, 2**10))
     moved = [b[row] - t * ((y.get(row, 0) > 0) - (y.get(row, 0) < 0)) for row in rows]
-    pos = {l: i for i, l in enumerate(s.labels)}
-    a = [
-        [int(all(x[pos[l]] == 1 for l in involved)) for x in enumerate_assignments(s)]
-        for involved in rows.values()
-    ]
     assert not simplex.solve_equality_feasibility(a, moved).feasible
+
+
+def assert_lp_matches_reference(s):
+    """The record's names, rows and b against the events rebuilt here."""
+    lp = feasibility_lp(s)
+    events = _lp_rows(s)
+    pos = {l: i for i, l in enumerate(s.labels)}
+    assert lp.labels == s.labels
+    assert lp.assignments == tuple(enumerate_assignments(s))
+    assert lp.names == tuple(events)
+    assert len(lp.rows) == len(lp.b) == len(events)
+    assert lp.rows[0] == (1,) * len(lp.assignments)
+    assert type(lp.b[0]) is Fraction and lp.b[0] == 1
+    for row, involved in zip(lp.rows, events.values()):
+        assert all(type(v) is int for v in row)
+        assert list(row) == [int(all(a[pos[l]] == 1 for l in involved)) for a in lp.assignments]
+    assert lp.b == tuple(_required(s, involved) for involved in events.values())
+
+
+def with_random_state(s, seed):
+    return s.with_state(Density.from_matrix(random_density_matrix(make_generator(seed), s.dim)))
+
+
+class TestFeasibilityLP:
+    @pytest.mark.parametrize("name", ["chsh", "ghz", "triad-dim3"])
+    def test_fixture_matches_reference(self, name):
+        assert_lp_matches_reference(load_scenario(resolve_input_path(name)))
+
+    @settings(max_examples=100)
+    @given(diagonal_scenarios(), st.integers(0, 2**32 - 1))
+    def test_diagonal_scenarios_match_reference(self, s, seed):
+        assert_lp_matches_reference(with_random_state(s, seed))
+
+    @settings(max_examples=50)
+    @given(signed_magic_square_lines(), st.integers(0, 2**32 - 1))
+    def test_signed_magic_square_lines_match_reference(self, s, seed):
+        assert_lp_matches_reference(with_random_state(s, seed))
 
 
 class TestExactCertificates:
