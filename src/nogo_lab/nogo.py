@@ -8,7 +8,7 @@ pairs and return a :class:`~nogo_lab.check.Check` whose parts are the
 steps, one residual each.
 
 The ``*_stack`` functions evaluate each step at once for the inputs of a
-stack ``(n, d, d)`` that reach it and yield one check per input, in order;
+stack ``(n, d, d)`` that reach it and return one check per input, in order;
 the single-input verifiers are their stack-of-one case.  ``commutation_batch``
 and ``conditioning_batch`` draw seeded inputs trial by trial and evaluate
 them in blocks of at most ``BLOCK_ENTRIES`` entries per stacked array.
@@ -106,15 +106,17 @@ def random_noncommuting_pair(
 
 
 class PairStack:
-    """Projector pairs stacked ``(n, d, d)``, with every quantity the two
-    forced-commutation routes share computed once: the projector test's
-    defects (guard values at ``tol``, the finest tolerance the pairs are
-    tested at), AB, BA, ABA, BAB, the trace-symmetry gap opnorm(BAB - ABA)
-    and opnorm(AB - BA); witness states only on first use."""
+    """Projector pairs stacked ``(n, d, d)``, each judged a projector pair at
+    ``tol`` once, when the stack is built (A, then B, pair by pair; the first
+    failure raises :class:`NotProjector`), with what both forced-commutation
+    routes share computed once: AB, BA, ABA, BAB, the trace-symmetry gap
+    opnorm(BAB - ABA) and opnorm(AB - BA); witness states only on first use."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, tol: float = TOL):
+        for pair in zip(zip(*projector_defects(a, tol)), zip(*projector_defects(b, tol))):
+            for herm, idem, tr in pair:  # A, then B
+                projector_rank(a.shape[-1], herm, idem, tr, tol)
         self.a, self.b = a, b
-        self.defects = projector_defects(a, tol), projector_defects(b, tol)
         self.ab, self.ba = a @ b, b @ a
         self.aba, self.bab = self.ab @ a, self.ba @ b
         self.sandwich = self.bab - self.aba
@@ -127,13 +129,6 @@ class PairStack:
         opcore.require_same_dim(a.mat, b.mat)
         return cls(a.mat[None], b.mat[None], tol)
 
-    def require_projectors(self, i: int, tol: float) -> None:
-        """:meth:`Projector.from_matrix`'s test of pair ``i`` at ``tol``, no
-        finer than the stack's, A first: raises :class:`NotProjector` on
-        failure."""
-        for defects in self.defects:
-            projector_rank(self.a.shape[-1], *(x[i] for x in defects), tol)
-
     def witness(self, i: int, tol: float) -> Density:
         """Pair ``i``'s state of :func:`trace_symmetry_gap`: maximally mixed
         when the gap is at most ``tol``, else its witness, state-tested.  The
@@ -145,9 +140,8 @@ class PairStack:
         if i not in self._witnesses:
             idx = np.flatnonzero(self.gap > tol)
             states = opcore.top_eigenprojector(self.sandwich[idx])
-            defects = density_defects(states, TOL)
-            for k, j in enumerate(idx.tolist()):
-                self._witnesses[j] = states[k], [x[k] for x in defects]
+            for j, state, *defects in zip(idx.tolist(), states, *density_defects(states, TOL)):
+                self._witnesses[j] = state, defects
         state, defects = self._witnesses[i]
         require_density(dim, *defects, TOL)
         return Density(state)
@@ -156,17 +150,16 @@ class PairStack:
 def trace_symmetry_gap(a: Projector, b: Projector, tol: float = TOL) -> tuple[float, Density]:
     """Largest possible |tr[DBAB] - tr[DABA]| over states, with a maximizer.
 
-    The gap equals opnorm(BAB - ABA); the returned state is a rank-one
-    eigenprojector of BAB - ABA realizing it (the maximally mixed state when
-    the gap is zero).
+    The gap is opnorm(BAB - ABA), realized by a rank-one eigenprojector of
+    BAB - ABA (the maximally mixed state when the gap is zero); a pair that
+    fails the projector test at ``tol`` raises :class:`NotProjector`.
     """
     pairs = PairStack.of(a, b, tol)
     return float(pairs.gap[0]), pairs.witness(0, tol)
 
 
-def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
-    """:func:`check_forced_commutation` on each pair of the stack, yielded
-    in order; a pair is judged as a projector pair at ``tol`` first."""
+def forced_commutation_stack(pairs: PairStack, tol: float = TOL) -> list[Check]:
+    """:func:`check_forced_commutation` on each pair of the stack, in order."""
     name = "forced-commutation"
     rounding = floored(tol, ROUNDING)
     held = np.flatnonzero(pairs.gap <= tol)  # only these pairs reach the chain's steps
@@ -177,16 +170,16 @@ def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
     expand = opnorm(c2 - (aba @ b + bab @ a - aba - bab))
     steps = np.stack([opnorm(c + dag(c)), expand, opnorm(c2)], -1)
     chain = dict(zip(held.tolist(), steps.tolist()))
-    del a, b, aba, bab, c, c2  # the generator's frame outlives the stacked phase
+    checks = []
     for i, (gap, norm_c) in enumerate(zip(pairs.gap.tolist(), pairs.commutator_norm.tolist())):
-        pairs.require_projectors(i, tol)
         hypothesis = _step("hypothesis BAB = ABA (max trace asymmetry over states)", gap, tol)
         if not hypothesis.ok:
-            yield _theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
+            witness = pairs.witness(i, tol)
+            checks.append(_theorem(name, [hypothesis], HYPOTHESIS_VIOLATED, witness=witness))
             continue
         skew, expanded, square = chain[i]
         nilpotent = _step("C^2 = 0 under the hypothesis", square, tol)
-        yield _theorem(name, [
+        checks.append(_theorem(name, [
             hypothesis,
             _step("C = AB - BA is skew-Hermitian", skew, tol),
             _step("expand C^2 with A^2 = A, B^2 = B", expanded, rounding),
@@ -195,7 +188,8 @@ def forced_commutation_stack(pairs: PairStack, tol: float = TOL):
             # By normality opnorm(C) = sqrt(opnorm(C^2)): C^2 = 0 within its
             # bound puts C = 0 within the square root of that bound.
             _step(CONCLUSION, norm_c, math.sqrt(nilpotent.bound)),
-        ])
+        ]))
+    return checks
 
 
 def check_forced_commutation(a: Projector, b: Projector, tol: float = TOL) -> Check:
@@ -210,14 +204,11 @@ def check_forced_commutation(a: Projector, b: Projector, tol: float = TOL) -> Ch
     When the hypothesis fails, the verdict is ``hypothesis-violated`` and the
     witness state shows the trace symmetry cannot hold for all states.
     """
-    [check] = forced_commutation_stack(PairStack.of(a, b, tol), tol)
-    return check
+    return forced_commutation_stack(PairStack.of(a, b, tol), tol)[0]
 
 
-def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
-    """:func:`check_forced_commutation_alt` on each pair of the stack,
-    yielded in order; a pair is judged as a projector pair at ``tol``
-    first."""
+def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL) -> list[Check]:
+    """:func:`check_forced_commutation_alt` on each pair of the stack, in order."""
     name = "forced-commutation-alt"
     rounding = floored(tol, ROUNDING)
     a, bab, eye = pairs.a, pairs.bab, opcore.identity(pairs.a.shape[-1])
@@ -239,27 +230,27 @@ def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
         opnorm(pairs.ab[held] - bab),
         opnorm(pairs.ba[held] - bab),
     ], -1).tolist()))
-    del family, a, bab, bt  # the generator's frame outlives the stacked phase
     culprits = defects.argmax(axis=0).tolist()
     rows = zip(decomps.tolist(), worsts.tolist(), pairs.commutator_norm.tolist())
+    checks = []
     for i, (decomp, worst, norm_c) in enumerate(rows):
-        pairs.require_projectors(i, tol)
         steps = [_step("unconditional identity A = ABA + A(I-B)A", decomp, rounding)]
         if not steps[0].ok:
-            yield _theorem(name, steps)
+            checks.append(_theorem(name, steps))
             continue
         hypothesis = _step("hypothesis XYX = YXY on pairs from {A, B, I-A, I-B}", worst, tol)
         if not hypothesis.ok:
             x, y = duos[culprits[i]]
             steps.append(hypothesis._replace(name=f"{hypothesis.name} (violated by ({x}, {y}))"))
-            yield _theorem(name, steps, HYPOTHESIS_VIOLATED, witness=pairs.witness(i, tol))
+            witness = pairs.witness(i, tol)
+            checks.append(_theorem(name, steps, HYPOTHESIS_VIOLATED, witness=witness))
             continue
         substituted, ab, ba = chain[i]
         # Four hypothesis bounds leave room for the rounding of I - B.
         substitute = _step("substitution A = BAB + (I-B)A(I-B)", substituted, 4 * hypothesis.bound)
         # Multiplying by B adds at most the idempotence defect of B.
         by_b = 2 * substitute.bound
-        yield _theorem(name, [
+        checks.append(_theorem(name, [
             *steps,
             hypothesis,
             substitute,
@@ -267,7 +258,8 @@ def forced_commutation_alt_stack(pairs: PairStack, tol: float = TOL):
             _step("left-multiply by B: BA = BAB", ba, by_b),
             # AB - BA = (AB - BAB) - (BA - BAB).
             _step(CONCLUSION, norm_c, 2 * by_b),
-        ])
+        ]))
+    return checks
 
 
 def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -> Check:
@@ -278,8 +270,7 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     from {A, B, A~, B~} - turns it into A = BAB + B~ A B~, from which
     AB = BAB = BA follows by multiplying with B on either side.
     """
-    [check] = forced_commutation_alt_stack(PairStack.of(a, b, tol), tol)
-    return check
+    return forced_commutation_alt_stack(PairStack.of(a, b, tol), tol)[0]
 
 
 def _range_bases(p: np.ndarray) -> tuple[list, list]:
@@ -329,10 +320,12 @@ def _separation(rho: np.ndarray, d_b: np.ndarray, b: np.ndarray) -> tuple:
     return np.abs(lam), sep, np.maximum(*off)
 
 
-def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, tol: float = TOL):
+def conditional_uniqueness_stack(
+    d: np.ndarray, b: np.ndarray, samples: list, tol: float = TOL
+) -> list[Check]:
     """:func:`check_conditional_uniqueness` on a stack of (state,
-    projector) trials ``d``, ``b`` of shape ``(n, dim, dim)``, yielded in
-    order; ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
+    projector) trials ``d``, ``b`` of shape ``(n, dim, dim)``, in order;
+    ``samples[i]`` holds trial i's draws (:func:`_draw_samples`)."""
     n, dim = d.shape[:2]
     DimensionTooSmall.require(dim)
     pb, d_b = condition(d, b)
@@ -356,6 +349,7 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
     luders, rho_defects = density_defects(d_b, tol), density_defects(rho, BUILT_TOL)
     c_defects = projector_defects(c, basis_tol)
     k = c.shape[1]
+    checks = []
     for i in range(n):
         require_density(dim, *(x[i] for x in luders), tol)
         worst = 0.0
@@ -389,7 +383,8 @@ def conditional_uniqueness_stack(d: np.ndarray, b: np.ndarray, samples: list, to
             1.0 - worst_sep if worst_sep < np.inf else 0.0,
             SEPARATION_TOL,
         ))
-        yield _theorem("conditional-uniqueness", steps)
+        checks.append(_theorem("conditional-uniqueness", steps))
+    return checks
 
 
 def check_conditional_uniqueness(
@@ -421,8 +416,7 @@ def check_conditional_uniqueness(
     opcore.require_same_dim(d.mat, b.mat)
     condition(d.mat, b.mat)  # refuses a null event before any draw: a zero B has no rank to draw
     samples = _draw_samples(gen, b.rank, trials)
-    [check] = conditional_uniqueness_stack(d.mat[None], b.mat[None], [samples], tol)
-    return check
+    return conditional_uniqueness_stack(d.mat[None], b.mat[None], [samples], tol)[0]
 
 
 def commutation_batch(
@@ -444,13 +438,10 @@ def commutation_batch(
         gens = (trial_generator(seed, t) for t in block)
         samplers = (random_commuting_pair, random_noncommuting_pair)
         drawn = (f(gen, dim) for gen in gens for f in samplers)  # both from one generator
-        # The routes test the pairs at tol, the sampler's test at BUILT_TOL.
+        # One projector test per pair, at BUILT_TOL (the sampler's) or the finer tol.
         pairs = PairStack(*(np.array(side) for side in zip(*drawn)), min(tol, BUILT_TOL))
-        first = iter(forced_commutation_stack(pairs, tol))
-        second = iter(forced_commutation_alt_stack(pairs, tol))
-        for i in range(len(pairs.a)):
-            pairs.require_projectors(i, BUILT_TOL)  # the sampler's test
-            routes = (next(first), next(second))
+        rows = zip(forced_commutation_stack(pairs, tol), forced_commutation_alt_stack(pairs, tol))
+        for i, routes in enumerate(rows):
             disagreements += routes[0].verdict != routes[1].verdict
             for rep in routes:
                 if rep.verdict in tallies:
@@ -508,11 +499,10 @@ def conditioning_batch(seed: int, dim: int, trials: int, tol: float = TOL) -> Ch
             samples.append(_draw_samples(gen, rank, SAMPLES))
         d, b = np.array(d), np.array(b)
         states, projectors = density_defects(d, TOL), projector_defects(b, BUILT_TOL)
-        checks = iter(conditional_uniqueness_stack(d, b, samples, tol))
         for i in range(len(block)):
             require_density(dim, *(x[i] for x in states), TOL)  # the sampler's tests
             projector_rank(dim, *(x[i] for x in projectors), BUILT_TOL)
-            chains.append(next(checks))
+        chains.extend(conditional_uniqueness_stack(d, b, samples, tol))
     return Check.composite(
         f"conditioned-state uniqueness on {trials} random pairs (dim {dim})",
         chains,

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from nogo_lab import nogo
 from nogo_lab.check import BUILT_TOL, TOL
-from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall, NogoLabError
+from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall, NogoLabError, NotProjector
 from nogo_lab.nogo import (
     FAIL,
     HYPOTHESIS_VIOLATED,
@@ -76,6 +76,13 @@ class TestTraceSymmetryGap:
     def test_zero_projector(self):
         gap, _ = trace_symmetry_gap(Projector(zero(3), 0), plus_projector(3, 0, 1))
         assert gap == 0.0
+
+    def test_a_non_projector_is_refused(self):
+        """The gap is judged on projector pairs only: a record whose matrix
+        fails the projector test at tol raises, as both verifiers do."""
+        a = Projector(np.diag([1.01, 0.0, 0.0]).astype(np.complex128), 1)
+        with pytest.raises(NotProjector, match=r"^not idempotent \(defect 1\.010e-02\)$"):
+            trace_symmetry_gap(a, plus_projector(3, 0, 1))
 
 
 class TestForcedCommutation:
@@ -321,19 +328,20 @@ def test_blocked_batches_equal_the_single_pair_verifiers(seed, dim, trials, tol)
     route record of a batch equals the single-pair verifier's on the same
     draws, and a batch raises the error a trial-by-trial loop raises
     first."""
-    routes = []
+    stacks = {"forced_commutation_stack": [], "forced_commutation_alt_stack": []}
 
-    def recorded(real):
+    def recorded(name, real):
         def stack(pairs, tol):
-            for check in real(pairs, tol):
-                routes.append(check)
-                yield check
+            checks = real(pairs, tol)
+            stacks[name].extend(checks)
+            return checks
         return stack
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("forced_commutation_stack", "forced_commutation_alt_stack"):
-            mp.setattr(nogo, name, recorded(getattr(nogo, name)))
+        for name in stacks:
+            mp.setattr(nogo, name, recorded(name, getattr(nogo, name)))
         batch = _outcome(lambda: nogo.commutation_batch(seed, dim, trials, tol))
+    routes = [check for pair in zip(*stacks.values()) for check in pair]  # both routes, pair by pair
     looped = _outcome(lambda: _looped_commutation(seed, dim, trials, tol))
     if isinstance(looped, tuple):
         assert batch == looped
@@ -353,6 +361,44 @@ def test_blocked_batches_equal_the_single_pair_verifiers(seed, dim, trials, tol)
         assert len(batch.parts) == len(looped) == trials
         for x, y in zip(batch.parts, looped):
             _same(x, y)
+
+
+def test_a_commutation_batch_tests_each_sampled_matrix_once(monkeypatch):
+    """Each sampled pair is judged as a projector pair once, when its stack
+    is built: two projector tests a pair, none in the routes."""
+    calls = []
+    real = nogo.projector_rank
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nogo, "projector_rank", counted)
+    nogo.commutation_batch(1, 4, 10)
+    assert len(calls) == 40  # 10 trials, a commuting and a noncommuting pair each, A and B
+
+
+def _diagonal_stack(*rows):
+    return np.array([np.diag(np.array(row, np.complex128)) for row in rows])
+
+
+@pytest.mark.parametrize("tol", [1e-16, TOL, 0.5])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_pair_stack_refuses_its_first_non_projector(tol, side):
+    """A stack refuses its third pair, whose A or B is not a projector, with
+    the class and message of ``Projector.from_matrix`` at tol, though its
+    fourth pair fails too."""
+    a = _diagonal_stack([1, 0, 0], [1, 1, 0], [0, 1, 1], [2, 0, 0])
+    b = _diagonal_stack([0, 1, 0], [1, 0, 1], [1, 1, 1], [1, 0, 0])
+    bad = np.diag(np.array([1.0, 1.0, 0.0], np.complex128))
+    bad[0, 1] = 0.75  # not Hermitian, well past every tol
+    (a if side == "A" else b)[2] = bad
+    with pytest.raises(NotProjector) as expected:
+        Projector.from_matrix(bad, tol)
+    with pytest.raises(NotProjector) as refused:
+        nogo.PairStack(a, b, tol)
+    assert type(refused.value) is type(expected.value)
+    assert str(refused.value) == str(expected.value) == "not Hermitian (defect 7.500e-01)"
 
 
 def test_block_arrays_fit_the_entry_budget(monkeypatch):
