@@ -33,7 +33,7 @@ from .check import (
     SEPARATION_TOL, TOL, Check, floored,
 )
 from .errors import DimensionTooSmall
-from .opcore import dag, opnorm, trace
+from .opcore import dag, opnorm
 from .quantum import (
     Density,
     Projector,
@@ -273,19 +273,6 @@ def check_forced_commutation_alt(a: Projector, b: Projector, tol: float = TOL) -
     return forced_commutation_alt_stack(PairStack.of(a, b, tol), tol)[0]
 
 
-def _range_bases(p: np.ndarray) -> tuple[list, list]:
-    """Orthonormal bases of range(P) and range(I - P) for each projector P of a
-    stack: the eigenvectors of one eigh with eigenvalues above and below 1/2."""
-    vals, vecs = np.linalg.eigh((p + dag(p)) / 2)
-    return [v[:, x > 0.5] for v, x in zip(vecs, vals)], [v[:, x < 0.5] for v, x in zip(vecs, vals)]
-
-
-def _grouped(keys) -> list[list[int]]:
-    """The indices of ``keys`` grouped by equal key, each group in order."""
-    keys = list(keys)
-    return [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
-
-
 def _draw_samples(gen: np.random.Generator, rank: int, samples: int) -> tuple[list, np.ndarray]:
     """One conditioning trial's draws, rank(B) = ``rank``: for each of
     ``samples`` projectors C <= B a rank r in [1, rank], then a rank x r
@@ -295,17 +282,36 @@ def _draw_samples(gen: np.random.Generator, rank: int, samples: int) -> tuple[li
     return below, np.array([opcore.random_density_matrix(gen, rank) for _ in range(samples)])
 
 
-def _projectors_below(bases: list, below: list) -> np.ndarray:
-    """C = QQ† with Q the QR factor of basis @ G, for each trial's basis of
-    range(B) and each of its Gaussians G (:func:`_draw_samples`): shape
-    ``(n, k, d, d)``, from one stacked ``qr`` per rank(C).  Each basis @ G
-    is its own product: a stacked matrix-vector product rounds differently."""
-    products = [basis @ g for basis, gs in zip(bases, below) for g in gs]
-    c = np.empty((len(products),) + (len(bases[0]),) * 2, np.complex128)
-    for idx in _grouped(m.shape for m in products):
-        q = np.linalg.qr(np.array([products[i] for i in idx]))[0]
-        c[idx] = q @ dag(q)
-    return c.reshape(len(bases), -1, *c.shape[1:])
+def _in_range(b: np.ndarray, samples: list) -> tuple:
+    """Each trial's draws (:func:`_draw_samples`) in one eigenbasis of its B:
+    U, the ascending eigenvectors of B's Hermitian part, whose last r
+    columns span range(B), r its count of eigenvalues above 1/2.  Each r x c
+    Gaussian G goes in the last r rows and first c columns of a d x d zero
+    matrix Ĝ, and C = QQ† for Q the QR factor of U Ĝ with its columns from c
+    on zeroed (Householder QR gives the first c columns as for U G alone);
+    each density S goes in the trailing r x r block of Ŝ, and D' = U Ŝ U†.
+    Returns C and D' as stacks ``(n, k, d, d)`` and U with its last r
+    columns zeroed, spanning range(I - B).  A draw on other than r rows
+    raises ``ValueError``: it is never embedded."""
+    vals, u = np.linalg.eigh((b + dag(b)) / 2)
+    ranks, dim = (vals > 0.5).sum(axis=-1), b.shape[-1]
+    g_hat = np.zeros((len(b), len(samples[0][1]), dim, dim), np.complex128)
+    s_hat, cols = np.zeros_like(g_hat), np.zeros(g_hat.shape[:2] + (1, dim), bool)
+    for i, ((below, states), r) in enumerate(zip(samples, ranks.tolist())):
+        for j, (g, s) in enumerate(zip(below, states)):
+            if (rows := (g.shape[0], *s.shape)) != (r, r, r):
+                raise ValueError(f"draws on rows {rows} against rank(B) = {r}")
+            g_hat[i, j, dim - r:, :g.shape[1]] = g
+            s_hat[i, j, dim - r:, dim - r:] = s
+            cols[i, j, 0, :g.shape[1]] = True
+    q = np.linalg.qr(u[:, None] @ g_hat)[0] * cols
+    rho = u[:, None] @ s_hat @ dag(u)[:, None]
+    return q @ dag(q), rho, u * (np.arange(dim) < dim - ranks[:, None])[:, None]
+
+
+def _re_trace(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re tr[XY] for each pair of matrices of two stacks, with no product."""
+    return (x * np.swapaxes(y, -1, -2)).real.sum(axis=(-2, -1))
 
 
 def _separation(rho: np.ndarray, d_b: np.ndarray, b: np.ndarray) -> tuple:
@@ -329,20 +335,11 @@ def conditional_uniqueness_stack(
     n, dim = d.shape[:2]
     DimensionTooSmall.require(dim)
     pb, d_b = condition(d, b)
-    bases, complements = _range_bases(b)
-
-    c = _projectors_below(bases, [below for below, _ in samples])
-    existence = np.abs(trace(d_b[:, None] @ c).real - trace(d[:, None] @ c).real / pb[:, None])
-    on_b = np.abs(trace(d_b @ b).real - 1.0)
-    off_b = np.abs(trace(d_b @ (opcore.identity(dim) - b)).real)
-
-    # Other densities D' on range(B), with D_B's kernel test stacked per
-    # rank(B), and their rank-one separators from D_B (:func:`_separation`).
-    rho, kernel = np.empty(c.shape, np.complex128), np.empty(n)
-    for idx in _grouped((x.shape, y.shape) for x, y in zip(bases, complements)):
-        basis = np.array([bases[i] for i in idx])[:, None]
-        rho[idx] = basis @ np.array([samples[i][1] for i in idx]) @ dag(basis)
-        kernel[idx] = opnorm(d_b[idx] @ np.array([complements[i] for i in idx]))
+    c, rho, complement = _in_range(b, samples)
+    existence = np.abs(_re_trace(d_b[:, None], c) - _re_trace(d[:, None], c) / pb[:, None])
+    on_b = np.abs(_re_trace(d_b, b) - 1.0)
+    off_b = np.abs(_re_trace(d_b, opcore.identity(dim) - b))
+    kernel = opnorm(d_b @ complement)
     gap, sep, below_defect = _separation(rho, d_b, b)
 
     basis_tol = floored(tol, BASIS_TOL)

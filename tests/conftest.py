@@ -39,8 +39,8 @@ def random_hermitian(gen, dim: int) -> np.ndarray:
 
 
 def qr_projector(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """QQ† with Q the QR factor of basis @ G: the conditioning batch's C <= B,
-    for one basis of range(B) and one Gaussian G."""
+    """QQ† with Q the QR factor of basis @ G: a C <= B built on one basis of
+    range(B) alone, as the conditioning batch builds it in B's eigenbasis."""
     q = np.linalg.qr(basis @ g)[0]
     return q @ opcore.dag(q)
 

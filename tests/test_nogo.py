@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nogo_lab import nogo
-from nogo_lab.check import BUILT_TOL, TOL
+from nogo_lab.check import BASIS_TOL, BUILT_TOL, TOL
 from nogo_lab.errors import ConditioningOnNull, DimensionTooSmall, NogoLabError, NotProjector
 from nogo_lab.nogo import (
     FAIL,
@@ -30,7 +30,7 @@ from nogo_lab.opcore import (
     trace_inner,
     zero,
 )
-from nogo_lab.quantum import Density, Projector, luders_density
+from nogo_lab.quantum import Density, Projector, leq, luders_density
 from nogo_lab.rng import make_generator, trial_generator
 
 from conftest import (
@@ -402,10 +402,10 @@ def test_a_pair_stack_refuses_its_first_non_projector(tol, side):
 
 
 def test_block_arrays_fit_the_entry_budget(monkeypatch):
-    """No stacked array reaching an SVD or eigh call exceeds BLOCK_ENTRIES
-    complex entries, and a long batch fills its blocks."""
+    """No stacked array reaching an SVD, eigh or QR call exceeds
+    BLOCK_ENTRIES complex entries, and a long batch fills its blocks."""
     sizes = []
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
         real = getattr(np.linalg, name)
 
         def spy(m, *args, real=real, **kwargs):
@@ -425,17 +425,47 @@ def test_block_arrays_fit_the_entry_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [3, 4, 8, 16])
-def test_grouped_projectors_below_equal_the_per_sample_construction(dim):
-    """One stacked qr per (rank(B), rank(C)) gives each C <= B the bits of
-    its own qr, on a block that mixes both ranks."""
+def test_embedded_draws_equal_the_per_sample_construction(dim):
+    """Draws carried into B's eigenbasis give, within 1e-12, each C <= B of
+    the QR on a basis of range(B) alone, of its drawn rank, and each D' of
+    that basis, on a block that mixes every rank 1..dim - 1 of B; the zeroed
+    eigenbasis spans range(I - B)."""
     gen = make_generator(dim)
-    ranks = [int(gen.integers(1, dim + 1)) for _ in range(12)]
-    bases = nogo._range_bases(np.array([random_projector_matrix(gen, dim, r) for r in ranks]))[0]
-    below = [nogo._draw_samples(gen, r, nogo.SAMPLES)[0] for r in ranks]
-    assert len({g.shape for gs in below for g in gs}) >= 4
-    grouped = nogo._projectors_below(bases, below)
-    loop = [[qr_projector(basis, g) for g in gs] for basis, gs in zip(bases, below)]
-    assert np.array_equal(grouped, loop)
+    ranks = gen.permutation(np.arange(1, dim)).tolist()
+    b = np.array([random_projector_matrix(gen, dim, r) for r in ranks])
+    samples = [nogo._draw_samples(gen, r, nogo.SAMPLES) for r in ranks]
+    embedded = nogo._in_range(b, samples)
+    for bi, (below, states), c, rho, complement in zip(b, samples, *embedded):
+        vals, vecs = np.linalg.eigh((bi + dag(bi)) / 2)  # the eigenbasis range(B) draws are in
+        basis = vecs[:, vals > 0.5]
+        for g, s, cj, rho_j in zip(below, states, c, rho):
+            assert np.allclose(cj, qr_projector(basis, g), rtol=0, atol=1e-12)
+            assert np.allclose(rho_j, basis @ s @ dag(basis), rtol=0, atol=1e-12)
+            c_below = Projector.from_matrix(cj, BASIS_TOL)
+            assert c_below.rank == g.shape[1]
+            assert leq(c_below, Projector.from_matrix(bi, BUILT_TOL), 1e-12)
+        assert opnorm(bi @ complement) <= 1e-12
+        assert np.allclose(complement @ dag(complement), identity(dim) - bi, rtol=0, atol=1e-12)
+
+
+def test_a_draw_off_the_rank_of_range_b_raises():
+    """A draw on other rows than B has eigenvalues above 1/2 raises, and is
+    never embedded by broadcasting: a one-row Gaussian or a 1 x 1 density
+    against rank 2, and a B of trace rank 1 with two eigenvalues 0.7."""
+    gen = make_generator(0)
+    b = random_projector_matrix(gen, 3, 2)[None]
+    below, states = nogo._draw_samples(gen, 2, 2)
+    cases = {
+        r"\(1, 2, 2\)": ([complex_gaussian(gen, 1, 1), below[1]], states),
+        r"\(2, 1, 1\)": (below, states[:, :1, :1]),
+    }
+    for rows, samples in cases.items():
+        with pytest.raises(ValueError, match=rf"rows {rows} against rank\(B\) = 2"):
+            nogo._in_range(b, [samples])
+    loose = Projector.from_matrix(np.diag([0.7, 0.7, 0.0]).astype(np.complex128), 0.5)
+    assert loose.rank == 1
+    with pytest.raises(ValueError, match=r"rows \(1, 1, 1\) against rank\(B\) = 2"):
+        check_conditional_uniqueness(Density.maximally_mixed(3), loose, 3, tol=0.5)
 
 
 @pytest.mark.parametrize("generic_b", [False, True])
@@ -448,10 +478,7 @@ def test_separation_agrees_with_the_matrix_formulas(dim, generic_b):
     ranks = [int(gen.integers(1, dim)) for _ in range(3)]
     b = np.array([random_projector_matrix(gen, dim, r) for r in ranks])
     d_b = np.array([random_density_matrix(gen, dim) for _ in ranks])
-    rho = np.array([
-        [basis @ random_density_matrix(gen, r) @ dag(basis) for _ in range(4)]
-        for basis, r in zip(nogo._range_bases(b)[0], ranks)
-    ])
+    rho = nogo._in_range(b, [nogo._draw_samples(gen, r, 4) for r in ranks])[1]
     if generic_b:
         b = b + np.array([complex_gaussian(gen, dim, dim) for _ in ranks]) / dim
     gap, sep, below = nogo._separation(rho, d_b, b)
